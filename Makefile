@@ -15,8 +15,8 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Simulation-layer benches only: the batched advance kernel's hot paths
-# (core slice loop, cluster-scale machine spans, counter sampling).
+# Simulation-layer benches only: the fleet advance's hot paths (one-lane
+# spans, cluster-scale machine spans, counter sampling).
 bench-sim:
 	pytest benchmarks/test_bench_hotpaths.py --benchmark-only \
 		-k "advance or counter"
@@ -45,18 +45,13 @@ bench-save:
 		--benchmark-json=$(BENCH_BASELINE)
 
 # Re-run the hot-path benches and fail on >3x mean regression vs the
-# committed baseline (same check CI's bench-smoke job runs).
+# committed baseline (per-bench thresholds live in compare_baseline.py;
+# same check CI's bench-smoke job runs).
 bench-compare:
 	pytest benchmarks/test_bench_hotpaths.py --benchmark-only \
 		--benchmark-json=$(BENCH_CURRENT)
 	python benchmarks/compare_baseline.py $(BENCH_BASELINE) \
-		$(BENCH_CURRENT) --max-ratio 3.0 \
-		--max-ratio-for test_bench_frequency_residency=5.0 \
-		--max-ratio-for test_bench_power_series=5.0 \
-		--max-ratio-for test_bench_hier_round_1024_nodes=5.0 \
-		--max-ratio-for test_bench_advance_1024_nodes_10s=5.0 \
-		--max-ratio-for test_bench_advance_16_nodes_100s=2.0 \
-		--max-ratio-for test_bench_serving_advance=5.0
+		$(BENCH_CURRENT) --max-ratio 3.0
 
 experiments:
 	fvsst run all

@@ -3,15 +3,14 @@
 Usage::
 
     python benchmarks/compare_baseline.py BASELINE.json CURRENT.json \
-        [--max-ratio 3.0] [--max-ratio-for NAME=RATIO ...]
+        [--max-ratio 3.0]
 
 Exits non-zero when any benchmark present in both files regressed by more
-than ``--max-ratio`` on mean time.  ``--max-ratio-for`` overrides the
-threshold for one benchmark (repeatable) — microsecond-scale benches on
-shared CI runners need more headroom than millisecond ones.  Benchmarks
-missing from either side are reported but never fail the check (machines
-differ; new benches have no history yet).  ``make bench-save`` /
-``make bench-compare`` wrap this.
+than its threshold on mean time: ``--max-ratio`` by default, or the
+per-bench entry in :data:`MAX_RATIO_FOR`.  Benchmarks missing from either
+side are reported but never fail the check (machines differ; new benches
+have no history yet).  ``make bench-save`` / ``make bench-compare`` wrap
+this, and CI's bench-smoke job runs it.
 """
 
 from __future__ import annotations
@@ -20,6 +19,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: Per-bench thresholds that replace ``--max-ratio``.  Microsecond- and
+#: low-millisecond-scale benches (residency, power series) and the
+#: numpy-heavy fleet and hierarchy rounds swing with the runner's cache and
+#: scheduler noise, so they get 5x headroom.  The 16-node banked advance is
+#: long and stable, so it is held tighter than the default to pin the fleet
+#: path's win.
+MAX_RATIO_FOR = {
+    "test_bench_frequency_residency": 5.0,
+    "test_bench_power_series": 5.0,
+    "test_bench_hier_round_1024_nodes": 5.0,
+    "test_bench_advance_1024_nodes_10s": 5.0,
+    "test_bench_advance_16_nodes_100s": 2.0,
+    "test_bench_serving_advance": 5.0,
+}
 
 
 def _means(path: Path) -> dict[str, float]:
@@ -37,22 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("current", type=Path)
     parser.add_argument("--max-ratio", type=float, default=3.0,
                         help="fail when current mean exceeds baseline mean "
-                             "by more than this factor (default 3.0)")
-    parser.add_argument("--max-ratio-for", action="append", default=[],
-                        metavar="NAME=RATIO",
-                        help="per-benchmark threshold override "
-                             "(repeatable)")
+                             "by more than this factor (default 3.0) for "
+                             "benches without a MAX_RATIO_FOR entry")
     args = parser.parse_args(argv)
-    overrides: dict[str, float] = {}
-    for spec in args.max_ratio_for:
-        name, sep, value = spec.partition("=")
-        if not sep:
-            sys.exit(f"error: --max-ratio-for expects NAME=RATIO, "
-                     f"got {spec!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            sys.exit(f"error: bad ratio in --max-ratio-for {spec!r}")
 
     baseline = _means(args.baseline)
     current = _means(args.current)
@@ -66,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:<{width}}  {'(new)':>12}  {mean:>12.3e}      -")
             continue
         ratio = mean / base if base > 0 else float("inf")
-        limit = overrides.get(name, args.max_ratio)
+        limit = MAX_RATIO_FOR.get(name, args.max_ratio)
         flag = ""
         if ratio > limit:
             failures.append((name, ratio))

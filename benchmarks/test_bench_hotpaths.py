@@ -14,8 +14,9 @@ from repro.model.ipc import WorkloadSignature
 from repro.model.latency import POWER4_LATENCIES
 from repro.power.supply import SupplyBank
 from repro.power.table import POWER4_TABLE
-from repro.sim.core import CoreConfig, SimulatedCore
+from repro.sim.core import CoreConfig
 from repro.sim.counters import CounterReader, CounterSample
+from repro.sim.fleet import advance_machines, flush_machines
 from repro.sim.machine import MachineConfig, SMPMachine
 from repro.units import ghz
 from repro.workloads.job import Job, LoopMode
@@ -54,28 +55,30 @@ class TestBenchScheduler:
         assert schedule.total_power_w <= budget
 
 
+def _one_core_machine(sigma: float, seed: int, job: Job) -> SMPMachine:
+    machine = SMPMachine(MachineConfig(
+        num_cores=1, initial_freq_hz=ghz(1.0),
+        core_config=CoreConfig(latency_jitter_sigma=sigma)), seed=seed)
+    machine.assign(0, job)
+    return machine
+
+
 class TestBenchSimulatorAdvance:
-    def _core(self) -> SimulatedCore:
-        core = SimulatedCore(0, initial_freq_hz=ghz(1.0),
-                             config=CoreConfig(latency_jitter_sigma=0.02),
-                             rng=1)
+    def test_bench_advance_one_second(self, benchmark):
+        """One simulated second of a jittered three-phase looping job on
+        a one-core machine, through the one-lane fleet the driver uses
+        (columns stay authoritative between spans, as in a run)."""
         phases = tuple(
             synthetic_phase(r, duration_s=0.05, name=f"p{i}")
             for i, r in enumerate((1.0, 0.5, 0.2))
         )
-        core.add_job(Job(name="j", phases=phases, loop=LoopMode.LOOP))
-        return core
+        machine = _one_core_machine(
+            0.02, 1, Job(name="j", phases=phases, loop=LoopMode.LOOP))
+        machines = [machine]
 
-    def test_bench_advance_one_second(self, benchmark):
-        core = self._core()
-        state = {"t": 0.0}
-
-        def advance():
-            core.advance(state["t"], 1.0)
-            state["t"] += 1.0
-
-        benchmark(advance)
-        assert core.counters.instructions > 0
+        benchmark(lambda: advance_machines(machines, 1.0, flush=False))
+        flush_machines(machines)
+        assert machine.cores[0].counters.instructions > 0
 
     def test_bench_advance_16_nodes_100s(self, benchmark):
         """Cluster-scale span advance through the fleet columns: 16
@@ -88,11 +91,10 @@ class TestBenchSimulatorAdvance:
         chunk-walked inside the columns, and jitter draws come from the
         block-refilled lane buffers.  The bench asserts full residency
         and that the fleet path beats the scalar per-chunk walk (the
-        pre-kernel path, forced via a subclass) by >= 4x."""
+        reference path, forced via a subclass) by >= 4x."""
         import time as _time
 
         from repro.sim.fleet import fleet_stats
-        from repro.sim.kernel import advance_machines
 
         phases = tuple(
             synthetic_phase(r, duration_s=0.05, name=f"p{i}")
@@ -129,9 +131,8 @@ class TestBenchSimulatorAdvance:
         assert machines[0].ledger.total_energy_j > 0
 
         # The >= 4x acceptance vs the scalar per-chunk walk, measured on
-        # a shorter horizon.  Subclassing _advance_to defeats both the
-        # machine-span kernel and fleet residency, which is exactly the
-        # pre-kernel path.
+        # a shorter horizon.  Subclassing _advance_to defeats fleet
+        # residency, so every machine delegates to the scalar reference.
         class ScalarForced(SMPMachine):
             def _advance_to(self, t_end):
                 super()._advance_to(t_end)
@@ -164,8 +165,8 @@ class TestBenchSimulatorAdvance:
 
         from repro.sim.cluster import Cluster
         from repro.sim.driver import Simulation
-        from repro.sim.fleet import fallback_breakdown, fleet_stats
-        from repro.sim.kernel import set_fleet_enabled
+        from repro.sim.fleet import (fallback_breakdown, fleet_stats,
+                                     set_fleet_enabled)
         from repro.workloads.server import RequestSpec
         from repro.workloads.serving import FleetTrafficSource
 
@@ -260,19 +261,18 @@ class TestBenchSimulatorAdvance:
 
 class TestBenchCounterPath:
     def test_bench_counter_sampling(self, benchmark):
-        core = SimulatedCore(0, initial_freq_hz=ghz(1.0),
-                             config=CoreConfig(latency_jitter_sigma=0.0),
-                             rng=2)
-        core.add_job(Job(name="j",
-                         phases=(synthetic_phase(0.5, duration_s=10.0),),
-                         loop=LoopMode.LOOP))
-        reader = CounterReader(core.counters, noise_sigma=0.005, rng=3)
-        state = {"t": 0.0}
+        """One 10 ms sampling tick: a one-lane fleet span, then a noisy
+        counter read (the snapshot flushes the lane's counter columns)."""
+        machine = _one_core_machine(0.0, 2, Job(
+            name="j", phases=(synthetic_phase(0.5, duration_s=10.0),),
+            loop=LoopMode.LOOP))
+        machines = [machine]
+        reader = CounterReader(machine.cores[0].counters, noise_sigma=0.005,
+                               rng=3)
 
         def sample_tick():
-            core.advance(state["t"], 0.01)
-            state["t"] += 0.01
-            return reader.sample(state["t"])
+            advance_machines(machines, 0.01, flush=False)
+            return reader.sample(machine.now_s)
 
         sample = benchmark(sample_tick)
         assert sample.interval_s > 0

@@ -19,8 +19,7 @@ import time
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
-from repro.sim.fleet import fleet_stats
-from repro.sim.kernel import advance_machines
+from repro.sim.fleet import advance_machines, fleet_stats
 from repro.sim.machine import MachineConfig, SMPMachine
 from repro.telemetry import NullTelemetry, Telemetry, use_telemetry
 from repro.workloads.job import Job, LoopMode
@@ -120,7 +119,7 @@ def _run_fleet_advance(telemetry) -> None:
 
 class TestBenchFleetTelemetryOverhead:
     """Telemetry-resident fleet columns: a live backend no longer evicts
-    machines to the per-machine path, so its cost on the fleet-advance
+    machines to the scalar path, so its cost on the fleet-advance
     hot loop must be a per-span counter batch plus events at phase
     crossings — bounded by the same 5% contract as the daemon path."""
 

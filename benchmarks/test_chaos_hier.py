@@ -109,7 +109,7 @@ def test_fleet_faults_1024_nodes(scenario, seed):
     # Residency gate: the wall budget above is the blunt instrument, this
     # is the precise one.  Nearly every machine-span must go through the
     # fleet columns; a change that silently demotes a machine class to
-    # the per-machine path shows up here as a falling ratio.
+    # the scalar path shows up here as a falling ratio.
     adv = fleet_stats["advances"] - stats0["advances"]
     fell = fleet_stats["fallbacks"] - stats0["fallbacks"]
     assert adv > 0

@@ -100,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "experiments, in milliseconds (only serving "
                             "experiments support it)")
     run_p.add_argument("--no-fleet-kernel", action="store_true",
-                       help="advance machines one at a time instead of "
-                            "through the fleet-wide columnar kernel "
-                            "(escape hatch; results are bit-identical)")
+                       help="advance every machine through the scalar "
+                            "reference path instead of the fleet-wide "
+                            "columns (escape hatch; results are "
+                            "bit-identical)")
     return parser
 
 
@@ -188,6 +189,41 @@ def _run_with_telemetry(ids: Sequence[str], args) -> int:
     return 0
 
 
+def _run_command(args) -> int:
+    """``fvsst run``: validate the flags, then run the selected
+    experiments."""
+    from .experiments import REGISTRY
+
+    ids = sorted(REGISTRY) if args.experiment == "all" else [args.experiment]
+    if args.jobs != 1:
+        if args.telemetry is not None:
+            # Pool workers run with NullTelemetry, so a pooled run would
+            # record nothing.  Instrumentation wins.
+            print("note: --telemetry forces --jobs 1", file=sys.stderr)
+        else:
+            from .exec import configure
+            configure(args.jobs)
+    if args.faults is not None:
+        from .cluster.faults import FAULT_SCENARIOS, scenario_catalog
+        if args.faults not in FAULT_SCENARIOS:
+            raise ConfigError(
+                f"unknown fault scenario {args.faults!r}; "
+                f"available:\n{scenario_catalog()}"
+            )
+    if args.shards is not None and args.shards < 1:
+        raise ConfigError("--shards must be at least 1")
+    if args.slo_p99_ms is not None and args.slo_p99_ms <= 0:
+        raise ConfigError("--slo-p99-ms must be positive")
+    if args.telemetry is not None:
+        return _run_with_telemetry(ids, args)
+    for eid in ids:
+        _run_one(eid, seed=args.seed, fast=args.fast,
+                 precision=args.precision, chart=args.chart,
+                 output=args.output, faults=args.faults,
+                 shards=args.shards, slo_p99_ms=args.slo_p99_ms)
+    return 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -225,40 +261,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(report.render())
             return 0 if report.passed else 1
         if args.command == "run":
+            from .sim.fleet import fleet_enabled, set_fleet_enabled
+            was_enabled = fleet_enabled()
             if args.no_fleet_kernel:
-                from .sim.kernel import set_fleet_enabled
                 set_fleet_enabled(False)
-            ids = sorted(REGISTRY) if args.experiment == "all" \
-                else [args.experiment]
-            if args.jobs != 1:
-                if args.telemetry is not None:
-                    # Pool workers run with NullTelemetry, so a pooled run
-                    # would record nothing.  Instrumentation wins.
-                    print("note: --telemetry forces --jobs 1",
-                          file=sys.stderr)
-                else:
-                    from .exec import configure
-                    configure(args.jobs)
-            if args.faults is not None:
-                from .cluster.faults import FAULT_SCENARIOS, scenario_catalog
-                if args.faults not in FAULT_SCENARIOS:
-                    raise ConfigError(
-                        f"unknown fault scenario {args.faults!r}; "
-                        f"available:\n{scenario_catalog()}"
-                    )
-            if args.shards is not None and args.shards < 1:
-                raise ConfigError("--shards must be at least 1")
-            if args.slo_p99_ms is not None and args.slo_p99_ms <= 0:
-                raise ConfigError("--slo-p99-ms must be positive")
-            if args.telemetry is not None:
-                return _run_with_telemetry(ids, args)
-            for eid in ids:
-                _run_one(eid, seed=args.seed, fast=args.fast,
-                         precision=args.precision, chart=args.chart,
-                         output=args.output, faults=args.faults,
-                         shards=args.shards,
-                         slo_p99_ms=args.slo_p99_ms)
-            return 0
+            try:
+                return _run_command(args)
+            finally:
+                # The switch is process-wide; later calls in the same
+                # process must not inherit this run's routing.
+                set_fleet_enabled(was_enabled)
         raise AssertionError(f"unhandled command {args.command!r}")
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

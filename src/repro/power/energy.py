@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import SimulationError
 from ..units import check_non_negative
 
@@ -45,32 +43,6 @@ class EnergyAccumulator:
             )
         self.energy_j += power_w * (now_s - self.last_time_s)
         self.last_time_s = now_s
-
-    def advance_many(self, times_s: np.ndarray, power_w: float) -> None:
-        """Bulk :meth:`advance_to` over ascending ``times_s`` at a constant
-        power level — bit-for-bit equal to the equivalent call sequence
-        (``cumsum`` accumulates in the same left-to-right order).
-        """
-        check_non_negative(power_w, "power_w")
-        t = np.asarray(times_s, dtype=float)
-        if t.size == 0:
-            return
-        if t[0] < self.last_time_s or np.any(t[1:] < t[:-1]):
-            raise SimulationError(
-                f"time went backwards in bulk advance from {self.last_time_s}"
-            )
-        if power_w == 0.0:
-            # Adding p*dt == +0.0 leaves a non-negative total bit-unchanged.
-            self.last_time_s = float(t[-1])
-            return
-        buf = np.empty(t.size + 1)
-        buf[0] = self.energy_j
-        dt = np.empty(t.size)
-        dt[0] = t[0] - self.last_time_s
-        dt[1:] = t[1:] - t[:-1]
-        buf[1:] = power_w * dt
-        self.energy_j = float(buf.cumsum()[-1])
-        self.last_time_s = float(t[-1])
 
     @property
     def elapsed_s(self) -> float:
@@ -108,54 +80,6 @@ class EnergyLedger:
             self.account(name)  # materialise before the loop below
         for name, acc in self.accounts.items():
             acc.advance_to(now_s, powers_w.get(name, 0.0))
-
-    def advance_many(self, times_s: np.ndarray,
-                     powers_w: dict[str, float]) -> None:
-        """Advance every account through all of ``times_s`` at once.
-
-        Equivalent to calling :meth:`advance_to` once per time with the same
-        ``powers_w``, without rebuilding the powers dict per step — the bulk
-        path the simulation kernel uses for event-free spans.
-
-        Stock accumulators integrate in a single 2-D cumsum (one numpy pass
-        for the whole ledger instead of one per account); each row of an
-        axis-1 cumsum accumulates left-to-right exactly like the 1-D case,
-        so the result is bit-for-bit the per-account loop.  A zero-power
-        row only adds ``+0.0`` terms, which leave the non-negative total
-        bit-unchanged, matching the scalar shortcut.
-        """
-        if len(times_s) == 0:
-            return
-        for name in powers_w:
-            self.account(name)
-        accs = list(self.accounts.values())
-        if len(accs) > 1 and all(type(a) is EnergyAccumulator for a in accs):
-            t = np.asarray(times_s, dtype=float)
-            if np.any(t[1:] < t[:-1]):
-                raise SimulationError("time went backwards in bulk advance")
-            powers = np.empty(len(accs))
-            for k, name in enumerate(self.accounts):
-                p = powers_w.get(name, 0.0)
-                check_non_negative(p, "power_w")
-                powers[k] = p
-            last = np.array([a.last_time_s for a in accs])
-            if np.any(t[0] < last):
-                raise SimulationError(
-                    "time went backwards in bulk advance"
-                )
-            buf = np.empty((len(accs), t.size + 1))
-            buf[:, 0] = [a.energy_j for a in accs]
-            buf[:, 1] = powers * (t[0] - last)
-            if t.size > 1:
-                buf[:, 2:] = powers[:, None] * (t[1:] - t[:-1])[None, :]
-            totals = buf.cumsum(axis=1)[:, -1]
-            t_last = float(t[-1])
-            for k, acc in enumerate(accs):
-                acc.energy_j = float(totals[k])
-                acc.last_time_s = t_last
-            return
-        for name, acc in self.accounts.items():
-            acc.advance_many(times_s, powers_w.get(name, 0.0))
 
     @property
     def total_energy_j(self) -> float:

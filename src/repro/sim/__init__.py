@@ -20,7 +20,9 @@ Modules:
 * :mod:`~repro.sim.core` — a simulated Power4+ core.
 * :mod:`~repro.sim.powermeter` — system power measurement.
 * :mod:`~repro.sim.machine` — the SMP machine (cores + PSUs + meter).
-* :mod:`~repro.sim.kernel` — batched advance over event-free spans.
+* :mod:`~repro.sim.fleet` — columnar advance of every machine over
+  event-free spans (the fast path; ``machine.advance`` is the scalar
+  reference).
 * :mod:`~repro.sim.driver` — the simulation loop tying it together.
 * :mod:`~repro.sim.network` / :mod:`~repro.sim.node` /
   :mod:`~repro.sim.cluster` — multi-node clusters over a latency network.
@@ -36,7 +38,7 @@ from .os_sched import Dispatcher
 from .core import SimulatedCore, CoreConfig
 from .powermeter import PowerMeter
 from .machine import SMPMachine, MachineConfig
-from .kernel import advance_machines
+from .fleet import advance_machines
 from .driver import Simulation
 from .network import Network, NetworkConfig
 from .node import ClusterNode

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from ..errors import ClusterError
 from ..workloads.job import Job
-from .kernel import advance_machines
+from .fleet import advance_machines
 from .machine import MachineConfig, SMPMachine
 from .network import Network, NetworkConfig
 from .node import ClusterNode
@@ -35,7 +35,7 @@ class Cluster:
                 raise ClusterError("duplicate node ids")
             self._nodes_by_id[n.node_id] = n
         self.network = network or Network()
-        # One stable list for the simulator: the fleet kernel keys its
+        # One stable list for the simulator: the fleet columns key their
         # resident state on list contents, and rebuilding the list on every
         # property access costs O(N) per event-free span at cluster scale.
         self._machines: list[SMPMachine] = [n.machine for n in self.nodes]
@@ -87,9 +87,9 @@ class Cluster:
     def advance(self, dt: float) -> None:
         """Step every node through one event-free span of ``dt`` seconds.
 
-        Routes through the batched kernel dispatch, so a cluster-scale
-        advance costs one kernel call per machine instead of one Python
-        step per machine per 10 ms supply-observation chunk.
+        Routes through the fleet columns, so a cluster-scale advance costs
+        one numpy pass over every resident core instead of one Python step
+        per machine per 10 ms supply-observation chunk.
         """
         advance_machines(self.machines, dt)
 

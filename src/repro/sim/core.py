@@ -106,9 +106,9 @@ class SimulatedCore:
         #: corner-lot part has > 1.0).  Performance is unaffected.
         self._power_scale = 1.0
         #: Block-drawn latency-jitter values, as (sigma, z_draws, jitters).
-        #: The batched kernel refills this in blocks; ``_jitter_scale``
+        #: The fleet columns refill this in blocks; ``_jitter_scale``
         #: consumes it first, so the RNG stream stays aligned no matter how
-        #: scalar and batched advances interleave.
+        #: scalar and columnar advances interleave.
         self._jitter_buf: tuple[float, list[float], list[float]] | None = None
         self._jitter_pos = 0
 
@@ -229,8 +229,6 @@ class SimulatedCore:
             return
         t = start_s
         end = start_s + dt
-        if end - t > _MIN_SLICE_S and kernel.try_fast_advance(self, start_s, dt):
-            return
         while end - t > _MIN_SLICE_S:
             t = self._advance_slice(t, end)
 
@@ -323,8 +321,3 @@ class SimulatedCore:
         check_non_negative(dt, "dt")
         self._overhead_debt_s += dt
         self._fleet_invalidate()
-
-
-# Imported at the bottom: the kernel needs the class above, and `advance`
-# only touches it after both modules are fully initialised.
-from . import kernel  # noqa: E402

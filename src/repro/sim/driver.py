@@ -21,8 +21,7 @@ from ..telemetry import Telemetry, get_telemetry
 from ..units import check_non_negative, check_positive
 from .clock import SimClock
 from .events import Event, EventQueue
-from .fleet import flush_machines
-from .kernel import advance_machines
+from .fleet import advance_machines, flush_machines
 from .machine import SMPMachine
 
 __all__ = ["Simulation", "PeriodicTask"]
@@ -133,9 +132,9 @@ class Simulation:
     # -- running ---------------------------------------------------------------------
 
     def _advance_machines(self, dt: float) -> None:
-        # One batched advance per machine per event-free span; resident
-        # machines stay in fleet columns between spans (counters still
-        # synchronise on snapshot) and flush when run_until returns.
+        # One fleet advance per event-free span; resident machines stay in
+        # fleet columns between spans (counters still synchronise on
+        # snapshot) and flush when run_until returns.
         advance_machines(self.machines, dt, flush=False)
 
     def run_until(self, t_end_s: float) -> None:

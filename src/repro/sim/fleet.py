@@ -1,18 +1,20 @@
 """Fleet-wide columnar advance: one numpy pass over every core in the cluster.
 
-PR 3's kernel batches the chunks *within* one machine, but a cluster span
-still costs one Python dispatch per machine: the 1024-node chaos smoke
-makes ~3M ``machine.advance`` calls per simulated second, and the per-call
-overhead — not the arithmetic — dominates.  This module inverts the
-ownership model for the duration of a run: eligible machines become *views*
-over a :class:`FleetState`, a structure of arrays holding one lane per core
-(frequency, throughput, phase cursor, counter totals, residency, energy
-accumulators), and one event-free span advances every lane with ~20 numpy
-operations regardless of cluster size.
+The scalar reference (``SMPMachine.advance`` -> ``SimulatedCore.advance``
+-> ``_advance_slice``) costs one Python dispatch per machine and one per
+slice: the 1024-node chaos smoke would make ~3M ``machine.advance`` calls
+per simulated second, and the per-call overhead — not the arithmetic —
+dominates.  This module inverts the ownership model for the duration of a
+run: eligible machines become *views* over a :class:`FleetState`, a
+structure of arrays holding one lane per core (frequency, throughput,
+phase cursor, counter totals, residency, energy accumulators), and one
+event-free span advances every lane with ~20 numpy operations regardless
+of cluster size.  It is the simulator's only fast path: every span of
+every machine goes through :func:`advance_machines`, and whatever cannot
+live in columns runs the scalar reference.
 
-The contract is PR 3's, extended cluster-wide: **bit-for-bit equality**
-with the per-machine path.  The per-span update exploits the same float
-identities the kernel proved out:
+The contract is **bit-for-bit equality** with the scalar path.  The
+per-span update exploits these float identities:
 
 * every non-crossing lane advances by the same span length, so one vector
   multiply/add per column reproduces the scalar slice exactly (elementwise
@@ -22,23 +24,27 @@ identities the kernel proved out:
   masked lanes ride along in the same vector adds untouched;
 * the few lanes that *do* hit a boundary this span (phase crossing, float
   corner) are found with one vectorized predicate — the same comparison the
-  scalar loop makes — and re-run through a literal port of the kernel's
-  slice loop against their columns.
+  scalar loop makes — and re-run through :meth:`FleetState._advance_busy_lane`,
+  ``_advance_slice`` with the span-stable conditions hoisted out, against
+  their columns;
+* sequential ``x += inc`` runs (idle chunks, energy per observation chunk)
+  collapse into one ``cumsum``, which accumulates left-to-right.
 
 Residency matrix (what lives in columns):
 
 * **Jittered busy cores** are resident: each span draws one value per lane
-  through the core's stream-aligned ``_jitter_buf`` (the kernel's block
-  refill-64/refill-256 discipline, verbatim), folds it into that lane's
-  throughput, and lets the vector pass carry it — draw order is identical
-  to the scalar path.
+  through the core's stream-aligned ``_jitter_buf`` (block refill-64 on a
+  sigma mismatch at span start, refill-256 on exhaustion; block
+  ``standard_normal(n)`` equals ``n`` scalar draws), folds it into that
+  lane's throughput, and lets the vector pass carry it — draw order is
+  identical to the scalar path.
 * **Supply-banked machines** are resident: their lanes are excluded from
   the whole-span vector pass and instead chunked at the machine's
   observation interval, replaying :meth:`SupplyBank.plan_constant_span` /
-  :meth:`SupplyBank.observe` through the same bisect machinery the
-  per-machine kernel uses.  A span a *raising* cascade would cut delegates
-  the whole fleet for that span, preserving the scalar loop's partial
-  advance and exception order.
+  :meth:`SupplyBank.observe` at the boundaries where the bank's state
+  changes.  A span a *raising* cascade would cut delegates the whole fleet
+  for that span, preserving the scalar loop's partial advance and
+  exception order.
 * **Enabled telemetry** is resident: per-lane ``sim_*`` counters accumulate
   in columns and flush to the registry at flush/snapshot boundaries, and
   phase-transition events are emitted at crossings with the scalar payload.
@@ -93,18 +99,44 @@ from ..power.supply import SupplyBank
 from ..telemetry import EVENT_PHASE_TRANSITION, get_telemetry
 from ..units import check_non_negative
 from ..workloads.job import Job, JobState, LoopMode
+from ..workloads.phase import Phase
 from .core import _MIN_SLICE_S, SimulatedCore
 from .counters import CounterBank
-from .idle import HOT_IDLE_PHASE, IdleStyle
-from .kernel import (_BUSY, _CHUNKED, _IDLE, _OFFLINE, _acc, _classify,
-                     _detector_passive, _hooks_intact, _phases_plain)
+from .idle import HOT_IDLE_PHASE, IdleDetector, IdleStyle
 from .machine import SMPMachine, observation_bounds
 from .os_sched import Dispatcher
 from .powermeter import PowerMeter
 from .throttle import ThrottleActuator
 
-__all__ = ["FleetState", "advance_fleet", "flush_machines", "reset_fleet",
-           "fleet_stats", "fleet_fallback_reasons", "fallback_breakdown"]
+__all__ = ["FleetState", "advance_machines", "advance_fleet",
+           "flush_machines", "reset_fleet", "set_fleet_enabled",
+           "fleet_enabled", "fleet_stats", "fleet_fallback_reasons",
+           "fallback_breakdown"]
+
+# Per-core execution modes over one event-free span.
+_OFFLINE = 0    # closed form: residency only
+_IDLE = 1       # closed form: one stationary idle slice per chunk
+_BUSY = 2       # column lane: single plain-phase job, constant frequency
+_CHUNKED = 3    # object-authoritative: scalar core.advance each span/chunk
+
+#: Hooks whose override forces the scalar path.
+_CORE_HOOKS = ("advance", "_advance_slice", "_advance_idle",
+               "_advance_overhead", "_jitter_scale", "_record_residency")
+
+#: Routing switch for the fleet columns (``fvsst run --no-fleet-kernel``
+#: clears it; the scalar ``machine.advance`` is the bit-equal reference).
+_FLEET_ENABLED = True
+
+
+def set_fleet_enabled(enabled: bool) -> None:
+    """Enable/disable routing spans through the fleet columns."""
+    global _FLEET_ENABLED
+    _FLEET_ENABLED = bool(enabled)
+
+
+def fleet_enabled() -> bool:
+    return _FLEET_ENABLED
+
 
 #: Process-wide tallies (tests and quick diagnostics; the telemetry
 #: counters sim_fleet_advances_total / sim_fleet_fallbacks_total carry the
@@ -162,7 +194,7 @@ def _bump(advances: int, fallbacks: dict[str, int] | None = None) -> None:
                  m.counter("sim_fleet_advances_total",
                            "Machine-spans advanced through fleet columns"),
                  m.counter("sim_fleet_fallbacks_total",
-                           "Machine-spans delegated to the per-machine path"),
+                           "Machine-spans delegated to the scalar path"),
                  {})
         _tel_cache = cache
     if advances:
@@ -175,7 +207,7 @@ def _bump(advances: int, fallbacks: dict[str, int] | None = None) -> None:
             if c is None:
                 c = cache[0].metrics.counter(
                     "sim_fleet_fallbacks_total",
-                    "Machine-spans delegated to the per-machine path",
+                    "Machine-spans delegated to the scalar path",
                     labels={"reason": reason})
                 by_reason[reason] = c
             c.inc(k)
@@ -185,59 +217,85 @@ class _Evict(Exception):
     """A lane can no longer be represented in columns; rebuild the fleet."""
 
 
+def _hooks_intact(core: SimulatedCore) -> bool:
+    t = type(core)
+    if t is SimulatedCore:
+        return True
+    return all(getattr(t, h) is getattr(SimulatedCore, h) for h in _CORE_HOOKS)
+
+
+def _phases_plain(job: Job) -> bool:
+    ok = job.__dict__.get("_phases_plain")
+    if ok is None:
+        ok = all(type(p) is Phase for p in job.phases)
+        job.__dict__["_phases_plain"] = ok
+    return ok
+
+
+def _detector_passive(det) -> bool:
+    return type(det) is IdleDetector and det.passive
+
+
+def _acc(initial: float, increments: np.ndarray) -> float:
+    """Sequential ``x += inc`` over ``increments`` starting from ``initial``
+    (``cumsum`` accumulates left-to-right, so this is bitwise the loop)."""
+    buf = np.empty(increments.size + 1)
+    buf[0] = initial
+    buf[1:] = increments
+    return float(buf.cumsum()[-1])
+
+
 def _classify_lane(core: SimulatedCore, t0: float,
                    banked: bool) -> tuple[int, bool] | None:
-    """Fleet-side extension of :func:`kernel._classify`.
+    """Execution mode of one core over an event-free span.
 
-    Returns ``(mode, volatile)`` or None (the machine must delegate).
-    Beyond the kernel's modes, this admits what only the fleet layer can
-    keep resident:
+    Returns ``(mode, volatile)`` or None (the machine must delegate):
 
     * a single plain-phase :class:`Job` of *any* loop mode is ``_BUSY`` —
       a ONCE job's completion is handled as a columnar crossing by
       :meth:`FleetState._advance_busy_lane`;
-    * pending frequency settling, and queues that mix a ONCE job with
-      other work, are ``_CHUNKED`` *volatile* lanes: ``core.advance``
-      handles the interior boundary each span, and the lane re-derives
-      (power included) at every span start — exactly when the scalar
+    * daemon-time debt, a replaced counter bank, and multi-job queues are
+      ``_CHUNKED``: ``core.advance`` runs each span against the objects;
+    * pending frequency settling, and queues holding a ONCE job next to
+      other work, are *volatile* chunked lanes: ``core.advance`` handles
+      the interior boundary each span, and the lane re-derives (power
+      included) at every span start — exactly when the scalar
       ``machine._advance_to`` would re-read ``core_power_w``.
 
-    Banked machines keep the kernel's stricter gate: their chunk walk
-    prices the whole span's demand up front, which a mid-span completion
-    or settle would invalidate, so they delegate until drained.
+    Banked machines get the stricter gate: their chunk walk prices the
+    whole span's demand up front, which a mid-span completion or settle
+    would invalidate, so a volatile lane makes them delegate until drained.
     """
-    mode = _classify(core)
-    if mode is not None:
-        return mode, False
-    if banked:
+    if not _hooks_intact(core):
         return None
-    if not _hooks_intact(core) or core.offline:
-        return None
+    if core.offline:
+        return _OFFLINE, False
     act = core.actuator
-    if type(act) is not ThrottleActuator:
-        return None
-    if not _detector_passive(core.idle_detector):
-        return None
-    if type(core.dispatcher) is not Dispatcher:
+    if (type(act) is not ThrottleActuator
+            or not _detector_passive(core.idle_detector)
+            or type(core.dispatcher) is not Dispatcher):
         return None
     queue = core.dispatcher._queue
-    for job in queue:
-        if type(job) is not Job:
+    if any(type(job) is not Job for job in queue):
+        return None
+    volatile = act.pending or any(job.loop is not LoopMode.LOOP
+                                  for job in queue)
+    if volatile:
+        if banked:
             return None
-    # Observe (and passively settle) through the public actuator API —
-    # the same call the scalar path's first slice makes at span start.
-    act.effective_hz(t0)
-    if act.pending:
-        return _CHUNKED, True
-    if core._overhead_debt_s > _MIN_SLICE_S:
-        return _CHUNKED, True
-    if type(core.counters) is not CounterBank:
-        return _CHUNKED, True
+        # Observe (and passively settle) through the public actuator API —
+        # the same call the scalar path's first slice makes at span start.
+        act.effective_hz(t0)
+        if act.pending:
+            return _CHUNKED, True
+    if (core._overhead_debt_s > _MIN_SLICE_S
+            or type(core.counters) is not CounterBank):
+        return _CHUNKED, volatile
     if not queue:
         return _IDLE, False
     if len(queue) == 1 and _phases_plain(queue[0]):
         return _BUSY, False
-    return _CHUNKED, True
+    return _CHUNKED, volatile
 
 
 class FleetState:
@@ -831,9 +889,9 @@ class FleetState:
         """Draw this span's jitter value for every unbanked jittered busy
         lane and fold it into that lane's throughput column.
 
-        Mirrors the kernel's buffer discipline exactly: refill 64 at span
-        start iff the buffer is absent or sigma changed, refill 256 on
-        exhaustion, one draw per slice — and the vector pass is one slice.
+        The buffer discipline: refill 64 at span start iff the buffer is
+        absent or sigma changed, refill 256 on exhaustion, one draw per
+        slice — and the vector pass is one slice.
         Per-core RNG streams are independent, so lane order is irrelevant.
         """
         pdata = self.pdata
@@ -901,7 +959,7 @@ class FleetState:
 
     def _advance_banked(self, plans) -> None:
         """Advance each banked machine through its observation chunks —
-        the kernel's ``advance_machine_span`` against columns: cores in
+        ``SMPMachine.advance``'s per-chunk walk against columns: cores in
         order, then the ledger's 2-D cumsum, then the planned observes."""
         kind = self.kind
         cores = self.cores
@@ -924,8 +982,9 @@ class FleetState:
                     for t_end in bounds:
                         core.advance(prev, t_end - prev)
                         prev = t_end
-            # EnergyLedger.advance_many's 2-D cumsum over this machine's
-            # contiguous account slice (bit-equal: same buffer layout).
+            # One ledger.advance_to per chunk, as a 2-D cumsum over this
+            # machine's contiguous account slice: each row accumulates
+            # left-to-right, bit-equal to the per-chunk loop.
             pw = self.e_pow[e_lo:e_hi]
             buf = np.empty((e_hi - e_lo, barr.size + 1))
             buf[:, 0] = self.e_energy[e_lo:e_hi]
@@ -936,12 +995,14 @@ class FleetState:
             self.e_last[e_lo:e_hi] = barr[-1]
             for j in actions:
                 # The real observe: overload episodes, cascades, PSU
-                # events — identical to the per-machine kernel's replay.
+                # events — identical to the scalar per-chunk observes.
                 m.supply_bank.observe(bounds[j], demand)
 
     def _advance_idle_lane(self, i: int, dts: np.ndarray) -> None:
-        """The kernel's ``_advance_idle_span`` against this lane's columns
-        (the caller pre-checked the float-residue corner)."""
+        """One stationary idle slice per chunk, accumulated in bulk
+        against this lane's columns (the caller pre-checked the
+        float-residue corner where the scalar loop would cut a second
+        degenerate slice)."""
         use = dts[dts > _MIN_SLICE_S]
         if use.size == 0:
             return
@@ -964,8 +1025,12 @@ class FleetState:
 
     def _advance_busy_lane(self, i: int, chunks, *,
                            first_thr: float | None = None) -> None:
-        """Literal port of the kernel's inlined slice loop against this
+        """``_advance_slice`` with the span-stable conditions hoisted out
+        (constant frequency, no settling boundary, no overhead debt, an
+        infinite dispatcher slice limit for the sole job) against this
         lane's columns, jitter draws and phase-transition events included.
+        Every float operation matches the scalar slice loop in kind and
+        order.
 
         ``first_thr`` carries the throughput the span pre-pass already
         drew for this lane (one draw per span); the first slice consumes
@@ -1163,6 +1228,22 @@ class FleetState:
 # -- module-level dispatch ---------------------------------------------------------
 
 
+def advance_machines(machines, dt: float, *, flush: bool = True) -> None:
+    """Advance every machine across one event-free span of ``dt`` seconds.
+
+    Spans route through :func:`advance_fleet` unless the fleet is switched
+    off (:func:`set_fleet_enabled`), in which case every machine runs the
+    scalar ``machine.advance`` reference.  ``flush=False`` defers writing
+    fleet columns back to the machine objects — the driver's hot loop does
+    this and flushes once per ``run_until``.
+    """
+    if _FLEET_ENABLED:
+        advance_fleet(machines, dt, flush=flush)
+        return
+    for machine in machines:
+        machine.advance(dt)
+
+
 def _get_fleet(machines: list) -> FleetState:
     anchor = machines[0]
     cached = anchor.__dict__.get("_fleet_cache")
@@ -1177,8 +1258,8 @@ def _get_fleet(machines: list) -> FleetState:
 
 def advance_fleet(machines, dt: float, *, flush: bool = True) -> None:
     """Advance every machine across one event-free span of ``dt`` seconds,
-    resident lanes through fleet columns and the rest through the
-    per-machine reference path.
+    resident lanes through fleet columns and the rest through the scalar
+    ``machine.advance`` reference.
 
     ``flush=False`` leaves resident state in the columns (the driver's hot
     loop does this and flushes once when ``run_until`` returns); counters

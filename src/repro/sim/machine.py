@@ -20,7 +20,6 @@ from ..power.table import POWER4_TABLE, FrequencyPowerTable
 from ..units import check_non_negative
 from ..workloads.job import Job
 from .core import CoreConfig, SimulatedCore
-from .kernel import advance_machine_span
 from .powermeter import PowerMeter
 from .rng import spawn_rngs
 
@@ -36,7 +35,7 @@ def observation_bounds(start: float, end: float, dt: float,
     Boundaries are computed by index (``start + i*step``) so the span end
     lands exactly instead of accumulating ``dt -= step`` subtraction
     error; ``start + i*step`` vectorised elementwise matches the scalar
-    expression bit-for-bit.  The fleet kernel replays banked machines
+    expression bit-for-bit.  The fleet columns replay banked machines
     through the same boundaries, so this is the single source of truth.
     """
     n = int(dt / step)
@@ -201,9 +200,10 @@ class SMPMachine:
         so the bank sees demand often enough to time overload episodes
         against its cascade deadline.  Chunk boundaries are computed by
         index (``start + i*step``) so ``_now_s`` lands exactly on the span
-        end instead of accumulating ``dt -= step`` subtraction error, and
-        the whole span goes through the batched kernel when every component
-        is eligible (see :mod:`repro.sim.kernel`).
+        end instead of accumulating ``dt -= step`` subtraction error.
+
+        This is the scalar reference; :mod:`repro.sim.fleet` is the fast
+        path, bit-for-bit equal to it.
         """
         check_non_negative(dt, "dt")
         if dt == 0.0:
@@ -214,19 +214,8 @@ class SMPMachine:
             self._advance_to(end)
             return
         step = self.config.supply_observation_interval_s
-        bounds = observation_bounds(start, end, dt, step)
-        if self._batched_eligible() and advance_machine_span(self, bounds):
-            return
-        for t_end in bounds:
+        for t_end in observation_bounds(start, end, dt, step):
             self._advance_to(t_end)
-
-    def _batched_eligible(self) -> bool:
-        """Subclassing any pointwise hook (or component) forces the scalar
-        per-chunk path — the kernel only reproduces the stock behaviour."""
-        return (type(self)._advance_to is SMPMachine._advance_to
-                and type(self.ledger) is EnergyLedger
-                and type(self.supply_bank) is SupplyBank
-                and type(self.meter) is PowerMeter)
 
     def _advance_to(self, t_end: float) -> None:
         """Advance one event-free chunk ending exactly at ``t_end``."""

@@ -77,6 +77,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 5" in out
 
+    def test_no_fleet_kernel_does_not_leak_into_later_runs(self, capsys):
+        from repro.sim.fleet import fleet_enabled
+        assert fleet_enabled()
+        assert main(["run", "table1", "--fast", "--no-fleet-kernel"]) == 0
+        assert fleet_enabled()
+        assert main(["run", "table1", "--fast"]) == 0
+        assert fleet_enabled()
+        capsys.readouterr()
+
 
 class TestShowAndOutput:
     def test_output_writes_artifacts(self, tmp_path, capsys):

@@ -94,3 +94,83 @@ class TestCascade:
         b.fail_supply(0)
         assert b.observe(5.0, 100.0) is True
         assert b.cascade_count == 0  # nothing further failed
+
+
+# -- supply-span planning ---------------------------------------------------------
+
+
+def bank_state(bank):
+    return (bank.overload_since_s, bank.cascade_count,
+            [s.failed for s in bank.supplies])
+
+
+def replay_plan(bank, times, demand):
+    n_exec, actions = bank.plan_constant_span(times, demand)
+    for j in actions:
+        bank.observe(times[j], demand)
+    return n_exec
+
+
+class TestPlanConstantSpan:
+    TIMES = [round(0.01 * i, 10) for i in range(1, 301)]   # 3 s of 10 ms chunks
+
+    def check(self, make_bank, demand):
+        lit = make_bank()
+        plan = make_bank()
+        raised_lit = raised_plan = False
+        try:
+            for t in self.TIMES:
+                lit.observe(t, demand)
+        except CascadeFailureError:
+            raised_lit = True
+        try:
+            replay_plan(plan, self.TIMES, demand)
+        except CascadeFailureError:
+            raised_plan = True
+        assert raised_lit == raised_plan
+        assert bank_state(lit) == bank_state(plan)
+
+    def test_below_capacity(self):
+        self.check(lambda: SupplyBank.example_p630(raise_on_cascade=False),
+                   400.0)
+
+    def test_overload_cascades_to_dark(self):
+        def make():
+            b = SupplyBank.example_p630(raise_on_cascade=False)
+            b.fail_supply(0)
+            return b
+        self.check(make, 746.0)
+
+    def test_overload_with_raise(self):
+        def make():
+            b = SupplyBank.example_p630()
+            b.fail_supply(0)
+            return b
+        self.check(make, 746.0)
+
+    def test_raise_cuts_span_at_cascade_boundary(self):
+        b = SupplyBank.example_p630()
+        b.fail_supply(0)
+        n_exec, actions = b.plan_constant_span(self.TIMES, 746.0)
+        assert n_exec < len(self.TIMES)
+        assert actions[-1] == n_exec - 1
+        # Planning is pure: nothing moved yet.
+        assert bank_state(b) == (None, 0, [True, False])
+
+    def test_mid_episode_resume(self):
+        """A plan starting inside a running overload episode honours the
+        already-elapsed deadline time."""
+        def make():
+            b = SupplyBank.example_p630(raise_on_cascade=False)
+            b.fail_supply(0)
+            b.observe(0.005, 746.0)      # episode opened before the span
+            return b
+        self.check(make, 746.0)
+
+    def test_dark_bank_is_all_no_ops(self):
+        b = SupplyBank.example_p630(raise_on_cascade=False)
+        b.fail_supply(0)
+        b.fail_supply(0)
+        n_exec, actions = b.plan_constant_span(self.TIMES, 500.0)
+        assert n_exec == len(self.TIMES)
+        assert actions == []

@@ -1,46 +1,50 @@
-"""The fleet-wide columnar kernel reproduces the per-machine path bit-for-bit.
+"""The fleet-wide columnar kernel reproduces the scalar path bit-for-bit.
 
 :func:`repro.sim.fleet.advance_fleet` advances every eligible core in the
 cluster through shared numpy columns; this file replays identical scenarios
-through three paths — the fleet columns, the per-machine kernel
-(``set_fleet_enabled(False)``), and the literal ``machine.advance`` loop —
-and asserts *exact* float equality of every piece of machine state.  No
-tolerances anywhere: one reordered IEEE operation fails the suite.
+through two paths — the fleet columns and the scalar ``machine.advance``
+reference (``SimulatedCore._advance_slice`` per slice, which is also what
+``set_fleet_enabled(False)`` routes to) — and asserts *exact* float
+equality of every piece of machine state.  No tolerances anywhere: one
+reordered IEEE operation fails the suite.
 
 Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
 offline / chunked multi-job cores, with and without latency jitter),
-banked machines chunk-walked through the columns with cascades firing
-mid-span, raising cascades and shared banks forcing counted fallbacks,
-jitter-lane draw-order equivalence including mid-span buffer refills and
-sigma changes between spans, telemetry-on runs staying resident with
-identical event streams, subclassed-hook machines forcing the counted
-fallback, invalidation through every mutator between spans, lazy-flush
-snapshots mid-run, and the ``lossy`` / ``crash`` / ``chaos`` fault
-scenarios run end-to-end through the cluster coordinator.
+single banked machines of every core kind chunk-walked through the
+columns, cascades firing mid-span, raising cascades and shared banks
+forcing counted fallbacks, jitter-lane draw-order equivalence including
+mid-span buffer refills and sigma changes between spans, telemetry-on runs
+staying resident with identical event streams, subclassed-hook machines
+forcing the counted fallback, invalidation through every mutator between
+spans, lazy-flush snapshots mid-run, the ``lossy`` / ``crash`` / ``chaos``
+fault scenarios run end-to-end through the cluster coordinator, and whole
+experiments exported byte-identically with the fleet on and off.
 
 Serving residency: open-loop request fleets (every request a ONCE job)
-replay three ways too — arrivals and completions mid-span, queue drain to
-hot idle, ``detach()``/re-attach, censored in-flight accounting, and
-per-request ``elapsed_s`` stamps — and a stock serving fleet must take
-*zero* fallbacks (completion is a columnar crossing, not a delegation).
+replay against the scalar path too — arrivals and completions mid-span,
+queue drain to hot idle, ``detach()``/re-attach, censored in-flight
+accounting, and per-request ``elapsed_s`` stamps — and a stock serving
+fleet must take *zero* fallbacks (completion is a columnar crossing, not a
+delegation).
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.analysis.export import result_to_dict
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.faults import fault_scenario
-from repro.power.energy import EnergyAccumulator, EnergyLedger
+from repro.experiments import run_experiment
 from repro.power.supply import SupplyBank
 from repro.power.table import POWER4_TABLE
 from repro.sim import Cluster, CoreConfig, MachineConfig, SMPMachine, Simulation
-from repro.sim import fleet as fleet_mod
 from repro.sim.driver import Simulation as Driver
-from repro.sim.fleet import (FleetState, advance_fleet, fallback_breakdown,
-                             fleet_stats, flush_machines, reset_fleet)
-from repro.sim import kernel as kernel_mod
+from repro.sim.fleet import (advance_fleet, advance_machines,
+                             fallback_breakdown, fleet_enabled, fleet_stats,
+                             flush_machines, reset_fleet, set_fleet_enabled)
 from repro.sim.idle import IdleStyle
-from repro.sim.kernel import advance_machines, fleet_enabled, set_fleet_enabled
 from repro.errors import CascadeFailureError
 from repro.telemetry import EVENT_PHASE_TRANSITION, Telemetry, use_telemetry
 from repro.workloads.job import Job, LoopMode
@@ -104,30 +108,22 @@ def looping_job(name, ratios, *, duration_s=0.05):
     return Job(name=name, phases=phases, loop=LoopMode.LOOP)
 
 
-def run_three_ways(build, script):
-    """Replay ``script(machines, advance)`` through the fleet columns, the
-    per-machine kernel, and the literal scalar loop; exact state equality.
+def run_two_ways(build, script):
+    """Replay ``script(machines, advance)`` through the fleet columns and
+    the scalar ``machine.advance`` reference; exact state equality.
     ``build()`` must be deterministic."""
     cols = build()
     script(cols, lambda dt: advance_machines(cols, dt))
     flush_machines(cols)
 
-    set_fleet_enabled(False)
-    try:
-        kern = build()
-        script(kern, lambda dt: advance_machines(kern, dt))
-        scal = build()
+    scal = build()
 
-        def scalar(dt):
-            for m in scal:
-                m.advance(dt)
-        script(scal, scalar)
-    finally:
-        set_fleet_enabled(True)
+    def scalar(dt):
+        for m in scal:
+            m.advance(dt)
+    script(scal, scalar)
 
-    a, b, c = fleet_state(cols), fleet_state(kern), fleet_state(scal)
-    assert a == b
-    assert b == c
+    assert fleet_state(cols) == fleet_state(scal)
     return cols
 
 
@@ -174,7 +170,7 @@ def test_hetero_fleet_matches_both_references():
         ms[2].core(1).set_frequency(POWER4_TABLE.freqs_hz[9], now)
         advance(0.2003)
 
-    run_three_ways(lambda: hetero_fleet(31), script)
+    run_two_ways(lambda: hetero_fleet(31), script)
 
 
 def test_randomized_fleets_match(subtests=None):
@@ -198,7 +194,7 @@ def test_randomized_fleets_match(subtests=None):
                     m.core(ci % m.num_cores).set_frequency(
                         POWER4_TABLE.freqs_hz[fi], m.now_s)
 
-        run_three_ways(build, script)
+        run_two_ways(build, script)
 
 
 def test_cascade_mid_span_matches():
@@ -226,7 +222,7 @@ def test_cascade_mid_span_matches():
         advance(1.2)     # overload episode runs past the cascade deadline
 
     before = dict(fleet_stats)
-    ms = run_three_ways(build, script)
+    ms = run_two_ways(build, script)
     assert ms[0].supply_bank.cascade_count > 0
     # Both machines went through columns on both spans: no fallbacks.
     assert fleet_stats["advances"] == before["advances"] + 4
@@ -263,7 +259,7 @@ def test_jitter_lanes_match_both_references():
         advance(0.42)
 
     before = dict(fleet_stats)
-    run_three_ways(build, script)
+    run_two_ways(build, script)
     assert fleet_stats["fallbacks"] == before["fallbacks"]
     assert fleet_stats["advances"] == before["advances"] + 15
 
@@ -287,7 +283,7 @@ def test_randomized_jitter_fleets_match():
                         POWER4_TABLE.freqs_hz[(k * 3) % len(
                             POWER4_TABLE.freqs_hz)], m.now_s)
 
-        run_three_ways(build, script)
+        run_two_ways(build, script)
 
 
 def test_jitter_sigma_changes_between_spans():
@@ -321,7 +317,7 @@ def test_jitter_sigma_changes_between_spans():
         advance(0.2)      # sigma -> 0: jitterless again
         advance(0.1)
 
-    run_three_ways(build, script)
+    run_two_ways(build, script)
 
 
 def test_mutators_between_spans_match():
@@ -348,7 +344,7 @@ def test_mutators_between_spans_match():
         ms[2].migrate(job, 0, 1, cost_s=0.002)
         advance(0.044)
 
-    run_three_ways(build, script)
+    run_two_ways(build, script)
 
 
 def test_once_job_machine_stays_resident_through_completion():
@@ -380,14 +376,255 @@ def test_once_job_machine_stays_resident_through_completion():
         assert jobs[-1].completed_at_s is not None
 
     before = dict(fleet_stats)
-    ms = run_three_ways(build, script)
-    # Only the first replay runs through the fleet: 8 spans x 2 machines,
+    ms = run_two_ways(build, script)
+    # Only the fleet replay is counted: 8 spans x 2 machines,
     # every one resident, none delegated.
     assert fleet_stats["advances"] == before["advances"] + 16
     assert fleet_stats["fallbacks"] == before["fallbacks"]
     advance_fleet(ms, 0.01)
     fl = ms[0].__dict__["_fleet_cache"][1]
     assert ms[0] in fl.resident
+
+
+# -- single machines: every core kind, supply banks, cascades -----------------------
+
+
+def build_mixed(seed=3):
+    """One banked machine with a core of each kind: busy column, chunked
+    multi-job lane, hot idle, offline."""
+    m = SMPMachine(
+        MachineConfig(num_cores=4,
+                      core_config=CoreConfig(latency_jitter_sigma=0.02)),
+        supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+        seed=seed,
+    )
+    m.assign(0, looping_job("solo", (1.0, 0.4, 0.15)))
+    m.assign(1, looping_job("pair_a", (0.8,)))
+    m.assign(1, looping_job("pair_b", (0.95, 0.3)))
+    m.cores[3].offline = True
+    return [m]
+
+
+def test_mixed_cores_match_reference():
+    def script(ms, advance):
+        m = ms[0]
+        advance(0.25)
+        now = m.now_s
+        m.core(0).set_frequency(POWER4_TABLE.freqs_hz[4], now)
+        m.core(2).set_frequency(POWER4_TABLE.freqs_hz[9], now)
+        advance(0.107)           # span end off the 10 ms grid
+        m.core(1).steal_time(0.003)
+        m.core(0).steal_time(0.002)   # debt makes core 0 a chunked lane
+        advance(0.0853)
+        advance(0.01)            # exactly one observation chunk
+        advance(0.0004)          # sub-chunk span
+
+    run_two_ways(build_mixed, script)
+
+
+def test_halt_idle_and_zero_jitter_match_reference():
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=3,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0,
+                                                 idle_style=IdleStyle.HALT)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=11,
+        )
+        m.assign(0, looping_job("busy", (0.6, 0.25)))
+        m.cores[2].offline = True
+        return [m]
+
+    def script(ms, advance):
+        advance(0.13)
+        ms[0].core(1).set_frequency(POWER4_TABLE.freqs_hz[2], ms[0].now_s)
+        advance(0.2)
+
+    run_two_ways(build, script)
+
+
+def test_no_supply_bank_matches_reference():
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.05)),
+            seed=7,
+        )
+        m.assign(0, looping_job("j", (0.85, 0.2, 0.9)))
+        return [m]
+
+    def script(ms, advance):
+        advance(0.4)
+        ms[0].core(0).set_frequency(POWER4_TABLE.freqs_hz[6], ms[0].now_s)
+        advance(1.1)
+
+    run_two_ways(build, script)
+
+
+def test_once_job_full_advance_matches_reference():
+    """A banked machine holding a ONCE job delegates to the scalar path
+    until the job completes mid-span (flipping the core idle, and its
+    power draw, at an interior chunk boundary), then rejoins the columns."""
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=13,
+        )
+        m.assign(0, Job(name="once",
+                        phases=(synthetic_phase(0.7, duration_s=0.08,
+                                                name="only"),),
+                        loop=LoopMode.ONCE))
+        m.assign(1, looping_job("bg", (0.75,)))
+        return [m]
+
+    def script(ms, advance):
+        advance(0.3)             # the ONCE job completes inside this span
+        advance(0.1)
+
+    ms = run_two_ways(build, script)
+    assert ms[0].cores[0].is_idle
+
+
+def test_overload_cascade_counting_matches_reference():
+    """Failing one PSU puts the stock machine (746 W) over a single supply
+    (480 W); the deadline crossing, the cascade to dark, and the episode
+    bookkeeping land on identical chunk boundaries."""
+    def build():
+        ms = build_mixed(seed=17)
+        ms[0].supply_bank.fail_supply(0)
+        return ms
+
+    def script(ms, advance):
+        advance(0.735)           # overload episode running
+        advance(1.5)             # crosses the 1 s deadline: cascade, dark
+
+    ms = run_two_ways(build, script)
+    assert ms[0].supply_bank.cascade_count == 1
+    assert ms[0].supply_bank.all_failed
+
+
+def test_raising_cascade_leaves_identical_partial_state():
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=4,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            supply_bank=SupplyBank.example_p630(),    # raise_on_cascade=True
+            seed=23,
+        )
+        m.assign(0, looping_job("j", (1.0, 0.5)))
+        m.supply_bank.fail_supply(0)
+        return m
+
+    fast = build()
+    slow = build()
+    with pytest.raises(CascadeFailureError):
+        advance_machines([fast], 2.0)
+    with pytest.raises(CascadeFailureError):
+        slow.advance(2.0)
+    # Both stop advanced exactly through the chunk at which observe raised.
+    assert machine_state(fast) == machine_state(slow)
+    assert fast.supply_bank.cascade_count == 1
+    assert fast._now_s < 2.0
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_randomized_machines_match_reference(seed):
+    rng = np.random.default_rng(seed)
+
+    kinds = [int(rng.integers(0, 4)) for _ in range(4)]
+    ratios = [float(rng.uniform(0.05, 1.0)) for _ in range(12)]
+    durations = [float(rng.uniform(0.01, 0.12)) for _ in range(12)]
+    segments = []
+    for _ in range(6):
+        segments.append((
+            float(rng.uniform(0.004, 0.35)),          # span length
+            int(rng.integers(0, 4)),                  # core to retune
+            int(rng.integers(0, len(POWER4_TABLE.freqs_hz))),
+            bool(rng.uniform() < 0.3),                # steal daemon time?
+        ))
+
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=4,
+                          core_config=CoreConfig(latency_jitter_sigma=0.03)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=seed,
+        )
+        k = iter(range(12))
+        for c, kind in enumerate(kinds):
+            if kind == 0:            # single looping job: a busy column
+                m.assign(c, looping_job(
+                    f"c{c}", (ratios[next(k)], ratios[next(k)]),
+                    duration_s=durations[c]))
+            elif kind == 1:          # two jobs: a chunked lane
+                m.assign(c, looping_job(f"c{c}a", (ratios[next(k)],),
+                                        duration_s=durations[c]))
+                m.assign(c, looping_job(f"c{c}b", (ratios[next(k)],),
+                                        duration_s=durations[c + 4]))
+            elif kind == 2:          # idle hot loop
+                pass
+            else:
+                m.cores[c].offline = True
+        return [m]
+
+    def script(ms, advance):
+        m = ms[0]
+        for dt, core, fidx, steal in segments:
+            advance(dt)
+            m.core(core).set_frequency(POWER4_TABLE.freqs_hz[fidx], m.now_s)
+            if steal:
+                m.core(core).steal_time(0.0015)
+
+    run_two_ways(build, script)
+
+
+def test_simulation_events_cut_spans_identically():
+    f_low = POWER4_TABLE.freqs_hz[1]
+
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=29,
+        )
+        m.assign(0, looping_job("j", (1.0, 0.3)))
+        return m
+
+    fast = build()
+    sim = Simulation(fast)
+    sim.at(0.0377, lambda t: fast.core(0).set_frequency(f_low, t))
+    sim.run_until(0.1)
+
+    slow = build()
+    slow.advance(0.0377)
+    slow.core(0).set_frequency(f_low, 0.0377)
+    slow.advance(0.1 - 0.0377)
+
+    assert machine_state(fast) == machine_state(slow)
+
+
+def test_cluster_advance_matches_reference():
+    def build():
+        cluster = Cluster.homogeneous(
+            2,
+            machine_config=MachineConfig(
+                num_cores=2,
+                core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=31,
+        )
+        for i, m in enumerate(cluster.machines):
+            m.assign(0, looping_job(f"n{i}", (0.9, 0.2)))
+        return cluster
+
+    fast = build()
+    slow = build()
+    fast.advance(0.5)
+    for m in slow.machines:
+        m.advance(0.5)
+    assert fleet_state(fast.machines) == fleet_state(slow.machines)
 
 
 # -- serving traffic: ONCE-request lanes stay resident ------------------------------
@@ -429,10 +666,10 @@ def serving_snapshot(machines, traffic, horizon_s):
             censored.value_dict(), next_draws)
 
 
-def run_serving_three_ways(build, script, horizon_s):
-    """Replay ``script(sim, traffic)`` through the fleet columns, the
-    per-machine kernel, and the literal scalar slice loop (the kernel
-    monkeypatched away); exact snapshot equality."""
+def run_serving_two_ways(build, script, horizon_s):
+    """Replay ``script(sim, traffic)`` through the fleet columns and the
+    scalar slice loop (``set_fleet_enabled(False)``); exact snapshot
+    equality."""
     def run():
         machines, sim, traffic = build()
         script(sim, traffic)
@@ -442,28 +679,17 @@ def run_serving_three_ways(build, script, horizon_s):
     cols = run()
     set_fleet_enabled(False)
     try:
-        kern = run()
-        orig = kernel_mod.try_fast_advance
-
-        def no_fast_advance(*args, **kwargs):
-            return False
-
-        kernel_mod.try_fast_advance = no_fast_advance
-        try:
-            scal = run()
-        finally:
-            kernel_mod.try_fast_advance = orig
+        scal = run()
     finally:
         set_fleet_enabled(True)
-    assert cols == kern
-    assert kern == scal
+    assert cols == scal
     return cols
 
 
 def test_serving_open_loop_three_way_equality():
     """Randomized open-loop traffic on a jittered hot-idle fleet: arrivals
     and completions land mid-span, queues drain to hot idle between them,
-    and all three paths agree exactly."""
+    and the fleet and scalar paths agree exactly."""
     def build():
         return serving_build(nodes=3, procs=2, rate=240.0,
                              spec=RequestSpec(instructions=8e6))
@@ -472,7 +698,7 @@ def test_serving_open_loop_three_way_equality():
         traffic.attach(sim)
         sim.run_for(0.4)
 
-    snap = run_serving_three_ways(build, script, 0.4)
+    snap = run_serving_two_ways(build, script, 0.4)
     _, _, issued, completed, _, _, _ = snap
     assert issued > 20
     assert completed > 0
@@ -490,7 +716,7 @@ def test_serving_overload_censoring_three_way():
         traffic.attach(sim)
         sim.run_for(0.25)
 
-    snap = run_serving_three_ways(build, script, 0.25)
+    snap = run_serving_two_ways(build, script, 0.25)
     _, _, issued, completed, in_flight, _, _ = snap
     assert completed > 0
     assert in_flight > 0    # genuinely overloaded: censoring matters
@@ -511,7 +737,7 @@ def test_serving_detach_reattach_three_way():
         traffic.attach(sim)
         sim.run_for(0.15)
 
-    run_serving_three_ways(build, script, 0.4)
+    run_serving_two_ways(build, script, 0.4)
 
 
 def test_stock_serving_fleet_takes_no_fallbacks():
@@ -562,10 +788,10 @@ def test_subclassed_machine_falls_back_and_is_counted():
 
 
 def test_enabled_telemetry_stays_resident():
-    """Live telemetry no longer forces the per-machine path: machines stay
-    in columns, the sim_* counters batch at span boundaries, and the
+    """Live telemetry does not force the scalar path: machines stay in
+    columns, the sim_* counters batch at span boundaries, and the
     phase-transition event stream (counts, timestamps, payloads) is
-    identical to both reference paths."""
+    identical to the scalar reference."""
     def build():
         ms = []
         for i in range(2):
@@ -593,25 +819,16 @@ def test_enabled_telemetry_stays_resident():
         adv = tel_cols.metrics.counter("sim_fleet_advances_total")
         assert adv.value == 12.0
 
-    tel_kern = Telemetry()
-    set_fleet_enabled(False)
-    try:
-        with use_telemetry(tel_kern):
-            kern = build()
-            for _ in range(6):
-                advance_machines(kern, 0.017)
-        tel_scal = Telemetry()
-        with use_telemetry(tel_scal):
-            scal = build()
-            for _ in range(6):
-                for m in scal:
-                    m.advance(0.017)
-    finally:
-        set_fleet_enabled(True)
+    tel_scal = Telemetry()
+    with use_telemetry(tel_scal):
+        scal = build()
+        for _ in range(6):
+            for m in scal:
+                m.advance(0.017)
 
-    assert fleet_state(cols) == fleet_state(kern) == fleet_state(scal)
+    assert fleet_state(cols) == fleet_state(scal)
     assert events(tel_cols)    # phases actually crossed
-    assert events(tel_cols) == events(tel_kern) == events(tel_scal)
+    assert events(tel_cols) == events(tel_scal)
 
 
 def test_fallback_reason_breakdown_and_labels():
@@ -645,7 +862,7 @@ def test_raising_cascade_falls_back_whole_span():
     """``raise_on_cascade=True`` cuts the pure plan short, so the whole
     span falls back (reason ``bank``) and ``machine.advance`` raises
     :class:`CascadeFailureError` at the identical chunk with identical
-    pre-raise state on every path."""
+    pre-raise state on both paths."""
     def build():
         banked = SMPMachine(
             MachineConfig(num_cores=4,
@@ -668,22 +885,16 @@ def test_raising_cascade_falls_back_whole_span():
     flush_machines(cols)
     assert fallback_breakdown().get("bank", 0) == before.get("bank", 0) + 1
 
-    set_fleet_enabled(False)
-    try:
-        kern = build()
-        run(kern, lambda dt: advance_machines(kern, dt))
-        scal = build()
-        run(scal, lambda dt: scal[0].advance(dt))
-    finally:
-        set_fleet_enabled(True)
-    assert fleet_state(cols) == fleet_state(kern) == fleet_state(scal)
+    scal = build()
+    run(scal, lambda dt: scal[0].advance(dt))
+    assert fleet_state(cols) == fleet_state(scal)
 
 
 def test_shared_bank_machines_stay_delegates():
     """A bank shared between machines needs interleaved cross-machine
     observations that the per-machine plan/replay cannot reproduce: those
     machines delegate (reason ``bank``) while stock peers stay resident,
-    and all three paths still agree exactly."""
+    and both paths still agree exactly."""
     def build():
         bank = SupplyBank.example_p630(raise_on_cascade=False)
         ms = []
@@ -709,7 +920,7 @@ def test_shared_bank_machines_stay_delegates():
 
     stats_before = dict(fleet_stats)
     reasons_before = fallback_breakdown()
-    run_three_ways(build, script)
+    run_two_ways(build, script)
     assert fleet_stats["advances"] == stats_before["advances"] + 2
     assert fleet_stats["fallbacks"] == stats_before["fallbacks"] + 4
     assert fallback_breakdown().get("bank", 0) == \
@@ -866,57 +1077,24 @@ def test_fault_scenarios_end_to_end(scenario):
     assert state_on == state_off
 
 
-# -- the batched energy ledger ----------------------------------------------------
+# -- whole experiments -------------------------------------------------------------
 
 
-def test_ledger_2d_batch_matches_per_account_loop():
-    def build():
-        led = EnergyLedger()
-        for k in range(5):
-            led.account(f"a{k}")
-        return led
+@pytest.mark.parametrize("experiment_id", ["failover", "table3",
+                                           "cluster_failover", "migration",
+                                           "curtailment"])
+def test_experiment_exports_match_scalar_path(experiment_id):
+    """Whole experiments, not just hand-built fixtures: the exported
+    result is byte-identical with the fleet on and with every machine on
+    the scalar path."""
+    def exported():
+        result = run_experiment(experiment_id, seed=2005, fast=True)
+        return json.dumps(result_to_dict(result), sort_keys=True)
 
-    times = np.array([0.013, 0.05, 0.0501, 0.2, 1.7])
-    powers = {"a0": 3.5, "a1": 0.0, "a2": 17.25, "a3": 1e-7, "a4": 42.0}
-
-    batch = build()
-    batch.advance_many(times, powers)
-
-    loop = build()
-    for acc_name in powers:
-        loop.account(acc_name)
-    for name, acc in loop.accounts.items():
-        acc.advance_many(times, powers.get(name, 0.0))
-
-    scalar = build()
-    for t in times:
-        scalar.advance_to(float(t), powers)
-
-    for name in powers:
-        assert batch.accounts[name].energy_j == loop.accounts[name].energy_j
-        assert batch.accounts[name].energy_j == scalar.accounts[name].energy_j
-        assert batch.accounts[name].last_time_s == times[-1]
-
-
-def test_ledger_2d_batch_respects_subclassed_accumulators():
-    class Custom(EnergyAccumulator):
-        pass
-
-    led = EnergyLedger()
-    led.accounts["x"] = Custom()
-    led.account("y")
-    led.advance_many(np.array([0.5, 1.0]), {"x": 2.0, "y": 4.0})
-    assert led.accounts["x"].energy_j == 2.0
-    assert led.accounts["y"].energy_j == 4.0
-
-
-def test_ledger_2d_batch_rejects_backwards_time():
-    led = EnergyLedger()
-    led.account("a")
-    led.account("b")
-    led.advance_many(np.array([1.0]), {"a": 1.0, "b": 1.0})
-    from repro.errors import SimulationError
-    with pytest.raises(SimulationError):
-        led.advance_many(np.array([0.5]), {"a": 1.0, "b": 1.0})
-    with pytest.raises(SimulationError):
-        led.advance_many(np.array([2.0, 1.5]), {"a": 1.0, "b": 1.0})
+    on = exported()
+    set_fleet_enabled(False)
+    try:
+        off = exported()
+    finally:
+        set_fleet_enabled(True)
+    assert on == off
