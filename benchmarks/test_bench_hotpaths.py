@@ -326,7 +326,7 @@ def _node_reports(nodes: int, procs: int, seed: int = 17, start: int = 0):
     return reports
 
 
-def _coordinator(columnar: bool):
+def _coordinator():
     from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
     from repro.sim.cluster import Cluster
     from repro.sim.core import CoreConfig
@@ -337,25 +337,21 @@ def _coordinator(columnar: bool):
             num_cores=1, core_config=CoreConfig(latency_jitter_sigma=0.0)),
         seed=1)
     return ClusterCoordinator(
-        cluster, CoordinatorConfig(power_limit_w=None, columnar=columnar),
-        seed=2)
+        cluster, CoordinatorConfig(power_limit_w=None), seed=2)
 
 
 class TestBenchClusterPass:
     """The coordinator's global-pass hot path (views -> schedule -> record)
-    at 64 nodes x 4 processors, columnar vs the per-object reference."""
+    at 64 nodes x 4 processors."""
 
-    def _run(self, benchmark, columnar: bool):
+    def test_bench_cluster_pass_64x4_columnar(self, benchmark):
         from repro.core.logs import FvsstLog
-        coord = _coordinator(columnar)
+        coord = _coordinator()
         reports = _node_reports(64, 4)
 
         def one_pass():
             coord.log = FvsstLog()
-            if columnar:
-                views = coord._view_batch_from_reports(reports)
-            else:
-                views = coord._views_from_reports(reports)
+            views = coord._view_batch_from_reports(reports)
             schedule = coord.scheduler.schedule(views, None,
                                                 on_infeasible="floor")
             coord._record(schedule, 0.1)
@@ -363,12 +359,6 @@ class TestBenchClusterPass:
 
         schedule = benchmark(one_pass)
         assert len(schedule.assignments) == 256
-
-    def test_bench_cluster_pass_64x4_columnar(self, benchmark):
-        self._run(benchmark, columnar=True)
-
-    def test_bench_cluster_pass_64x4_object(self, benchmark):
-        self._run(benchmark, columnar=False)
 
 
 class TestBenchHierarchicalPass:
@@ -398,7 +388,7 @@ class TestBenchHierarchicalPass:
                 core_config=CoreConfig(latency_jitter_sigma=0.0)),
             seed=1)
         alloc = FleetAllocator(
-            cluster, CoordinatorConfig(power_limit_w=budget, columnar=True),
+            cluster, CoordinatorConfig(power_limit_w=budget),
             fleet=FleetConfig(shard_size=shard_size), seed=2)
         shard_reports = [
             _node_reports(shard_size, procs, seed=17 + i,

@@ -1,34 +1,38 @@
 """The global cluster coordinator.
 
 Runs the Figure 3 algorithm across every processor of every node under one
-global power limit.  Every scheduling period ``T`` it synchronously
-collects a report from each agent (paying network round trips), converts
-the reports to processor views through the predictor, schedules, and ships
-per-node frequency commands whose *application is delayed by the network*
-— so the measured response time to a power-limit trigger includes the
-communication the paper says ``T`` amortises.
+global power limit.  Every scheduling period ``T`` it collects a report
+from each agent (paying network round trips), turns all fresh reports into
+one :class:`~repro.core.scheduler.ViewBatch` through a single batched
+predictor call, schedules, and ships per-node frequency commands whose
+*application is delayed by the network* — so the measured response time
+to a power-limit trigger includes the communication the paper says ``T``
+amortises.
 
-With a :class:`~repro.cluster.faults.FaultSchedule` installed the
-coordinator runs every pass in *degraded mode*:
+Every pass runs the same body, with or without a
+:class:`~repro.cluster.faults.FaultSchedule`:
 
-* report collection tolerates drops, partitions, crashed agents, and (when
+* report collection tolerates drops, partitions, crashed agents (scheduled
+  or by :meth:`~repro.sim.node.ClusterNode.crash`), and (when
   ``report_timeout_s`` is set) late replies — a node that misses the pass
   keeps its counter windows for the next one;
-* missing nodes are scheduled from a last-known-good signature cache while
-  within ``staleness_bound_s``; beyond it the node is *lost* and pinned
+* missing nodes are scheduled from their last fresh rows while within
+  ``staleness_bound_s``; beyond it the node is *lost* and pinned
   pessimistically to the frequency floor, with its floor power carved out
   of the global budget — so total scheduled power honours the active
   limits no matter how many reports went missing (the paper's safety
   property, extended to a faulty control plane);
-* commands carry explicit processor ids, are acknowledged by the agent,
-  and are retransmitted (bounded by ``command_retries``) until acked;
-  application is idempotent and stale commands are discarded;
 * per-node health (``healthy``/``stale``/``lost``/``recovered``) is
   tracked and surfaced through telemetry (``node_lost``/``node_recovered``
-  events, drop/retry/stale-pass counters, health gauges).
+  events, drop/stale-pass counters, health gauges).
 
-Without faults, none of the degraded machinery runs: the fault-free pass
-is byte-identical to the classic synchronous one.
+Only the command protocol depends on the fault plan.  Without one,
+commands are fire-and-forget, and a command that reaches a crashed agent
+is dropped and counted.  With one, commands carry explicit processor ids,
+are acknowledged by the agent, and are retransmitted (bounded by
+``command_retries``) until acked; application is idempotent and stale
+commands are discarded.  A pass in which every node reports is the classic
+synchronous pass.
 """
 
 from __future__ import annotations
@@ -40,19 +44,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import constants
-from ..core.logs import FvsstLog, ScheduleLogEntry
+from ..core.logs import FvsstLog
 from ..core.predictor import CounterPredictor, PredictorProtocol
 from ..core.scheduler import (
     FrequencyVoltageScheduler,
     ProcessorAssignment,
-    ProcessorView,
     Schedule,
     ViewBatch,
 )
 from ..errors import ClusterError
 from ..model.latency import MemoryLatencyProfile, POWER4_LATENCIES
 from ..sim.cluster import Cluster
-from ..sim.counters import CounterSample
 from ..sim.driver import Simulation
 from ..sim.rng import spawn_seeds
 from ..telemetry import (
@@ -75,11 +77,24 @@ from .protocol import (
 )
 
 _by_proc_id = operator.attrgetter("proc_id")
+_by_node_proc = operator.attrgetter("node_id", "proc_id")
 
 __all__ = ["CoordinatorConfig", "ClusterCoordinator"]
 
 #: Wire size of a report request / command acknowledgement frame.
 _CONTROL_FRAME_BYTES = 64
+
+#: The :class:`ViewBatch` columns, in constructor order.
+_BATCH_COLUMNS = ("node_ids", "proc_ids", "has_signature", "core_cpi",
+                  "mem_time_per_instr_s", "idle_signaled")
+
+
+def _health_counts(states) -> dict[str, int]:
+    """Members per gauge state; ``recovered`` counts as healthy."""
+    counts = {"healthy": 0, "stale": 0, "lost": 0}
+    for state in states:
+        counts["healthy" if state == "recovered" else state] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -95,28 +110,24 @@ class CoordinatorConfig:
     power_limit_w: float | None = None
     counter_noise_sigma: float = 0.005
     idle_detection: bool = False
-    #: Degraded mode: a report whose round trip exceeds this is treated as
-    #: missing for the pass (None = accept any delay).
+    #: A report whose round trip exceeds this is treated as missing for
+    #: the pass (None = accept any delay).
     report_timeout_s: float | None = None
-    #: Degraded mode: how long a cached node signature may serve before
-    #: the node counts as lost (None = 3 scheduling periods).
+    #: How long a missing node's last fresh rows may serve before the
+    #: node counts as lost (None = 3 scheduling periods).
     staleness_bound_s: float | None = None
-    #: Degraded mode: retransmits of an unacknowledged command.
+    #: With a fault plan: retransmits of an unacknowledged command.
     command_retries: int = 2
-    #: Degraded mode: how long to wait for a command ack before resending.
+    #: With a fault plan: how long to wait for a command ack before
+    #: resending.
     retry_timeout_s: float = 0.005
-    #: Columnar control plane: signature columns straight from the reports
-    #: (one batched predictor evaluation per pass) and bulk array recording
-    #: into the log.  Outputs are byte-identical to the per-object path,
-    #: which is kept (``columnar=False``) as the reference for equivalence
-    #: and regression comparisons.
-    columnar: bool = True
     #: Opt-in signature-stability fast path: a pass whose signatures all
     #: lie within this relative tolerance of the batch that produced the
     #: last schedule — same processors, same idle flags, same limits —
     #: reuses that schedule without rescheduling or re-dispatching.  None
     #: (the default) disables the fast path, leaving every output
-    #: byte-identical.  Requires ``columnar``.
+    #: byte-identical.  Ignored with a fault plan installed: a lossy
+    #: network may have eaten the commands a reused pass would not resend.
     reschedule_tolerance: float | None = None
     #: SLO mode: a request-latency target (seconds at ``slo_percentile``).
     #: Each pass translates the bound serving traffic's per-node demand
@@ -159,10 +170,6 @@ class CoordinatorConfig:
         if self.reschedule_tolerance is not None:
             check_non_negative(self.reschedule_tolerance,
                                "reschedule_tolerance")
-            if not self.columnar:
-                raise ClusterError(
-                    "reschedule_tolerance requires the columnar pass"
-                )
         if self.slo_p99_target_s is not None:
             check_positive(self.slo_p99_target_s, "slo_p99_target_s")
         if not 0.0 < self.slo_percentile < 100.0:
@@ -198,6 +205,12 @@ class ClusterCoordinator:
             table, epsilon=self.config.epsilon, telemetry=self.telemetry
         )
         self.predictor = predictor or CounterPredictor(latencies)
+        if not hasattr(self.predictor, "signatures_from_arrays"):
+            raise ClusterError(
+                f"predictor {type(self.predictor).__name__} has no "
+                f"signatures_from_arrays: the coordinator evaluates every "
+                f"pass's reports in one batch"
+            )
         self.faults = faults
         if faults is not None:
             faults.install(cluster)
@@ -226,12 +239,13 @@ class ClusterCoordinator:
         self.last_schedule: Schedule | None = None
         #: Wall-clock cost of the most recent global pass.
         self.last_pass_wall_s: float | None = None
-        #: Degraded-mode health per node: healthy/stale/lost/recovered.
+        #: Health per node: healthy/stale/lost/recovered.
         self.node_health: dict[int, str] = {
             nid: "healthy" for nid in self._agents_by_id
         }
-        #: Last fresh per-node views: node_id -> (report time, views).
-        self._view_cache: dict[int, tuple[float, list[ProcessorView]]] = {}
+        #: Each node's last fresh rows: node_id -> (report time, batch,
+        #: lo, hi), a reference to rows ``lo:hi`` of that pass's batch.
+        self._view_cache: dict[int, tuple[float, ViewBatch, int, int]] = {}
         # Plain resilience tallies (kept even with telemetry disabled so
         # experiments and tests can read them cheaply).
         self.reports_dropped = 0
@@ -397,104 +411,6 @@ class ClusterCoordinator:
 
     # -- the global pass ---------------------------------------------------------------
 
-    def _collect(self, now_s: float) -> tuple[list[NodeReport], float]:
-        """Gather one report per node; returns (reports, collection delay)."""
-        tel = self.telemetry
-        reports = []
-        worst_delay = 0.0
-        report_bytes = 0
-        for agent in self.agents:
-            report = agent.make_report(now_s)
-            agent.confirm_report()
-            # Request goes out, report comes back: one round trip, with the
-            # collections overlapping across nodes (asynchronous gather).
-            size = message_size_bytes(report)
-            delay = self.cluster.network.round_trip_s(_CONTROL_FRAME_BYTES,
-                                                      size)
-            worst_delay = max(worst_delay, delay)
-            report_bytes += size
-            reports.append(report)
-        if tel.enabled:
-            self._m_report_bytes.inc(report_bytes)
-            self._m_collect_delay.observe(worst_delay)
-        return reports, worst_delay
-
-    def _views_from_reports(self, reports: list[NodeReport]
-                            ) -> list[ProcessorView]:
-        views: list[ProcessorView] = []
-        for report in reports:
-            for proc in sorted(report.procs, key=lambda p: p.proc_id):
-                if proc.interval_s <= 0.0:
-                    # A pass that fires before the first agent sample (the
-                    # t = 0 tick, or a T == t event-ordering tie) carries
-                    # an empty window: no usable signature, and nothing
-                    # the predictor should divide by.
-                    views.append(ProcessorView(
-                        node_id=report.node_id,
-                        proc_id=proc.proc_id,
-                        signature=None,
-                        idle_signaled=proc.idle_signaled,
-                    ))
-                    continue
-                sample = CounterSample(
-                    time_s=report.time_s,
-                    interval_s=proc.interval_s,
-                    instructions=proc.instructions,
-                    cycles=proc.cycles,
-                    n_l2=proc.n_l2,
-                    n_l3=proc.n_l3,
-                    n_mem=proc.n_mem,
-                    l1_stall_cycles=proc.l1_stall_cycles,
-                    halted_cycles=proc.halted_cycles,
-                )
-                views.append(ProcessorView(
-                    node_id=report.node_id,
-                    proc_id=proc.proc_id,
-                    signature=self.predictor.signature_from_sample(sample),
-                    idle_signaled=proc.idle_signaled,
-                ))
-        return views
-
-    def _view_batch_from_reports(self, reports: list[NodeReport]
-                                 ) -> ViewBatch:
-        """Columnar :meth:`_views_from_reports`: one extraction loop over
-        the reports, one batched predictor evaluation, no per-processor
-        sample/signature/view objects.  Row order and values match the
-        object path exactly."""
-        batch_eval = getattr(self.predictor, "signatures_from_arrays", None)
-        if batch_eval is None:
-            # Predictor without a batch path: fall back through objects.
-            return ViewBatch.from_views(self._views_from_reports(reports))
-        node_ids: list[int] = []
-        procs: list[ProcReport] = []
-        for report in reports:
-            row = sorted(report.procs, key=_by_proc_id)
-            node_ids.extend([report.node_id] * len(row))
-            procs.extend(row)
-        # Per-field comprehensions beat one loop of interleaved appends.
-        proc_ids = [p.proc_id for p in procs]
-        idle = [p.idle_signaled for p in procs]
-        interval = [p.interval_s for p in procs]
-        has_sig, core_cpi, mem_time = batch_eval(
-            [p.instructions for p in procs],
-            [p.cycles for p in procs],
-            [p.n_l2 for p in procs],
-            [p.n_l3 for p in procs],
-            [p.n_mem for p in procs],
-            [p.l1_stall_cycles for p in procs],
-            interval)
-        # An empty window (the t = 0 tick, or a T == t ordering tie) never
-        # reaches the predictor on the object path; enforce the same rule
-        # here for predictors that would accept it (AlphaPredictor ignores
-        # interval_s).
-        empty = np.asarray(interval, dtype=float) <= 0.0
-        if empty.any():
-            has_sig = has_sig & ~empty
-            core_cpi = np.where(empty, 1.0, core_cpi)
-            mem_time = np.where(empty, 0.0, mem_time)
-        return ViewBatch(node_ids, proc_ids, has_sig, core_cpi, mem_time,
-                         idle)
-
     def _on_schedule_tick(self, now_s: float) -> None:
         self.run_global_pass(now_s)
 
@@ -537,40 +453,163 @@ class ClusterCoordinator:
         return schedule
 
     def _global_pass_body(self, now_s: float) -> tuple[Schedule, float]:
-        if self.faults is not None:
-            return self._global_pass_body_degraded(now_s)
-        reports, collect_delay = self._collect(now_s)
+        fresh, collect_delay = self._collect_reports(now_s)
+        batch, lost_nodes = self._assemble_batch(fresh, now_s)
         floors = self._slo_floors(now_s)
-        track = self.config.reschedule_tolerance is not None
-        if self.config.columnar:
-            views: ViewBatch | list[ProcessorView] = \
-                self._view_batch_from_reports(reports)
-            if track:
-                reused = self._try_reuse_schedule(views)
-                if reused is not None:
-                    return reused, collect_delay
-        else:
-            views = self._views_from_reports(reports)
-        if self.node_limits_w and isinstance(self.scheduler,
-                                             NestedBudgetScheduler):
-            schedule = self.scheduler.schedule_nested(
-                views, self.power_limit_w, self.node_limits_w,
-                min_freqs_hz=floors or None,
-                on_infeasible="floor")
-        else:
-            schedule = self.scheduler.schedule(views, self.power_limit_w,
-                                               min_freqs_hz=floors or None,
-                                               on_infeasible="floor")
+        # A reused pass re-dispatches nothing: only safe when the last
+        # commands cannot have been lost.
+        track = (self.config.reschedule_tolerance is not None
+                 and self.faults is None)
         if track:
-            self._last_sched_batch = views
+            reused = self._try_reuse_schedule(batch)
+            if reused is not None:
+                return reused, collect_delay
+        schedule = self._schedule(batch, lost_nodes, floors)
+        if track:
+            self._last_sched_batch = batch
             self._last_sched_limits = (self.power_limit_w,
                                        dict(self.node_limits_w),
                                        dict(self.slo_floors_hz))
-        decision_time = now_s + collect_delay
-        self._dispatch(schedule, decision_time)
+        self._dispatch(schedule, now_s + collect_delay)
         return schedule, collect_delay
 
-    def _try_reuse_schedule(self, batch: ViewBatch) -> Schedule | None:
+    def _collect_reports(self, now_s: float
+                         ) -> tuple[dict[int, NodeReport], float]:
+        """Poll every agent: the reports that arrived (by node id, in agent
+        order) and the worst round trip among them.
+
+        Request out, report back: one round trip per node, the
+        collections overlapping across nodes (asynchronous gather).  A
+        crashed agent, a dropped leg, or a round trip over
+        ``report_timeout_s`` makes the node miss the pass; its agent keeps
+        the unconfirmed counter windows for the next one.  Without a fault
+        plan ``Network.try_send`` is exactly ``Network.send``.
+        """
+        tel = self.telemetry
+        network = self.cluster.network
+        timeout = self.config.report_timeout_s
+        fresh: dict[int, NodeReport] = {}
+        worst_delay = 0.0
+        report_bytes = 0
+        dropped = 0
+        for agent in self.agents:
+            node_id = agent.node.node_id
+            if agent.crashed(now_s):
+                dropped += 1
+                continue
+            request = network.try_send(_CONTROL_FRAME_BYTES, now_s=now_s,
+                                       node_id=node_id)
+            if request is None:
+                dropped += 1
+                continue
+            report = agent.make_report(now_s)
+            size = message_size_bytes(report)
+            reply = network.try_send(size, now_s=now_s, node_id=node_id)
+            if reply is None:
+                dropped += 1
+                continue
+            delay = request + reply
+            if timeout is not None and delay > timeout:
+                dropped += 1
+                continue
+            agent.confirm_report()
+            fresh[node_id] = report
+            worst_delay = max(worst_delay, delay)
+            report_bytes += size
+        self.reports_dropped += dropped
+        if tel.enabled:
+            self._m_report_bytes.inc(report_bytes)
+            self._m_collect_delay.observe(worst_delay)
+            if dropped:
+                self._m_reports_dropped.inc(dropped)
+        return fresh, worst_delay
+
+    def _view_batch_from_reports(self, reports: list[NodeReport]
+                                 ) -> ViewBatch:
+        """The reports' rows, node by node in proc order: one extraction
+        loop, one batched predictor evaluation, no per-processor
+        sample/signature/view objects."""
+        node_ids: list[int] = []
+        procs: list[ProcReport] = []
+        for report in reports:
+            row = sorted(report.procs, key=_by_proc_id)
+            node_ids.extend([report.node_id] * len(row))
+            procs.extend(row)
+        # Per-field comprehensions beat one loop of interleaved appends.
+        proc_ids = [p.proc_id for p in procs]
+        idle = [p.idle_signaled for p in procs]
+        interval = [p.interval_s for p in procs]
+        has_sig, core_cpi, mem_time = self.predictor.signatures_from_arrays(
+            [p.instructions for p in procs],
+            [p.cycles for p in procs],
+            [p.n_l2 for p in procs],
+            [p.n_l3 for p in procs],
+            [p.n_mem for p in procs],
+            [p.l1_stall_cycles for p in procs],
+            interval)
+        # An empty window (the t = 0 tick, or a T == t ordering tie) has no
+        # usable signature, whatever the predictor makes of it
+        # (AlphaPredictor ignores interval_s).
+        empty = np.asarray(interval, dtype=float) <= 0.0
+        if empty.any():
+            has_sig = has_sig & ~empty
+            core_cpi = np.where(empty, 1.0, core_cpi)
+            mem_time = np.where(empty, 0.0, mem_time)
+        return ViewBatch(node_ids, proc_ids, has_sig, core_cpi, mem_time,
+                         idle)
+
+    def _assemble_batch(self, fresh: dict[int, NodeReport], now_s: float
+                        ) -> tuple[ViewBatch | None, list[int]]:
+        """The pass's rows in agent order (None when no node has any),
+        and the lost nodes.
+
+        Each fresh node's rows are cached as a reference into this pass's
+        batch.  A missing node re-enters from its cached rows while they
+        are within the staleness bound (health ``stale``); beyond it the
+        node is ``lost``.
+        """
+        bound = self.config.effective_staleness_bound_s
+        batch = None
+        if fresh:
+            batch = self._view_batch_from_reports(list(fresh.values()))
+            lo = 0
+            for node_id, report in fresh.items():
+                hi = lo + len(report.procs)
+                self._view_cache[node_id] = (now_s, batch, lo, hi)
+                lo = hi
+        segments: list[tuple[ViewBatch, int, int]] = []
+        lost_nodes: list[int] = []
+        stale = False
+        for agent in self.agents:
+            node_id = agent.node.node_id
+            cached = self._view_cache.get(node_id)
+            if node_id in fresh:
+                recovered = self.node_health[node_id] == "lost"
+                self._set_health(node_id, "recovered" if recovered
+                                 else "healthy", now_s)
+            elif (cached is not None and now_s - cached[0] <= bound
+                    and self.node_health[node_id] != "lost"):
+                stale = True
+                self._set_health(node_id, "stale", now_s)
+            else:
+                lost_nodes.append(node_id)
+                self._set_health(node_id, "lost", now_s)
+                continue
+            segments.append(cached[1:])
+        if stale or lost_nodes:
+            self.stale_passes += 1
+            if self.telemetry.enabled:
+                self._m_stale_passes.inc()
+        self._update_health_gauges()
+        if stale:
+            batch = ViewBatch(*(
+                np.concatenate([getattr(b, column)[lo:hi]
+                                for b, lo, hi in segments])
+                for column in _BATCH_COLUMNS))
+        return batch, lost_nodes
+
+    def _try_reuse_schedule(self, batch: ViewBatch | None
+                            ) -> Schedule | None:
         """The signature-stability fast path: reuse the last schedule when
         nothing that could change the decision has moved.
 
@@ -579,7 +618,7 @@ class ClusterCoordinator:
         from the last scheduled operating point."""
         last = self._last_sched_batch
         schedule = self.last_schedule
-        if last is None or schedule is None:
+        if last is None or schedule is None or batch is None:
             return None
         if self._last_sched_limits != (self.power_limit_w,
                                        self.node_limits_w,
@@ -605,140 +644,25 @@ class ClusterCoordinator:
             self._m_passes_skipped.inc()
         return schedule
 
-    # -- degraded mode -------------------------------------------------------------
+    def _schedule(self, batch: ViewBatch | None, lost_nodes: list[int],
+                  floors: dict[int, float]) -> Schedule:
+        """Figure 3 over the live rows, with lost nodes pinned to the floor.
 
-    def _global_pass_body_degraded(self, now_s: float
-                                   ) -> tuple[Schedule, float]:
-        """One global pass over a faulty control plane."""
-        tel = self.telemetry
-        network = self.cluster.network
-        timeout = self.config.report_timeout_s
-        bound = self.config.effective_staleness_bound_s
-        fresh: dict[int, NodeReport] = {}
-        worst_delay = 0.0
-        report_bytes = 0
-        dropped = 0
-        for agent in self.agents:
-            node_id = agent.node.node_id
-            if agent.crashed(now_s):
-                dropped += 1
-                continue
-            request = network.try_send(_CONTROL_FRAME_BYTES, now_s=now_s,
-                                       node_id=node_id)
-            if request is None:
-                dropped += 1
-                continue
-            report = agent.make_report(now_s)
-            size = message_size_bytes(report)
-            reply = network.try_send(size, now_s=now_s, node_id=node_id)
-            if reply is None:
-                # The report died on the wire; the agent keeps its counter
-                # windows (unconfirmed) so nothing is lost.
-                dropped += 1
-                continue
-            delay = request + reply
-            if timeout is not None and delay > timeout:
-                dropped += 1
-                continue
-            agent.confirm_report()
-            fresh[node_id] = report
-            worst_delay = max(worst_delay, delay)
-            report_bytes += size
-        self.reports_dropped += dropped
-        if tel.enabled:
-            self._m_report_bytes.inc(report_bytes)
-            self._m_collect_delay.observe(worst_delay)
-            if dropped:
-                self._m_reports_dropped.inc(dropped)
-
-        views: list[ProcessorView] = []
-        stale_nodes: list[int] = []
-        lost_nodes: list[int] = []
-        for agent in self.agents:
-            node_id = agent.node.node_id
-            if node_id in fresh:
-                node_views = self._node_views_from_report(fresh[node_id])
-                self._view_cache[node_id] = (now_s, node_views)
-                recovered = self.node_health[node_id] == "lost"
-                self._set_health(node_id, "recovered" if recovered
-                                 else "healthy", now_s)
-                views.extend(node_views)
-                continue
-            cached = self._view_cache.get(node_id)
-            if (cached is not None and now_s - cached[0] <= bound
-                    and self.node_health[node_id] != "lost"):
-                stale_nodes.append(node_id)
-                self._set_health(node_id, "stale", now_s)
-                views.extend(cached[1])
-            else:
-                lost_nodes.append(node_id)
-                self._set_health(node_id, "lost", now_s)
-        if stale_nodes or lost_nodes:
-            self.stale_passes += 1
-            if tel.enabled:
-                self._m_stale_passes.inc()
-        self._update_health_gauges()
-
-        schedule = self._schedule_degraded(views, lost_nodes,
-                                           self._slo_floors(now_s))
-        decision_time = now_s + worst_delay
-        self._dispatch(schedule, decision_time)
-        return schedule, worst_delay
-
-    def _node_views_from_report(self, report: NodeReport
-                                ) -> list[ProcessorView]:
-        """One node's views, through the batched predictor when columnar.
-
-        The degraded pass mixes fresh and cached nodes, so it still works
-        in view objects; the batch path only replaces the per-proc scalar
-        predictor calls (values are bit-identical either way)."""
-        if self.config.columnar:
-            return self._view_batch_from_reports([report]).views()
-        return self._views_from_reports([report])
-
-    def _set_health(self, node_id: int, state: str, now_s: float) -> None:
-        previous = self.node_health[node_id]
-        if previous == state:
-            return
-        self.node_health[node_id] = state
-        if self.telemetry.enabled:
-            if state == "lost":
-                self.telemetry.emit(EVENT_NODE_LOST, sim_time_s=now_s,
-                                    node=node_id, previous=previous)
-            elif previous == "lost":
-                self.telemetry.emit(EVENT_NODE_RECOVERED, sim_time_s=now_s,
-                                    node=node_id)
-
-    def _update_health_gauges(self) -> None:
-        if not self.telemetry.enabled:
-            return
-        counts = {"healthy": 0, "stale": 0, "lost": 0}
-        for state in self.node_health.values():
-            # "recovered" is a transitional healthy state.
-            counts["healthy" if state == "recovered" else state] += 1
-        for state, gauge in self._m_health.items():
-            gauge.set(counts[state])
-
-    def _schedule_degraded(self, views: list[ProcessorView],
-                           lost_nodes: list[int],
-                           floors: dict[int, float] | None = None
-                           ) -> Schedule:
-        """Schedule live views, with lost nodes pinned to the floor.
-
-        Lost nodes are commanded to ``f_min`` — lifted to their SLO floor
-        when one is set, since a lost node is still serving traffic we
-        can't see — and their pinned power is carved out of the global
-        budget before the live nodes are scheduled, so the combined
-        scheduled power honours the limit whenever it is honourable at
-        all.
+        Without lost nodes this is the plain flat (or nested) pass.  Lost
+        nodes are commanded to ``f_min`` — lifted to their SLO floor when
+        one is set, since a lost node is still serving traffic we can't
+        see — and their pinned power is carved out of the global budget
+        before the live nodes are scheduled, so the combined scheduled
+        power honours the limit whenever it is honourable at all.
         """
         sched = self.scheduler
         f_min = sched.table.f_min_hz
-        floors = floors or {}
+        limit = self.power_limit_w
+        node_limits = self.node_limits_w
+        ceiling = None
         floor_assignments: list[ProcessorAssignment] = []
         floor_power = 0.0
         infeasible = False
-        lost = set(lost_nodes)
         for node_id in lost_nodes:
             node_floor = 0.0
             slo_floor = floors.get(node_id)
@@ -756,60 +680,79 @@ class ClusterCoordinator:
                 ))
                 node_floor += power
             floor_power += node_floor
-            node_limit = self.node_limits_w.get(node_id)
+            node_limit = node_limits.get(node_id)
             if node_limit is not None and node_floor > node_limit + 1e-9:
                 infeasible = True
-        self.floor_scheduled_procs += len(floor_assignments)
-
-        limit = self.power_limit_w
-        if not views:
-            # Every node is lost: the whole cluster sits at the floor.
-            total = floor_power
-            if limit is not None and total > limit + 1e-9:
-                infeasible = True
-            return Schedule(
-                assignments=tuple(sorted(
-                    floor_assignments,
-                    key=lambda a: (a.node_id, a.proc_id))),
-                total_power_w=total,
-                power_limit_w=limit,
-                epsilon=sched.epsilon,
-                infeasible=infeasible,
-            )
-
-        floors_live = {n: f for n, f in floors.items() if n not in lost}
-        live_limit = None if limit is None else limit - floor_power
-        if live_limit is not None and live_limit <= 0.0:
-            # The lost nodes' floor power alone saturates the budget: the
-            # best DVFS can do is pin the live nodes to the floor too —
-            # except where an SLO floor overrides even that (the floor
-            # maximum is applied after the cap, so floors win).
-            live = sched.schedule(views, None, max_freq_hz=f_min,
-                                  min_freqs_hz=floors_live or None)
-            infeasible = True
+        if lost_nodes:
+            self.floor_scheduled_procs += len(floor_assignments)
+            if batch is None:
+                # Every node is lost: the whole cluster sits at the floor.
+                if limit is not None and floor_power > limit + 1e-9:
+                    infeasible = True
+                return Schedule(
+                    assignments=tuple(sorted(floor_assignments,
+                                             key=_by_node_proc)),
+                    total_power_w=floor_power,
+                    power_limit_w=limit,
+                    epsilon=sched.epsilon,
+                    infeasible=infeasible,
+                )
+            lost = set(lost_nodes)
+            floors = {n: f for n, f in floors.items() if n not in lost}
+            node_limits = {n: w for n, w in node_limits.items()
+                           if n not in lost}
+            if limit is not None:
+                limit -= floor_power
+                if limit <= 0.0:
+                    # The lost nodes' floor power alone saturates the
+                    # budget: the best DVFS can do is pin the live nodes
+                    # to the floor too — except where an SLO floor
+                    # overrides even that (the floor maximum is applied
+                    # after the cap, so floors win).
+                    limit, node_limits, ceiling = None, {}, f_min
+                    infeasible = True
+        if node_limits and isinstance(sched, NestedBudgetScheduler):
+            live = sched.schedule_nested(
+                batch, limit, node_limits, min_freqs_hz=floors or None,
+                on_infeasible="floor")
         else:
-            node_limits_live = {n: w for n, w in self.node_limits_w.items()
-                                if n not in lost}
-            if node_limits_live and isinstance(sched, NestedBudgetScheduler):
-                live = sched.schedule_nested(
-                    views, live_limit, node_limits_live,
-                    min_freqs_hz=floors_live or None,
-                    on_infeasible="floor")
-            else:
-                live = sched.schedule(views, live_limit,
-                                      min_freqs_hz=floors_live or None,
-                                      on_infeasible="floor")
-        assignments = tuple(sorted(
-            live.assignments + tuple(floor_assignments),
-            key=lambda a: (a.node_id, a.proc_id)))
+            live = sched.schedule(batch, limit, max_freq_hz=ceiling,
+                                  min_freqs_hz=floors or None,
+                                  on_infeasible="floor")
+        if not lost_nodes:
+            return live
         return Schedule(
-            assignments=assignments,
+            assignments=tuple(sorted(
+                live.assignments + tuple(floor_assignments),
+                key=_by_node_proc)),
             total_power_w=live.total_power_w + floor_power,
-            power_limit_w=limit,
+            power_limit_w=self.power_limit_w,
             epsilon=sched.epsilon,
             infeasible=infeasible or live.infeasible,
             reduction_steps=live.reduction_steps,
         )
+
+    # -- health --------------------------------------------------------------------
+
+    def _set_health(self, node_id: int, state: str, now_s: float) -> None:
+        previous = self.node_health[node_id]
+        if previous == state:
+            return
+        self.node_health[node_id] = state
+        if self.telemetry.enabled:
+            if state == "lost":
+                self.telemetry.emit(EVENT_NODE_LOST, sim_time_s=now_s,
+                                    node=node_id, previous=previous)
+            elif previous == "lost":
+                self.telemetry.emit(EVENT_NODE_RECOVERED, sim_time_s=now_s,
+                                    node=node_id)
+
+    def _update_health_gauges(self) -> None:
+        if not self.telemetry.enabled:
+            return
+        counts = _health_counts(self.node_health.values())
+        for state, gauge in self._m_health.items():
+            gauge.set(counts[state])
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -839,6 +782,8 @@ class ClusterCoordinator:
                 proc_ids=tuple(a.proc_id for a in assignments),
             )
             if self.faults is None:
+                # Fire and forget: acks would add events, and so span
+                # boundaries, to every fault-free run.
                 size = message_size_bytes(command)
                 delay = self.cluster.network.send(size)
                 if self.telemetry.enabled:
@@ -848,7 +793,7 @@ class ClusterCoordinator:
                 agent = self._agent_for(node_id)
                 apply_at = decision_time_s + delay
                 self.sim.at(apply_at,
-                            lambda t, a=agent, c=command: a.apply_command(c, t),
+                            lambda t, a=agent, c=command: self._apply(a, c, t),
                             name=f"apply-cmd-n{node_id}")
             else:
                 self._send_command(command, decision_time_s, attempt=0,
@@ -893,16 +838,23 @@ class ClusterCoordinator:
             return
         self._send_command(command, now_s, prev_attempt + 1, state)
 
-    def _deliver_command(self, command: FrequencyCommand, now_s: float,
-                         state: dict) -> None:
-        """A command arrived at its node: apply and acknowledge."""
-        agent = self._agent_for(command.node_id)
+    def _apply(self, agent: NodeAgent, command: FrequencyCommand,
+               now_s: float) -> bool:
+        """Apply a delivered command; one that reaches a crashed agent is
+        dropped and counted.  Returns whether it was applied."""
         if agent.crashed(now_s):
             self.commands_dropped += 1
             if self.telemetry.enabled:
                 self._m_commands_dropped.inc()
-            return
+            return False
         agent.apply_command(command, now_s)
+        return True
+
+    def _deliver_command(self, command: FrequencyCommand, now_s: float,
+                         state: dict) -> None:
+        """A command arrived at its node: apply and acknowledge."""
+        if not self._apply(self._agent_for(command.node_id), command, now_s):
+            return
         ack_delay = self.cluster.network.try_send(
             _CONTROL_FRAME_BYTES, now_s=now_s, node_id=command.node_id)
         if ack_delay is not None:
@@ -919,34 +871,16 @@ class ClusterCoordinator:
 
     def _record(self, schedule: Schedule, now_s: float, *,
                 pass_wall_s: float | None = None) -> None:
-        assignments = schedule.assignments
-        if self.config.columnar:
-            # Assignments are NamedTuples: one zip transposes every field.
-            (node_ids, proc_ids, freqs_hz, voltages, powers_w,
-             predicted_losses, eps_freqs_hz) = zip(*assignments)
-            self.log.record_schedule_pass(
-                now_s, node_ids, proc_ids, freqs_hz, eps_freqs_hz,
-                voltages, powers_w, predicted_losses,
-                power_limit_w=self.power_limit_w,
-                infeasible=schedule.infeasible,
-                pass_wall_s=pass_wall_s,
-            )
-            return
-        for a in assignments:
-            self.log.record_schedule(ScheduleLogEntry(
-                time_s=now_s,
-                node_id=a.node_id,
-                proc_id=a.proc_id,
-                freq_hz=a.freq_hz,
-                eps_freq_hz=a.eps_freq_hz,
-                voltage=a.voltage,
-                power_w=a.power_w,
-                predicted_loss=a.predicted_loss,
-                predicted_ipc=None,
-                power_limit_w=self.power_limit_w,
-                infeasible=schedule.infeasible,
-                pass_wall_s=pass_wall_s,
-            ))
+        # Assignments are NamedTuples: one zip transposes every field.
+        (node_ids, proc_ids, freqs_hz, voltages, powers_w,
+         predicted_losses, eps_freqs_hz) = zip(*schedule.assignments)
+        self.log.record_schedule_pass(
+            now_s, node_ids, proc_ids, freqs_hz, eps_freqs_hz,
+            voltages, powers_w, predicted_losses,
+            power_limit_w=self.power_limit_w,
+            infeasible=schedule.infeasible,
+            pass_wall_s=pass_wall_s,
+        )
 
     # -- triggers -------------------------------------------------------------------------
 

@@ -65,7 +65,12 @@ from ..telemetry import (
     get_telemetry,
 )
 from ..units import check_positive
-from .coordinator import _CONTROL_FRAME_BYTES, ClusterCoordinator, CoordinatorConfig
+from .coordinator import (
+    _CONTROL_FRAME_BYTES,
+    ClusterCoordinator,
+    CoordinatorConfig,
+    _health_counts,
+)
 from .faults import FaultSchedule
 from .protocol import BudgetLease, ShardSummary, message_size_bytes
 
@@ -230,9 +235,7 @@ class ShardCoordinator(ClusterCoordinator):
                 ladder = np.take_along_axis(rows, capped, axis=1).sum(axis=0)
             mean_loss = float(np.mean([a.predicted_loss
                                        for a in assignments]))
-        counts = {"healthy": 0, "stale": 0, "lost": 0}
-        for state in self.node_health.values():
-            counts["healthy" if state == "recovered" else state] += 1
+        counts = _health_counts(self.node_health.values())
         return ShardSummary(
             shard_id=self.shard_id,
             time_s=now_s,
@@ -619,9 +622,7 @@ class FleetAllocator:
     def _update_health_gauges(self) -> None:
         if not self.telemetry.enabled:
             return
-        counts = {"healthy": 0, "stale": 0, "lost": 0}
-        for state in self.shard_health.values():
-            counts["healthy" if state == "recovered" else state] += 1
+        counts = _health_counts(self.shard_health.values())
         for state, gauge in self._m_health.items():
             gauge.set(counts[state])
 

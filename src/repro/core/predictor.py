@@ -56,9 +56,10 @@ SignatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 class PredictorProtocol(Protocol):
     """What the daemon and scheduler require of a predictor.
 
-    Predictors may additionally offer the optional batched entry point
-    ``signatures_from_arrays`` (see :class:`CounterPredictor`); callers
-    feature-detect it with ``hasattr`` and fall back to per-sample calls.
+    The daemon needs only this method.  The cluster coordinator also
+    needs the batched entry point ``signatures_from_arrays`` (see
+    :class:`CounterPredictor`) and rejects a predictor without it at
+    construction.
     """
 
     def signature_from_sample(self, sample: CounterSample) -> WorkloadSignature | None:

@@ -1,18 +1,19 @@
 """The columnar control plane: batched predictors, ViewBatch, the
-columnar log, the reschedule fast path — and the equivalence of it all
-with the per-object reference path (``CoordinatorConfig(columnar=False)``).
+columnar log, the reschedule fast path — and committed golden digests of
+whole coordinator runs, recorded while the per-object pipeline still
+existed and gave the same values as the columnar one.
 """
 
-import dataclasses
-import time
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
-from repro.cluster.faults import fault_scenario
+from repro.cluster.faults import fault_scenario, fleet_fault_scenario
+from repro.cluster.hierarchy import FleetAllocator, FleetConfig
 from repro.cluster.nested import NestedBudgetScheduler
-from repro.cluster.protocol import NodeReport, ProcReport
 from repro.core.hetero import HeterogeneousScheduler
 from repro.core.logs import FvsstLog, ScheduleLogEntry
 from repro.core.predictor import AlphaPredictor, CounterPredictor
@@ -192,92 +193,175 @@ class TestViewBatch:
             sched.schedule(ViewBatch.from_views(views))
 
 
-def _comparable_entries(log):
-    """Schedule entries with the wall-clock field (the one legitimately
-    nondeterministic value) zeroed."""
-    return [dataclasses.replace(e, pass_wall_s=None)
-            for e in log.schedule_entries]
+#: Metrics left out of the golden digests: the wall-clock histograms (the
+#: only nondeterministic values between two identical runs) and the node
+#: health gauges, which the tests assert directly.
+_UNHASHED_METRICS = ("cluster_pass_seconds", "scheduler_pass_seconds",
+                     "shard_rebalance_seconds", "cluster_nodes_healthy",
+                     "cluster_nodes_stale", "cluster_nodes_lost")
+
+_LOG_FIELDS = [name for name in ScheduleLogEntry.__dataclass_fields__
+               if name != "pass_wall_s"]
 
 
-def _comparable_metrics(telemetry):
-    """Metric snapshot minus the wall-clock histograms (the only
-    nondeterministic values between two otherwise identical runs)."""
-    snap = telemetry.snapshot()["metrics"]
-    return {name: value for name, value in snap.items()
-            if "pass_seconds" not in name}
+def _canonical(value):
+    """JSON-ready form of ``value`` with every float written exactly."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    return value
 
 
-def _run_pair(config_kwargs, *, scenario=None, seconds=0.55, limit_w=330.0,
-              node_limit=(1, 80.0), workloads=True):
-    """Run one columnar and one object-path coordinator over identical
-    clusters (same seeds, same faults, same triggers); return both."""
-    out = []
-    for columnar in (True, False):
-        cluster = quiet_cluster(nodes=3, procs=2, seed=11)
-        if workloads:
-            cluster.assign_all(tiered_cluster_assignment(
-                3, 2, web_nodes=1, app_nodes=1))
-        telemetry = Telemetry()
-        faults = fault_scenario(scenario, seed=13) if scenario else None
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(power_limit_w=limit_w,
-                              counter_noise_sigma=0.0,
-                              columnar=columnar, **config_kwargs),
-            telemetry=telemetry, faults=faults, seed=21)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(seconds)
-        coord.set_power_limit(limit_w * 0.8, sim.now_s)
-        sim.run_for(0.15)
-        if node_limit is not None:
-            coord.set_node_limit(*node_limit, sim.now_s)
-            sim.run_for(0.15)
-        out.append((cluster, coord, telemetry))
-    return out
+def _coordinator_outputs(coord) -> dict:
+    return {
+        "log": [[getattr(e, name) for name in _LOG_FIELDS]
+                for e in coord.log.schedule_entries],
+        "tallies": [coord.reports_dropped, coord.commands_dropped,
+                    coord.command_retries, coord.stale_passes,
+                    coord.floor_scheduled_procs,
+                    coord.max_scheduled_power_w, coord.node_health],
+    }
+
+
+def outputs_digest(cluster, coordinators, telemetry, extra=None) -> str:
+    """sha256 over the schedule logs (without ``pass_wall_s``), the
+    applied frequency vectors, the resilience tallies, and the telemetry
+    snapshot (without wall-clock histograms and health gauges)."""
+    metrics = telemetry.snapshot()["metrics"]
+    payload = {
+        "coordinators": [_coordinator_outputs(c) for c in coordinators],
+        "freqs": [node.machine.frequency_vector_hz()
+                  for node in cluster.nodes],
+        "metrics": {name: [m["type"], m["series"]]
+                    for name, m in metrics.items()
+                    if name not in _UNHASHED_METRICS},
+        "extra": extra,
+    }
+    text = json.dumps(_canonical(payload), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def health_gauges(telemetry) -> tuple:
+    """``cluster_nodes_{healthy,stale,lost}`` as read off the registry."""
+    metrics = telemetry.snapshot()["metrics"]
+    return tuple(
+        sum(pt["value"] for pt in metrics[f"cluster_nodes_{s}"]["series"])
+        for s in ("healthy", "stale", "lost"))
+
+
+def run_coordinator_scenario(scenario):
+    """3 nodes x 2 procs through a limit change and a node limit.  The
+    crash scenario's window (node 1, [1.0 s, 2.0 s)) takes node 1 stale,
+    lost (with the node limit landing on it), and back."""
+    cluster = quiet_cluster(nodes=3, procs=2, seed=11)
+    cluster.assign_all(tiered_cluster_assignment(
+        3, 2, web_nodes=1, app_nodes=1))
+    telemetry = Telemetry()
+    coord = ClusterCoordinator(
+        cluster,
+        CoordinatorConfig(power_limit_w=330.0, counter_noise_sigma=0.0),
+        telemetry=telemetry, faults=fault_scenario(scenario, seed=13),
+        seed=21)
+    sim = Simulation(cluster.machines)
+    coord.attach(sim)
+    sim.run_for(1.5)
+    coord.set_power_limit(264.0, sim.now_s)
+    sim.run_for(0.15)
+    coord.set_node_limit(1, 80.0, sim.now_s)
+    sim.run_for(0.6)
+    return cluster, coord, telemetry
+
+
+#: sha256 of each scenario's outputs (:func:`outputs_digest`), recorded
+#: while the coordinator still had two pipelines — the columnar pass and
+#: the per-object ``CoordinatorConfig(columnar=False)`` path — which gave
+#: the same digest on every scenario here.
+GOLDEN_DIGESTS = {
+    "none": "71a6dc1521253d00eeba1ba54b290f5403fd2b7bfde2fdd34b048b3fa08ece2d",
+    "lossy": "97782e95bded79d5819d7a7104a740193d0343fa79ce1a22b66f34ea813ef1e9",
+    "crash": "17207f7b423ec6151250374881f5e7678901ff80a26cd25a3096bd42e24acd73",
+    "alpha": "17b6c334ac056c327a57d09533b8d8f21d9cc157ff13fc9a324d4d5cb5f2fc3e",
+    "fleet-chaos":
+        "f4d50b8e60c4b7e8927025f95177b63fa976425fc518f1ad6aba3a1e84e586c2",
+}
 
 
 class TestCoordinatorColumnarEquivalence:
-    """The acceptance gate: schedules, logs, and telemetry counters are
-    bit-identical between the columnar and object paths, fault-free and
-    degraded."""
+    """The one coordinator pass reproduces, bit for bit, the schedules,
+    logs, applied frequencies, resilience tallies, and telemetry both
+    retired pipelines produced — fault-free, lossy, through a crash, and
+    under the fleet tier."""
 
     @pytest.mark.parametrize("scenario", [None, "lossy", "crash"])
     def test_paths_bit_identical(self, scenario):
-        (cl_a, co_a, tel_a), (cl_b, co_b, tel_b) = _run_pair(
-            {}, scenario=scenario)
-        assert co_a.last_schedule == co_b.last_schedule
-        assert _comparable_entries(co_a.log) == _comparable_entries(co_b.log)
-        for node in range(3):
-            assert cl_a.nodes[node].machine.frequency_vector_hz() == \
-                cl_b.nodes[node].machine.frequency_vector_hz()
-        assert _comparable_metrics(tel_a) == _comparable_metrics(tel_b)
-        assert (co_a.reports_dropped, co_a.stale_passes,
-                co_a.floor_scheduled_procs) == \
-            (co_b.reports_dropped, co_b.stale_passes,
-             co_b.floor_scheduled_procs)
+        name = scenario or "none"
+        cluster, coord, telemetry = run_coordinator_scenario(name)
+        assert outputs_digest(cluster, [coord], telemetry) == \
+            GOLDEN_DIGESTS[name]
+        # Every node is back to healthy by the end of each scenario.
+        assert health_gauges(telemetry) == (3, 0, 0)
 
     def test_alpha_predictor_paths_identical(self):
         # AlphaPredictor ignores interval_s, so the coordinator must mask
-        # empty windows itself on the batch path (the t = 0 pass would
-        # otherwise get signatures the object path never builds).
-        results = []
-        for columnar in (True, False):
-            cluster = quiet_cluster(nodes=2, procs=2, seed=3)
-            coord = ClusterCoordinator(
-                cluster,
-                CoordinatorConfig(counter_noise_sigma=0.0,
-                                  columnar=columnar),
-                predictor=AlphaPredictor(POWER4_LATENCIES, alpha=0.8),
-                seed=9)
-            sim = Simulation(cluster.machines)
-            coord.attach(sim)
-            coord.run_global_pass(0.0)   # empty windows: interval_s == 0
-            sim.run_for(0.25)
-            results.append(_comparable_entries(coord.log))
-        assert results[0] == results[1]
+        # empty windows itself (the t = 0 pass would otherwise get
+        # signatures no per-sample evaluation builds).
+        cluster = quiet_cluster(nodes=2, procs=2, seed=3)
+        telemetry = Telemetry()
+        coord = ClusterCoordinator(
+            cluster, CoordinatorConfig(counter_noise_sigma=0.0),
+            predictor=AlphaPredictor(POWER4_LATENCIES, alpha=0.8),
+            telemetry=telemetry, seed=9)
+        sim = Simulation(cluster.machines)
+        coord.attach(sim)
+        first = coord.run_global_pass(0.0)   # empty windows: interval 0
+        f_max = POWER4_TABLE.f_max_hz
+        assert all(a.freq_hz == f_max for a in first.assignments)
+        sim.run_for(0.25)
+        assert outputs_digest(cluster, [coord], telemetry) == \
+            GOLDEN_DIGESTS["alpha"]
+        assert health_gauges(telemetry) == (2, 0, 0)
 
-    def test_batchless_predictor_falls_back(self):
+    def test_fleet_chaos_bit_identical(self):
+        nodes, procs, shard_size = 16, 2, 4
+        cluster = quiet_cluster(nodes=nodes, procs=procs, seed=5)
+        cluster.assign_all(tiered_cluster_assignment(
+            nodes, procs, web_nodes=4, app_nodes=4))
+        budget = 0.7 * nodes * procs * POWER4_TABLE.max_power_w
+        telemetry = Telemetry()
+        allocator = FleetAllocator(
+            cluster,
+            CoordinatorConfig(power_limit_w=budget, counter_noise_sigma=0.0,
+                              sample_period_s=0.02, schedule_period_s=0.1),
+            fleet=FleetConfig(shard_size=shard_size, rebalance_period_s=0.2,
+                              staleness_bound_s=0.3),
+            telemetry=telemetry,
+            faults=fleet_fault_scenario("chaos", num_nodes=nodes,
+                                        shard_size=shard_size, seed=17),
+            seed=6)
+        sim = Simulation(cluster.machines)
+        allocator.attach(sim)
+        sim.run_for(1.2)
+        extra = [allocator.rebalances, allocator.summaries_dropped,
+                 allocator.leases_sent, allocator.leases_dropped,
+                 allocator.max_committed_w, allocator.committed_w,
+                 allocator.shard_health,
+                 [[s.leases_applied, s.leases_stale_dropped, s.power_limit_w]
+                  for s in allocator.shards]]
+        assert outputs_digest(cluster, allocator.shards, telemetry,
+                              extra) == GOLDEN_DIGESTS["fleet-chaos"]
+        assert sum(s.stale_passes for s in allocator.shards) > 0
+        # The shards share one registry, so the gauges hold the counts of
+        # whichever shard passed last.
+        assert health_gauges(telemetry) == (3, 1, 0)
+
+
+class TestPredictorRequirement:
+    def test_batchless_predictor_rejected(self):
         class ScalarOnly:
             def __init__(self):
                 self.inner = CounterPredictor(POWER4_LATENCIES)
@@ -286,13 +370,85 @@ class TestCoordinatorColumnarEquivalence:
                 return self.inner.signature_from_sample(sample)
 
         cluster = quiet_cluster(nodes=2, procs=2, seed=3)
+        with pytest.raises(ClusterError, match="signatures_from_arrays"):
+            ClusterCoordinator(
+                cluster, CoordinatorConfig(counter_noise_sigma=0.0),
+                predictor=ScalarOnly(), seed=9)
+
+    def test_batch_method_looked_up_per_pass(self):
+        # Instrumentation may wrap the method on the instance after
+        # construction; the pass must call the wrapper.
+        cluster = quiet_cluster(nodes=2, procs=2, seed=3)
         coord = ClusterCoordinator(
-            cluster, CoordinatorConfig(counter_noise_sigma=0.0),
-            predictor=ScalarOnly(), seed=9)
+            cluster, CoordinatorConfig(counter_noise_sigma=0.0), seed=9)
+        inner = coord.predictor.signatures_from_arrays
+        calls = []
+
+        def counted(*columns):
+            calls.append(len(columns[0]))
+            return inner(*columns)
+
+        coord.predictor.signatures_from_arrays = counted
         sim = Simulation(cluster.machines)
         coord.attach(sim)
         sim.run_for(0.25)
-        assert coord.last_schedule is not None
+        # One batched call per pass, over every processor.
+        passes = len({e.time_s for e in coord.log.schedule_entries})
+        assert passes >= 2 and calls == [4] * passes
+
+
+class TestLogPassRecording:
+    """``record_schedule_pass`` is the bulk form of N ``record_schedule``
+    calls: same entries, same series, same None -> NaN storage."""
+
+    #: (time, limit, infeasible, wall) per pass; the last two share an
+    #: instant, like a trigger pass landing on a periodic one.
+    PASSES = ((0.1, None, False, None), (0.2, 150.0, False, 2e-4),
+              (0.3, 120.0, True, 3e-4), (0.3, 110.0, True, None))
+
+    def _rows(self, k, t, limit, infeasible, wall):
+        freqs = POWER4_TABLE.freqs_hz
+        return [
+            ScheduleLogEntry(
+                time_s=t, node_id=n, proc_id=p,
+                freq_hz=freqs[(3 * n + p + k) % len(freqs)],
+                eps_freq_hz=freqs[-1], voltage=1.1 + 0.01 * p,
+                power_w=20.0 + n + 0.5 * p + k, predicted_loss=0.01 * n,
+                predicted_ipc=None if p else 1.25 + k,
+                power_limit_w=limit, infeasible=infeasible,
+                pass_wall_s=wall)
+            for n in range(3) for p in range(2)
+        ]
+
+    def test_pass_append_matches_entry_appends(self):
+        bulk, scalar = FvsstLog(), FvsstLog()
+        for k, (t, limit, infeasible, wall) in enumerate(self.PASSES):
+            rows = self._rows(k, t, limit, infeasible, wall)
+            for entry in rows:
+                scalar.record_schedule(entry)
+            bulk.record_schedule_pass(
+                t, [e.node_id for e in rows], [e.proc_id for e in rows],
+                [e.freq_hz for e in rows], [e.eps_freq_hz for e in rows],
+                [e.voltage for e in rows], [e.power_w for e in rows],
+                [e.predicted_loss for e in rows],
+                predicted_ipcs=[e.predicted_ipc for e in rows],
+                power_limit_w=limit, infeasible=infeasible,
+                pass_wall_s=wall)
+        assert bulk.schedule_entries == scalar.schedule_entries
+        entries = bulk.schedule_entries
+        assert sum(e.predicted_ipc is None for e in entries) == 12
+        assert sum(e.power_limit_w is None for e in entries) == 6
+        assert sum(e.pass_wall_s is None for e in entries) == 12
+        for name in ("predicted_ipc", "power_limit_w", "pass_wall_s"):
+            assert np.isnan(bulk._sched.column(name)).tolist() == \
+                np.isnan(scalar._sched.column(name)).tolist()
+        for a, b in zip(bulk.power_series(), scalar.power_series()):
+            assert a.tolist() == b.tolist()
+        for node in range(3):
+            for proc in range(2):
+                for a, b in zip(bulk.frequency_series(node, proc),
+                                scalar.frequency_series(node, proc)):
+                    assert a.tolist() == b.tolist()
 
 
 class TestPowerSeriesDedup:
@@ -348,8 +504,20 @@ class TestRescheduleTolerance:
     def test_validation(self):
         with pytest.raises(Exception):
             CoordinatorConfig(reschedule_tolerance=-0.1)
-        with pytest.raises(ClusterError):
-            CoordinatorConfig(reschedule_tolerance=0.1, columnar=False)
+
+    def test_ignored_with_a_fault_plan(self):
+        # A reused pass re-dispatches nothing, and a lossy network may
+        # have eaten the last commands: degraded coordinators never skip.
+        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
+        coord = ClusterCoordinator(
+            cluster,
+            CoordinatorConfig(counter_noise_sigma=0.0,
+                              reschedule_tolerance=10.0),
+            faults=fault_scenario("crash", seed=3), seed=6)
+        sim = Simulation(cluster.machines)
+        coord.attach(sim)
+        sim.run_for(0.45)
+        assert coord.passes_skipped == 0
 
     def test_default_off(self):
         cluster = quiet_cluster(nodes=2, procs=2, seed=5)
@@ -455,82 +623,3 @@ def ProcessorAssignmentFor(proc_id, freq_hz, voltage, table):
         node_id=0, proc_id=proc_id, freq_hz=freq_hz, voltage=voltage,
         power_w=table.power_at(freq_hz), predicted_loss=0.0,
         eps_freq_hz=freq_hz)
-
-
-def synthetic_reports(nodes, procs, seed=0):
-    rng = np.random.default_rng(seed)
-    reports = []
-    for n in range(nodes):
-        prs = []
-        for p in range(procs):
-            instr = float(rng.uniform(5e5, 5e6))
-            prs.append(ProcReport(
-                proc_id=p, instructions=instr,
-                cycles=instr * float(rng.uniform(0.8, 2.5)),
-                n_l2=float(rng.uniform(0.0, 2e4)),
-                n_l3=float(rng.uniform(0.0, 8e3)),
-                n_mem=float(rng.uniform(0.0, 4e3)),
-                l1_stall_cycles=float(rng.uniform(0.0, 1e5)),
-                halted_cycles=0.0, interval_s=0.1, idle_signaled=False))
-        reports.append(NodeReport(node_id=n, time_s=0.1, procs=tuple(prs)))
-    return reports
-
-
-def _pass_core(coord, reports, now_s):
-    """The pass hot path under measurement: views from reports, the
-    schedule, and the log record (collect and dispatch are identical
-    between the two paths and excluded)."""
-    if coord.config.columnar:
-        views = coord._view_batch_from_reports(reports)
-    else:
-        views = coord._views_from_reports(reports)
-    schedule = coord.scheduler.schedule(views, coord.power_limit_w,
-                                        on_infeasible="floor")
-    coord._record(schedule, now_s)
-    return schedule
-
-
-class TestClusterPassSpeedup:
-    """Acceptance: the columnar pass is >= 5x the object path at 64x4."""
-
-    def test_bench_cluster_pass_64_nodes(self):
-        # No global limit: step 2's heap reduction is identical shared
-        # code either way (pinned by the equivalence suite above); the
-        # ratio measures the columnarised data path — views from reports,
-        # the matrix pass, assembly, and the log record.
-        reports = synthetic_reports(64, 4, seed=17)
-        cluster = quiet_cluster(nodes=1, procs=1, seed=1)
-        coords = {
-            columnar: ClusterCoordinator(
-                cluster,
-                CoordinatorConfig(power_limit_w=None, columnar=columnar),
-                seed=2)
-            for columnar in (True, False)
-        }
-
-        # Same decision either way (the equivalence half of the gate).
-        sched_cols = _pass_core(coords[True], reports, 0.1)
-        sched_objs = _pass_core(coords[False], reports, 0.1)
-        assert sched_cols == sched_objs
-        assert _comparable_entries(coords[True].log) == \
-            _comparable_entries(coords[False].log)
-
-        def best_of(coord, repeats=7, inner=3):
-            best = float("inf")
-            for _ in range(repeats):
-                coord.log = FvsstLog()   # keep record cost flat
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    _pass_core(coord, reports, 0.1)
-                best = min(best, (time.perf_counter() - t0) / inner)
-            return best
-
-        best_of(coords[True], repeats=2)   # warm caches on both paths
-        best_of(coords[False], repeats=2)
-        columnar_s = best_of(coords[True])
-        object_s = best_of(coords[False])
-        speedup = object_s / columnar_s
-        assert speedup >= 5.0, (
-            f"columnar pass {columnar_s * 1e6:.0f} us vs object "
-            f"{object_s * 1e6:.0f} us: only {speedup:.1f}x"
-        )

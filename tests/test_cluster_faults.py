@@ -28,7 +28,9 @@ from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig
 from repro.sim.network import Network, NetworkConfig, NetworkFaults, PartitionWindow
+from repro.telemetry import Telemetry
 from repro.units import ghz, mhz
+from repro.workloads.tiers import tiered_cluster_assignment
 
 
 def quiet_cluster(nodes=2, procs=2, seed=0) -> Cluster:
@@ -313,8 +315,9 @@ class TestZeroIntervalReports:
                        n_l3=0, n_mem=0, l1_stall_cycles=0, halted_cycles=0,
                        interval_s=0.0, idle_signaled=False),
         ))
-        views = coord._views_from_reports([report])
-        assert views[0].signature is None
+        batch = coord._view_batch_from_reports([report])
+        assert not batch.has_signature[0]
+        assert batch[0].signature is None
 
 
 class TestCoordinatorAgentIndex:
@@ -374,3 +377,55 @@ class TestAgentCrash:
         assert not agent.crashed(0.01)
         assert agent.crashed(0.03)
         assert not agent.crashed(0.05)
+
+
+class TestWithoutFaultPlan:
+    """Health tracking and crashed agents need no fault plan."""
+
+    def test_health_gauges_after_one_pass(self):
+        telemetry = Telemetry()
+        cluster = quiet_cluster(nodes=3)
+        coord = ClusterCoordinator(
+            cluster, CoordinatorConfig(counter_noise_sigma=0.0),
+            telemetry=telemetry, seed=5)
+        sim = Simulation(cluster.machines)
+        coord.attach(sim)
+        coord.run_global_pass(0.0)
+        metrics = telemetry.snapshot()["metrics"]
+        gauges = {state: metrics[f"cluster_nodes_{state}"]["series"][0]
+                  ["value"] for state in ("healthy", "stale", "lost")}
+        assert gauges == {"healthy": 3, "stale": 0, "lost": 0}
+
+    def test_manually_crashed_node_is_neither_collected_nor_commanded(self):
+        cluster = quiet_cluster(nodes=2)
+        cluster.assign_all(tiered_cluster_assignment(
+            2, 2, web_nodes=1, app_nodes=1))
+        coord = ClusterCoordinator(
+            cluster, CoordinatorConfig(power_limit_w=150.0,
+                                       counter_noise_sigma=0.0),
+            seed=5)
+        sim = Simulation(cluster.machines)
+        coord.attach(sim)
+        sim.run_for(0.25)
+        crashed = cluster.nodes[1]
+        crashed.crash()
+        frozen = crashed.machine.frequency_vector_hz()
+        sim.run_for(0.15)
+        assert coord.node_health[1] == "stale"
+        sim.run_for(0.35)
+        assert coord.node_health[1] == "lost"
+        f_min = crashed.machine.table.f_min_hz
+        pinned = [a for a in coord.last_schedule.assignments
+                  if a.node_id == 1]
+        assert pinned and all(a.freq_hz == f_min for a in pinned)
+        # Fire-and-forget commands reaching the crashed agent are dropped
+        # and counted, never applied, and never acknowledged.
+        assert crashed.machine.frequency_vector_hz() == frozen
+        assert coord.commands_dropped > 0
+        assert coord.reports_dropped > 0
+        assert coord.command_retries == 0
+        assert coord.max_scheduled_power_w <= 150.0 + 1e-9
+        crashed.recover()
+        sim.run_for(0.25)
+        assert coord.node_health[1] in ("recovered", "healthy")
+        assert crashed.machine.frequency_vector_hz() != frozen

@@ -9,7 +9,11 @@ import pytest
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.hierarchy import FleetAllocator, FleetConfig
 from repro.cluster.nested import NestedBudgetScheduler
-from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
+from repro.core.scheduler import (
+    FrequencyVoltageScheduler,
+    ProcessorView,
+    ViewBatch,
+)
 from repro.errors import ClusterError, ModelError, WorkloadError
 from repro.model.ipc import WorkloadSignature
 from repro.model.latency import POWER4_LATENCIES
@@ -616,8 +620,9 @@ class TestCoordinatorSLO:
         lost_id = cluster.nodes[1].node_id
         live_id = cluster.nodes[0].node_id
         views = [pview(live_id, 0, sig(10.0))]
-        schedule = coordinator._schedule_degraded(
-            views, [lost_id], {lost_id: mhz(760), live_id: mhz(700)})
+        schedule = coordinator._schedule(
+            ViewBatch.from_views(views), [lost_id],
+            {lost_id: mhz(760), live_id: mhz(700)})
         pinned = [a for a in schedule.assignments if a.node_id == lost_id]
         assert pinned and all(a.freq_hz == mhz(800) for a in pinned)
         assert all(a.eps_freq_hz == mhz(800) for a in pinned)
@@ -631,8 +636,8 @@ class TestCoordinatorSLO:
         lost_id = cluster.nodes[1].node_id
         live_id = cluster.nodes[0].node_id
         views = [pview(live_id, 0, sig(10.0))]
-        schedule = coordinator._schedule_degraded(
-            views, [lost_id], {live_id: mhz(800)})
+        schedule = coordinator._schedule(
+            ViewBatch.from_views(views), [lost_id], {live_id: mhz(800)})
         assert schedule.infeasible
         live = [a for a in schedule.assignments if a.node_id == live_id]
         assert all(a.freq_hz >= mhz(800) for a in live)

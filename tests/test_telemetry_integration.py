@@ -9,10 +9,13 @@ CLI flag producing the JSONL + Prometheus artifacts.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main as cli_main
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
+from repro.cluster.hierarchy import FleetAllocator, FleetConfig
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.core.daemon_mt import MultithreadedFvsstDaemon
 from repro.power.supply import SupplyBank
@@ -260,3 +263,24 @@ class TestCliTelemetry:
         # The stream parses back.
         records = read_jsonl(out / "telemetry.jsonl")
         assert any(r["type"] == "metrics" for r in records)
+
+
+class TestMetricCatalog:
+    def test_every_cluster_metric_is_documented(self):
+        # docs/OBSERVABILITY.md names every metric the control plane
+        # registers, each in full (no "/ _stale / _lost" shorthand).
+        catalog = (Path(__file__).resolve().parents[1] / "docs"
+                   / "OBSERVABILITY.md").read_text()
+        tel = Telemetry()
+        ClusterCoordinator(
+            Cluster.homogeneous(2, seed=0),
+            CoordinatorConfig(slo_p99_target_s=0.02), telemetry=tel,
+            seed=1)
+        FleetAllocator(
+            Cluster.homogeneous(4, seed=0), CoordinatorConfig(),
+            fleet=FleetConfig(shard_size=2), telemetry=tel, seed=2)
+        names = tel.snapshot()["metrics"]
+        assert "cluster_slo_floor_hz" in names
+        assert "shard_committed_watts" in names
+        missing = [name for name in names if f"`{name}`" not in catalog]
+        assert not missing, f"undocumented metrics: {missing}"
