@@ -294,18 +294,6 @@ class TestBenchCounterPath:
         assert len(ipcs) == 16
 
 
-class TestBenchSinglePassScheduler:
-    def test_bench_single_pass_256_procs(self, benchmark):
-        """The heap-based single-pass variant at cluster scale."""
-        from repro.core.singlepass import SinglePassScheduler
-        sched = SinglePassScheduler(POWER4_TABLE)
-        views = _views(256)
-        budget = 256 * 75.0
-        schedule = benchmark(lambda: sched.schedule(views,
-                                                    power_limit_w=budget))
-        assert schedule.total_power_w <= budget
-
-
 def _node_reports(nodes: int, procs: int, seed: int = 17, start: int = 0):
     from repro.cluster.protocol import NodeReport, ProcReport
     rng = np.random.default_rng(seed)

@@ -102,10 +102,7 @@ from .cluster import (
     FaultSchedule,
     fault_scenario,
 )
-from .core import (
-    SinglePassScheduler,
-    MultithreadedFvsstDaemon,
-)
+from .core import MultithreadedFvsstDaemon
 from .power import ThermalMonitor, ThermalParams
 from .workloads import ServerSource, RequestSpec, diurnal_rate
 from .scenario import Scenario, ScenarioResult
@@ -195,7 +192,6 @@ __all__ = [
     "fault_scenario",
     "CoordinatorConfig",
     # extensions
-    "SinglePassScheduler",
     "MultithreadedFvsstDaemon",
     "ThermalMonitor",
     "ThermalParams",

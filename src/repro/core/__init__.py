@@ -26,7 +26,6 @@ from .scheduler import (
     FrequencyVoltageScheduler,
 )
 from .continuous import ContinuousFrequencyScheduler
-from .singlepass import SinglePassScheduler
 from .hetero import HeterogeneousScheduler
 from .consolidation import ConsolidationGovernor
 from .voltage import VoltageSelector, default_vf_curve
@@ -55,7 +54,6 @@ __all__ = [
     "Schedule",
     "FrequencyVoltageScheduler",
     "ContinuousFrequencyScheduler",
-    "SinglePassScheduler",
     "HeterogeneousScheduler",
     "ConsolidationGovernor",
     "VoltageSelector",

@@ -21,7 +21,7 @@ from typing import Literal, Sequence
 from .. import constants
 from ..model.ideal import ideal_frequency
 from ..power.table import FrequencyPowerTable
-from .scheduler import FrequencyVoltageScheduler, ProcessorView, Schedule
+from .scheduler import FrequencyVoltageScheduler, ProcessorView
 from .voltage import VoltageSelector
 
 __all__ = ["ContinuousFrequencyScheduler"]
@@ -77,11 +77,3 @@ class ContinuousFrequencyScheduler(FrequencyVoltageScheduler):
                     epsilon=self.epsilon, f_min_hz=self.table.f_min_hz,
                 ))
         return out
-
-    def schedule(self, views: Sequence[ProcessorView],
-                 power_limit_w: float | None = None, *,
-                 on_infeasible: Literal["floor", "raise"] = "floor") -> Schedule:
-        # Inherited implementation already routes step 1 through the
-        # overridden epsilon_constrained(); nothing further to change.
-        return super().schedule(views, power_limit_w,
-                                on_infeasible=on_infeasible)

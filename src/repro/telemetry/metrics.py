@@ -15,7 +15,9 @@ Semantics follow the Prometheus data model where it matters:
 * **Gauges** go up and down.
 * **Histograms** have fixed upper bounds with ``le`` (less-or-equal)
   semantics: an observation exactly on a bucket edge lands in that
-  bucket, and an implicit ``+Inf`` bucket catches the rest.
+  bucket, and an implicit ``+Inf`` bucket catches the rest.  They also
+  track their maximum and merge bucket-wise, which is how the serving
+  layer scores request latency per node and fleet-wide.
 
 Every metric carries its own lock, so the multi-threaded daemon's
 collector/actuator threads may hammer a shared registry concurrently (the
@@ -28,6 +30,8 @@ import bisect
 import math
 import threading
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import TelemetryError
 
@@ -146,7 +150,16 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Fixed-bucket distribution with ``le`` (<=) bucket semantics."""
+    """Fixed-bucket distribution with ``le`` (<=) bucket semantics.
+
+    Histograms with the same bounds are mergeable (:meth:`merge`,
+    :meth:`merged`): counts add bucket-wise, sums add and the larger
+    maximum is kept, so a percentile is computable per core, per node and
+    fleet-wide without storing a single observation.  :meth:`percentile` and
+    :meth:`fraction_below` interpolate linearly within a bucket
+    (Prometheus ``histogram_quantile`` semantics), with the ``+Inf``
+    bucket bounded by the tracked maximum.
+    """
 
     kind = "histogram"
 
@@ -170,31 +183,70 @@ class Histogram(_Metric):
         self._counts = [0] * (len(uppers) + 1)
         self._sum = 0.0
         self._count = 0
+        self._max = 0.0
 
     def observe(self, value: float) -> None:
         """Record one observation; edge values land in the edge's bucket."""
-        idx = bisect.bisect_left(self.uppers, float(value))
+        value = float(value)
+        idx = bisect.bisect_left(self.uppers, value)
         with self._lock:
             self._counts[idx] += 1
             self._sum += value
             self._count += 1
+            if value > self._max:
+                self._max = value
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Record a batch under one lock acquisition.
+        """Record a batch in one vectorised pass and one lock acquisition.
 
         Hot paths accumulate observations in a plain list and flush them
         here, amortising the lock and call overhead across the batch.
         """
-        uppers = self.uppers
+        values = np.asarray(values, dtype=float)
+        if values.size == 0:
+            return
+        # searchsorted(side="left") == bisect_left, per value.
+        slots = np.searchsorted(np.asarray(self.uppers), values, side="left")
+        binned = np.bincount(slots, minlength=len(self._counts)).tolist()
+        total = float(values.sum())
+        top = float(values.max())
         with self._lock:
-            counts = self._counts
-            total = 0.0
-            for value in values:
-                value = float(value)
-                counts[bisect.bisect_left(uppers, value)] += 1
-                total += value
+            for i, c in enumerate(binned):
+                self._counts[i] += c
             self._sum += total
-            self._count += len(values)
+            self._count += int(values.size)
+            self._max = max(self._max, top)
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Add ``other`` into this histogram (in place; returns self)."""
+        if other.uppers != self.uppers:
+            raise TelemetryError(
+                f"histogram {self.name}: cannot merge histograms with "
+                f"different buckets"
+            )
+        with other._lock:
+            counts = list(other._counts)
+            sum_, count, max_ = other._sum, other._count, other._max
+        with self._lock:
+            for i, c in enumerate(counts):
+                self._counts[i] += c
+            self._sum += sum_
+            self._count += count
+            self._max = max(self._max, max_)
+        return self
+
+    @classmethod
+    def merged(cls, histograms: Iterable["Histogram"]) -> "Histogram":
+        """A fresh histogram, named and bucketed like the first of
+        ``histograms``, holding their sum."""
+        histograms = list(histograms)
+        if not histograms:
+            raise TelemetryError("no histograms to merge")
+        first = histograms[0]
+        out = cls(first.name, first.help, first.labels, buckets=first.uppers)
+        for histogram in histograms:
+            out.merge(histogram)
+        return out
 
     @property
     def count(self) -> int:
@@ -205,10 +257,16 @@ class Histogram(_Metric):
         return self._sum
 
     @property
+    def max(self) -> float:
+        """The largest observation (0.0 when empty; not exported)."""
+        return self._max
+
+    @property
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
-    def bucket_counts(self) -> tuple[int, ...]:
+    @property
+    def counts(self) -> tuple[int, ...]:
         """Non-cumulative counts, one per upper bound plus +Inf."""
         return tuple(self._counts)
 
@@ -219,6 +277,60 @@ class Histogram(_Metric):
             running += c
             out.append(running)
         return tuple(out)
+
+    def percentile(self, pct: float) -> float:
+        """The ``pct``-percentile, linearly interpolated within its bucket
+        and never above the maximum; a rank in the ``+Inf`` bucket reports
+        the maximum."""
+        if not 0.0 < pct <= 100.0:
+            raise TelemetryError(
+                f"histogram {self.name}: percentile must be in (0, 100], "
+                f"got {pct}"
+            )
+        if self._count == 0:
+            raise TelemetryError(f"histogram {self.name}: no observations")
+        rank = pct / 100.0 * self._count
+        cumulative = 0
+        for i, c in enumerate(self._counts):
+            cumulative += c
+            if cumulative >= rank:
+                if i == len(self.uppers):
+                    return self._max
+                lower = 0.0 if i == 0 else self.uppers[i - 1]
+                upper = self.uppers[i]
+                frac = (rank - (cumulative - c)) / c
+                return min(lower + (upper - lower) * frac, self._max)
+        return self._max  # pragma: no cover — rank <= count always lands
+
+    def fraction_below(self, value: float) -> float:
+        """The fraction of observations at or below ``value``, interpolated
+        within the straddling bucket: the compliance score for an SLO
+        target that need not sit on a bucket edge."""
+        if not (math.isfinite(value) and value >= 0):
+            raise TelemetryError(
+                f"histogram {self.name}: fraction_below needs a finite "
+                f"value >= 0, got {value!r}"
+            )
+        if self._count == 0:
+            raise TelemetryError(f"histogram {self.name}: no observations")
+        below = 0.0
+        lower = 0.0
+        for i, upper in enumerate(self.uppers):
+            if value >= upper:
+                below += self._counts[i]
+                lower = upper
+                continue
+            span = upper - lower
+            frac = (value - lower) / span if span > 0 else 1.0
+            below += self._counts[i] * frac
+            return min(1.0, below / self._count)
+        # Past the last finite bound: interpolate +Inf up to the maximum.
+        if self._max > lower and value < self._max:
+            frac = (value - lower) / (self._max - lower)
+            below += self._counts[-1] * frac
+        else:
+            below += self._counts[-1]
+        return min(1.0, below / self._count)
 
     def value_dict(self) -> dict:
         return {
@@ -236,10 +348,20 @@ class Histogram(_Metric):
                 f"histogram {self.name}: restore expects "
                 f"{len(self.uppers) + 1} bucket counts, got {len(counts)}"
             )
+        if any(c < 0 for c in counts) or sum(counts) != count:
+            raise TelemetryError(
+                f"histogram {self.name}: restore needs non-negative bucket "
+                f"counts summing to count={count}, got {counts}"
+            )
+        # A snapshot does not carry the maximum: keep the tightest bound it
+        # implies, the top of the highest non-empty bucket.
+        top = max((upper for upper, c in zip((*self.uppers, math.inf), counts)
+                   if c), default=0.0)
         with self._lock:
             self._counts = counts
             self._sum = float(sum_)
             self._count = int(count)
+            self._max = top
 
 
 class MetricsRegistry:

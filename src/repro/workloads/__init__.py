@@ -29,9 +29,8 @@ from .traces import PhaseTrace, RateTrace, TraceRecord, record_trace, replay_tra
 from .tiers import Tier, TIER_WEB, TIER_APP, TIER_DB, tier_job, tiered_cluster_assignment
 from .server import RequestSpec, ServerSource, constant_rate, diurnal_rate
 from .serving import (
-    DEFAULT_REQUEST_BUCKETS_S,
+    REQUEST_LATENCY_BUCKETS_S,
     FleetTrafficSource,
-    LatencyDigest,
     NodeDemand,
     flash_crowd_rate,
 )
@@ -72,9 +71,8 @@ __all__ = [
     "ServerSource",
     "constant_rate",
     "diurnal_rate",
-    "DEFAULT_REQUEST_BUCKETS_S",
+    "REQUEST_LATENCY_BUCKETS_S",
     "FleetTrafficSource",
-    "LatencyDigest",
     "NodeDemand",
     "flash_crowd_rate",
     "admissibility_threshold",

@@ -142,11 +142,13 @@ class ServerSource:
     windows on one :class:`~repro.sim.driver.Simulation` don't accumulate
     live sources.
 
-    ``digest`` (any object with an ``observe(latency_s)`` method — see
-    :class:`~repro.workloads.serving.LatencyDigest`) receives each
-    completed request's latency exactly once at :meth:`harvest` time;
-    with ``keep_records=False`` harvested records are dropped so memory
-    stays O(in-flight) at fleet scale instead of O(issued).
+    ``digest`` (any object with an ``observe(latency_s)`` method, such as
+    the telemetry :class:`~repro.telemetry.metrics.Histogram` that each
+    :class:`~repro.workloads.serving.FleetTrafficSource` stream holds)
+    receives each completed request's latency exactly once at
+    :meth:`harvest` time; with ``keep_records=False`` harvested records
+    are dropped so memory stays O(in-flight) at fleet scale instead of
+    O(issued).
     """
 
     def __init__(self, machine: "SMPMachine", core_index: int, *,

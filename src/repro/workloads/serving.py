@@ -1,4 +1,4 @@
-"""Fleet-scale open-loop serving traffic and mergeable latency digests.
+"""Fleet-scale open-loop serving traffic and mergeable latency histograms.
 
 The single-core :class:`~repro.workloads.server.ServerSource` answers "what
 does one processor's queue look like"; serving millions of users needs the
@@ -14,11 +14,10 @@ accounting up with it:
   :class:`BlockedDraws` buffers: one vectorised ``Generator`` call refills
   256 draws at a time, so the per-arrival Python cost is an index bump
   rather than a Generator dispatch.
-* :class:`LatencyDigest` is the fixed le-bucket histogram the fleet
-  aggregates latencies into — the same bucket shape as the telemetry
-  :class:`~repro.telemetry.metrics.Histogram` (upper bounds + overflow +
-  sum + count), and *mergeable*: digests add bucket-wise, so p99 is
-  computable per-node, per-shard, and fleet-wide without ever storing a
+* Each stream folds its completed requests' latencies into its own
+  telemetry :class:`~repro.telemetry.metrics.Histogram` over
+  :data:`REQUEST_LATENCY_BUCKETS_S`.  Histograms merge bucket-wise, so p99
+  is computable per node, per shard and fleet-wide without ever storing a
   per-request record.  Percentiles interpolate within the bucket
   (Prometheus ``histogram_quantile`` semantics), with the overflow bucket
   clamped to the maximum observed value.
@@ -32,14 +31,14 @@ requests are always retained, even in drop-records mode).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from ..errors import WorkloadError
 from ..model.latency import MemoryLatencyProfile, POWER4_LATENCIES
 from ..sim.rng import spawn_seeds
+from ..telemetry.metrics import Histogram
 from ..units import check_non_negative, check_positive
 from .server import RequestSpec, ServerSource
 
@@ -49,8 +48,7 @@ if TYPE_CHECKING:
     from ..sim.driver import Simulation
 
 __all__ = [
-    "DEFAULT_REQUEST_BUCKETS_S",
-    "LatencyDigest",
+    "REQUEST_LATENCY_BUCKETS_S",
     "flash_crowd_rate",
     "BlockedDraws",
     "NodeDemand",
@@ -61,156 +59,10 @@ __all__ = [
 #: enough that an overloaded queue's tail still lands in finite buckets.
 #: (The telemetry DEFAULT_LATENCY_BUCKETS_S top out at 1 s of *callback*
 #: latency; request latencies need the seconds range.)
-DEFAULT_REQUEST_BUCKETS_S: tuple[float, ...] = (
+REQUEST_LATENCY_BUCKETS_S: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
-
-
-class LatencyDigest:
-    """A mergeable fixed-bucket latency histogram.
-
-    Mirrors the telemetry histogram's shape — strictly increasing finite
-    upper bounds plus an implicit ``+Inf`` overflow slot, an observation
-    ``sum`` and ``count`` — but lives outside the metrics registry (no
-    locks, no labels) and adds :meth:`merge` and :meth:`percentile`:
-    digests from every core of every node add bucket-wise into shard and
-    fleet digests whose percentiles are exact to bucket resolution.
-    """
-
-    __slots__ = ("uppers", "counts", "sum_s", "count", "max_s")
-
-    def __init__(self, buckets_s: Iterable[float] = DEFAULT_REQUEST_BUCKETS_S
-                 ) -> None:
-        uppers = tuple(float(b) for b in buckets_s)
-        if not uppers:
-            raise WorkloadError("a digest needs at least one bucket")
-        if any(b2 <= b1 for b1, b2 in zip(uppers, uppers[1:])):
-            raise WorkloadError("bucket bounds must be strictly increasing")
-        if not all(np.isfinite(uppers)):
-            raise WorkloadError("bucket bounds must be finite")
-        self.uppers = uppers
-        #: Non-cumulative per-bucket counts; last slot is the +Inf overflow.
-        self.counts = [0] * (len(uppers) + 1)
-        self.sum_s = 0.0
-        self.count = 0
-        self.max_s = 0.0
-
-    def observe(self, latency_s: float) -> None:
-        value = float(latency_s)
-        self.counts[bisect_left(self.uppers, value)] += 1
-        self.sum_s += value
-        self.count += 1
-        if value > self.max_s:
-            self.max_s = value
-
-    def observe_many(self, latencies_s) -> None:
-        values = np.asarray(latencies_s, dtype=float)
-        if values.size == 0:
-            return
-        # searchsorted(side="left") == bisect_left, per value.
-        slots = np.searchsorted(np.array(self.uppers), values, side="left")
-        binned = np.bincount(slots, minlength=len(self.counts))
-        for i, c in enumerate(binned.tolist()):
-            self.counts[i] += c
-        self.sum_s += float(values.sum())
-        self.count += int(values.size)
-        self.max_s = max(self.max_s, float(values.max()))
-
-    def merge(self, other: "LatencyDigest") -> "LatencyDigest":
-        """Add ``other`` into this digest (in place; returns self)."""
-        if other.uppers != self.uppers:
-            raise WorkloadError("cannot merge digests with different buckets")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.sum_s += other.sum_s
-        self.count += other.count
-        self.max_s = max(self.max_s, other.max_s)
-        return self
-
-    @classmethod
-    def merged(cls, digests: Iterable["LatencyDigest"]) -> "LatencyDigest":
-        """A fresh digest holding the sum of ``digests``."""
-        digests = list(digests)
-        if not digests:
-            raise WorkloadError("nothing to merge")
-        out = cls(digests[0].uppers)
-        for d in digests:
-            out.merge(d)
-        return out
-
-    def copy(self) -> "LatencyDigest":
-        out = LatencyDigest(self.uppers)
-        out.merge(self)
-        return out
-
-    def mean_s(self) -> float:
-        if self.count == 0:
-            raise WorkloadError("empty digest")
-        return self.sum_s / self.count
-
-    def percentile(self, pct: float) -> float:
-        """The ``pct``-percentile, linearly interpolated within its bucket
-        (``histogram_quantile`` semantics; the overflow bucket reports the
-        maximum observed value)."""
-        if not 0.0 < pct <= 100.0:
-            raise WorkloadError(f"percentile must be in (0, 100], got {pct}")
-        if self.count == 0:
-            raise WorkloadError("empty digest")
-        rank = pct / 100.0 * self.count
-        cumulative = 0
-        for i, c in enumerate(self.counts):
-            cumulative += c
-            if cumulative >= rank:
-                if i == len(self.uppers):
-                    return self.max_s
-                lower = 0.0 if i == 0 else self.uppers[i - 1]
-                upper = self.uppers[i]
-                frac = (rank - (cumulative - c)) / c
-                return min(lower + (upper - lower) * frac, self.max_s)
-        return self.max_s  # pragma: no cover — rank <= count always lands
-
-    def fraction_below(self, latency_s: float) -> float:
-        """The fraction of observations at or below ``latency_s``
-        (interpolated within the straddling bucket) — the SLO-compliance
-        metric for a target that need not align with a bucket edge."""
-        check_non_negative(latency_s, "latency_s")
-        if self.count == 0:
-            raise WorkloadError("empty digest")
-        below = 0.0
-        lower = 0.0
-        for i, upper in enumerate(self.uppers):
-            if latency_s >= upper:
-                below += self.counts[i]
-                lower = upper
-                continue
-            span = upper - lower
-            frac = (latency_s - lower) / span if span > 0 else 1.0
-            below += self.counts[i] * frac
-            return min(1.0, below / self.count)
-        # Past the last finite bound: interpolate the overflow against max.
-        if self.max_s > lower and latency_s < self.max_s:
-            frac = (latency_s - lower) / (self.max_s - lower)
-            below += self.counts[-1] * frac
-        else:
-            below += self.counts[-1]
-        return min(1.0, below / self.count)
-
-    def value_dict(self) -> dict:
-        """The telemetry-histogram-shaped snapshot (buckets, counts, sum,
-        count) plus the tracked maximum."""
-        return {
-            "buckets": list(self.uppers) + [float("inf")],
-            "counts": list(self.counts),
-            "sum": self.sum_s,
-            "count": self.count,
-            "max": self.max_s,
-        }
-
-    def __repr__(self) -> str:
-        return (f"LatencyDigest(count={self.count}, "
-                f"mean={self.sum_s / self.count if self.count else 0.0:.4g} s,"
-                f" max={self.max_s:.4g} s)")
 
 
 def flash_crowd_rate(base_per_s: float, peak_per_s: float, *,
@@ -301,11 +153,11 @@ class FleetTrafficSource:
     The fleet rate function is split evenly over the streams (one per
     (node, core)); superposed, the streams reproduce the fleet Poisson
     process exactly.  Each stream gets an independent spawned RNG and its
-    own per-core :class:`LatencyDigest`; :meth:`node_digest` and
-    :meth:`fleet_digest` merge upward on demand.
+    own per-core latency :class:`~repro.telemetry.metrics.Histogram`;
+    :meth:`node_digest` and :meth:`fleet_digest` merge upward on demand.
 
     By default per-request records are dropped once harvested into the
-    digests (``keep_records=False``), so memory is O(in-flight), not
+    histograms (``keep_records=False``), so memory is O(in-flight), not
     O(requests served) — the property that lets a simulated fleet serve
     millions of requests.  Pass ``keep_records=True`` to retain exact
     per-request latencies (tests, calibration).
@@ -325,7 +177,6 @@ class FleetTrafficSource:
                  cores_per_node: int | None = None,
                  horizon_s: float | None = None,
                  keep_records: bool = False,
-                 buckets_s: Iterable[float] = DEFAULT_REQUEST_BUCKETS_S,
                  latencies: MemoryLatencyProfile = POWER4_LATENCIES,
                  seed: int | None = None) -> None:
         check_positive(max_rate_per_s, "max_rate_per_s")
@@ -345,7 +196,6 @@ class FleetTrafficSource:
                     raise WorkloadError(
                         f"per-node request spec for node {nid} must be a "
                         f"RequestSpec, got {type(node_spec).__name__}")
-        self._buckets = tuple(float(b) for b in buckets_s)
         streams: list[tuple[int, int]] = []   # (node index, core index)
         for i, node in enumerate(cluster.nodes):
             cores = node.num_procs if cores_per_node is None \
@@ -391,7 +241,8 @@ class FleetTrafficSource:
                 max_rate_per_s=max_rate_per_s * share,
                 spec=self._node_spec[node.node_id],
                 horizon_s=horizon_s,
-                digest=LatencyDigest(self._buckets),
+                digest=Histogram("request_latency_seconds",
+                                 buckets=REQUEST_LATENCY_BUCKETS_S),
                 keep_records=keep_records,
                 rng=BlockedDraws(seeds[k]),
             )
@@ -432,47 +283,42 @@ class FleetTrafficSource:
         return sum(s.in_flight for s in self.sources)
 
     def harvest(self) -> int:
-        """Sweep every stream's completions into its digest."""
+        """Sweep every stream's completions into its histogram."""
         return sum(s.harvest() for s in self.sources)
 
-    def _censor_into(self, digest: LatencyDigest,
+    def _censor_into(self, digest: Histogram,
                      sources: list[ServerSource],
-                     horizon_s: float | None) -> LatencyDigest:
+                     horizon_s: float | None) -> Histogram:
         for source in sources:
             digest.observe_many(source.inflight_lower_bounds_s(horizon_s))
         return digest
 
     def node_digest(self, node_id: int, *, censored: bool = False,
-                    horizon_s: float | None = None) -> LatencyDigest:
-        """One node's merged latency digest (fresh copy)."""
+                    horizon_s: float | None = None) -> Histogram:
+        """One node's merged latency histogram (fresh copy)."""
         try:
             sources = self._by_node[node_id]
         except KeyError:
             raise WorkloadError(f"no traffic on node {node_id}") from None
         self.harvest()
-        digest = LatencyDigest.merged(s.digest for s in sources)
+        digest = Histogram.merged(s.digest for s in sources)
         if censored:
             self._censor_into(digest, sources, horizon_s)
         return digest
 
     def fleet_digest(self, *, censored: bool = False,
-                     horizon_s: float | None = None) -> LatencyDigest:
-        """The fleet-wide merged latency digest (fresh copy).
+                     horizon_s: float | None = None) -> Histogram:
+        """The fleet-wide merged latency histogram (fresh copy).
 
         ``censored=True`` additionally observes every in-flight request's
         latency lower bound at the horizon (defaults to the attached
         simulation's current time) — the honest tail under overload.
         """
         self.harvest()
-        digest = LatencyDigest.merged(s.digest for s in self.sources)
+        digest = Histogram.merged(s.digest for s in self.sources)
         if censored:
             self._censor_into(digest, self.sources, horizon_s)
         return digest
-
-    def latency_percentile_s(self, pct: float, *, censored: bool = False,
-                             horizon_s: float | None = None) -> float:
-        return self.fleet_digest(
-            censored=censored, horizon_s=horizon_s).percentile(pct)
 
     # -- the coordinator-facing view ----------------------------------------------
 

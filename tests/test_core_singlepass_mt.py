@@ -1,8 +1,7 @@
-"""Single-pass scheduler equivalence and the multi-threaded daemon."""
+"""The single-pass scheduler on the paper's cases, and the multi-threaded
+daemon."""
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.core.daemon_mt import (
@@ -10,7 +9,6 @@ from repro.core.daemon_mt import (
     MultithreadOverheadModel,
 )
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
-from repro.core.singlepass import SinglePassScheduler
 from repro.errors import InfeasibleBudgetError
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE
@@ -19,9 +17,6 @@ from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig, SMPMachine
 from repro.units import ghz, mhz
 from repro.workloads.profiles import profile_by_name
-
-ratios = st.floats(0.02, 50.0)
-
 
 def sig(ratio: float) -> WorkloadSignature:
     return WorkloadSignature(core_cpi=0.65,
@@ -37,33 +32,12 @@ def views(ratio_list, idle_mask=()):
 
 
 class TestSinglePassEquivalence:
-    @given(st.lists(ratios, min_size=1, max_size=8),
-           st.floats(0.01, 0.3),
-           st.one_of(st.none(), st.floats(40.0, 900.0)))
-    @settings(max_examples=100)
-    def test_identical_to_two_pass(self, ratio_list, eps, limit):
-        if limit is not None:
-            assume(limit >= len(ratio_list) * POWER4_TABLE.min_power_w)
-        two = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=eps)
-        one = SinglePassScheduler(POWER4_TABLE, epsilon=eps)
-        s2 = two.schedule(views(ratio_list), power_limit_w=limit)
-        s1 = one.schedule(views(ratio_list), power_limit_w=limit)
-        assert s1.frequency_vector_hz() == s2.frequency_vector_hz()
-        assert s1.total_power_w == pytest.approx(s2.total_power_w)
-        assert s1.eps_frequency_vector_hz() == s2.eps_frequency_vector_hz()
-
-    def test_identical_with_idle_and_cap(self):
-        two = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
-        one = SinglePassScheduler(POWER4_TABLE, epsilon=0.04)
-        v = views([10.0, 0.075, 3.0], idle_mask={2})
-        for limit in (None, 250.0, 120.0):
-            for cap in (None, mhz(800)):
-                s2 = two.schedule(v, power_limit_w=limit, max_freq_hz=cap)
-                s1 = one.schedule(v, power_limit_w=limit, max_freq_hz=cap)
-                assert s1.frequency_vector_hz() == s2.frequency_vector_hz()
+    """The heap (single-pass) step 2 on the paper's cases; its equality
+    with the literal Figure 3 loops is pinned in
+    tests/test_scheduler_vectorized.py."""
 
     def test_infeasible_behaviour_matches(self):
-        one = SinglePassScheduler(POWER4_TABLE, epsilon=0.04)
+        one = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         v = views([10.0] * 4)
         with pytest.raises(InfeasibleBudgetError):
             one.schedule(v, power_limit_w=20.0, on_infeasible="raise")
@@ -73,7 +47,7 @@ class TestSinglePassEquivalence:
 
     def test_worked_example_via_single_pass(self):
         from repro.power.table import WORKED_EXAMPLE_TABLE
-        one = SinglePassScheduler(WORKED_EXAMPLE_TABLE, epsilon=0.03)
+        one = FrequencyVoltageScheduler(WORKED_EXAMPLE_TABLE, epsilon=0.03)
         v = views([0.45, 0.07, 0.12, 0.12])
         s = one.schedule(v, power_limit_w=294.0, on_infeasible="raise")
         assert s.frequency_vector_hz() == [ghz(0.9), ghz(0.6), ghz(0.7),

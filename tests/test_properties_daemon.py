@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
-from repro.core.singlepass import SinglePassScheduler
+from repro.core.scheduler import FrequencyVoltageScheduler
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig, SMPMachine
@@ -64,13 +64,14 @@ class TestDaemonInvariants:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_single_pass_daemon_equivalent_end_to_end(self, seed):
-        """Swapping the scheduler implementation must not change the
+        """A scheduler passed in through ``scheduler=`` must not change the
         machine's trajectory (same decisions at every pass)."""
         def run(single_pass: bool) -> list[float]:
             machine = build_machine(seed, 2, seed + 1)
             kwargs = {}
             if single_pass:
-                kwargs["scheduler"] = SinglePassScheduler(machine.table)
+                kwargs["scheduler"] = FrequencyVoltageScheduler(
+                    machine.table)
             daemon = FvsstDaemon(machine, DaemonConfig(
                 power_limit_w=200.0, counter_noise_sigma=0.0,
                 overhead=OverheadModel(enabled=False)),

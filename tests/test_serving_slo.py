@@ -1,4 +1,4 @@
-"""The SLO-aware serving layer: fleet traffic, latency digests, the
+"""The SLO-aware serving layer: fleet traffic, latency histograms, the
 latency model, and p99-to-frequency floors through the schedulers."""
 
 import math
@@ -29,13 +29,13 @@ from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.idle import IdleStyle
 from repro.sim.machine import MachineConfig, SMPMachine
+from repro.telemetry import prometheus_text, registry_from_snapshot
 from repro.units import ghz, mhz
 from repro.workloads.server import RequestSpec, ServerSource, constant_rate
 from repro.workloads.serving import (
-    DEFAULT_REQUEST_BUCKETS_S,
+    REQUEST_LATENCY_BUCKETS_S,
     BlockedDraws,
     FleetTrafficSource,
-    LatencyDigest,
     flash_crowd_rate,
 )
 from repro.workloads.traces import RateTrace
@@ -61,94 +61,6 @@ def serving_cluster(nodes=2, procs=1, seed=0) -> Cluster:
         ),
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# LatencyDigest
-
-
-class TestLatencyDigest:
-    def test_percentile_matches_exact_to_bucket_resolution(self):
-        rng = np.random.default_rng(3)
-        values = rng.exponential(0.05, size=5000)
-        digest = LatencyDigest()
-        digest.observe_many(values)
-        for pct in (50.0, 90.0, 99.0):
-            exact = float(np.percentile(values, pct))
-            approx = digest.percentile(pct)
-            # The estimate lands inside the bucket that holds the exact
-            # value (uppers are the le-bounds).
-            i = np.searchsorted(np.array(digest.uppers), exact, side="left")
-            lower = 0.0 if i == 0 else digest.uppers[i - 1]
-            upper = digest.uppers[i] if i < len(digest.uppers) \
-                else digest.max_s
-            assert lower <= approx <= upper + 1e-12
-
-    def test_observe_many_matches_scalar_observe(self):
-        values = [0.0, 0.0004, 0.001, 0.02, 4.0, 60.0]
-        a, b = LatencyDigest(), LatencyDigest()
-        for v in values:
-            a.observe(v)
-        b.observe_many(values)
-        assert a.counts == b.counts
-        assert a.sum_s == pytest.approx(b.sum_s)
-        assert a.max_s == b.max_s
-
-    def test_merge_equals_union(self):
-        rng = np.random.default_rng(7)
-        xs, ys = rng.exponential(0.01, 300), rng.exponential(0.3, 300)
-        a, b, union = LatencyDigest(), LatencyDigest(), LatencyDigest()
-        a.observe_many(xs)
-        b.observe_many(ys)
-        union.observe_many(np.concatenate([xs, ys]))
-        merged = LatencyDigest.merged([a, b])
-        assert merged.counts == union.counts
-        assert merged.count == union.count
-        assert merged.sum_s == pytest.approx(union.sum_s)
-        assert merged.percentile(99.0) == pytest.approx(
-            union.percentile(99.0))
-        # In-place merge leaves the operands reusable copies.
-        assert a.count == 300 and b.count == 300
-
-    def test_merge_rejects_mismatched_buckets(self):
-        with pytest.raises(WorkloadError):
-            LatencyDigest((0.1, 1.0)).merge(LatencyDigest((0.2, 1.0)))
-
-    def test_overflow_reports_max(self):
-        digest = LatencyDigest((0.001, 0.01))
-        digest.observe_many([5.0, 7.0, 9.0])
-        assert digest.percentile(99.0) == 9.0
-
-    def test_fraction_below_interpolates(self):
-        digest = LatencyDigest((0.01, 0.02))
-        digest.observe_many([0.005] * 50 + [0.015] * 50)
-        assert digest.fraction_below(0.02) == pytest.approx(1.0)
-        assert digest.fraction_below(0.015) == pytest.approx(0.75)
-        # 0.008 interpolates 80% of the way through the first bucket.
-        assert digest.fraction_below(0.008) == pytest.approx(0.4)
-
-    def test_value_dict_is_telemetry_shaped(self):
-        digest = LatencyDigest()
-        digest.observe(0.003)
-        d = digest.value_dict()
-        assert d["buckets"][-1] == math.inf
-        assert len(d["counts"]) == len(d["buckets"])
-        assert d["count"] == 1 and d["sum"] == pytest.approx(0.003)
-
-    def test_empty_digest_raises(self):
-        digest = LatencyDigest()
-        with pytest.raises(WorkloadError):
-            digest.percentile(99.0)
-        with pytest.raises(WorkloadError):
-            digest.mean_s()
-
-    def test_bad_buckets_rejected(self):
-        with pytest.raises(WorkloadError):
-            LatencyDigest(())
-        with pytest.raises(WorkloadError):
-            LatencyDigest((0.1, 0.1))
-        with pytest.raises(WorkloadError):
-            LatencyDigest((0.1, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +421,7 @@ class TestFleetTrafficSource:
         heavy = traffic.node_digest(cluster.nodes[1].node_id)
         assert light.count > 0 and heavy.count > 0
         # 40x the instructions: visibly slower requests on node 1.
-        assert heavy.mean_s() > light.mean_s() * 10
+        assert heavy.mean > light.mean * 10
 
     def test_per_node_spec_mapping_must_cover_served_nodes(self):
         cluster = serving_cluster(nodes=2, procs=1)
@@ -534,6 +446,133 @@ class TestFleetTrafficSource:
 
         a, b = run(), run()
         assert a == b
+
+    def test_fleet_histogram_exports(self):
+        """A fleet latency histogram is a telemetry histogram: its
+        snapshot rebuilds through ``registry_from_snapshot`` and renders
+        as a valid Prometheus histogram."""
+        cluster = serving_cluster(nodes=2, procs=1)
+        traffic = self._traffic(cluster, rate=400.0)
+        sim = Simulation(cluster.machines)
+        traffic.attach(sim)
+        sim.run_for(1.0)
+        fleet = traffic.fleet_digest(censored=True)
+        assert fleet.count > 0
+        snapshot = {fleet.name: {"type": fleet.kind, "help": "",
+                                 "series": [{"labels": {},
+                                             **fleet.value_dict()}]}}
+        registry = registry_from_snapshot(snapshot)
+        assert registry.snapshot() == snapshot
+        lines = prometheus_text(registry).splitlines()
+        cumulative = [int(line.rsplit(" ", 1)[1]) for line in lines
+                      if line.startswith("request_latency_seconds_bucket")]
+        assert len(cumulative) == len(REQUEST_LATENCY_BUCKETS_S) + 1
+        assert cumulative == sorted(cumulative)
+        assert cumulative[-1] == fleet.count
+        assert 'request_latency_seconds_bucket{le="+Inf"} ' \
+            f"{fleet.count}" in lines
+        assert f"request_latency_seconds_count {fleet.count}" in lines
+
+
+# ---------------------------------------------------------------------------
+# Serving latency pinned bit for bit
+
+
+class TestServingLatencyPins:
+    """A short flash crowd (3 nodes x 2 jittered cores, 1.5 s) whose latency
+    histograms are pinned as ``float.hex`` golden values: bucketing, the
+    summation order of ``observe`` and ``observe_many``, the merge order,
+    interpolation and the max clamp all have to reproduce exactly."""
+
+    HORIZON_S = 1.5
+    PERCENTILES = (1.0, 50.0, 90.0, 99.0, 99.9, 100.0)
+    # The last target lies past the last finite bucket bound (30 s).
+    TARGETS_S = (0.003, 0.0075, 0.02, 0.1, 0.33, 45.0)
+    GOLDEN = {
+        "raw": dict(
+            counts=(0, 0, 0, 0, 86, 77, 62, 102, 328, 148, 0, 0, 0, 0, 0, 0),
+            count=803,
+            sum="0x1.c33d1f06b2148p+6", max="0x1.5ba8125c84180p-2",
+            percentiles=(
+                "0x1.6646b2e8d302cp-8", "0x1.12935b2935b2ap-3",
+                "0x1.5ba8125c84180p-2", "0x1.5ba8125c84180p-2",
+                "0x1.5ba8125c84180p-2", "0x1.5ba8125c84180p-2",
+            ),
+            fractions=(
+                "0x0.0p+0", "0x1.b6accac278820p-5",
+                "0x1.5e42861c446fcp-3", "0x1.a0ff0b287cf8bp-2",
+                "0x1.bfd4be9e9c924p-1", "0x1.0000000000000p+0",
+            ),
+        ),
+        "censored": dict(
+            counts=(0, 0, 0, 2, 91, 89, 81, 119, 445, 234, 0, 0, 0, 0, 0, 0),
+            count=1061,
+            sum="0x1.41b7297346e40p+7", max="0x1.5e0f7e1b63e30p-2",
+            percentiles=(
+                "0x1.66aefe64a2b4bp-8", "0x1.3350a7859489ap-3",
+                "0x1.5e0f7e1b63e30p-2", "0x1.5e0f7e1b63e30p-2",
+                "0x1.5e0f7e1b63e30p-2", "0x1.5e0f7e1b63e30p-2",
+            ),
+            fractions=(
+                "0x1.8b50ed090620fp-12", "0x1.6ebf93e7df2f8p-5",
+                "0x1.260ac6fa20f9ap-3", "0x1.70adb9102a773p-2",
+                "0x1.b336e7f56c15ap-1", "0x1.0000000000000p+0",
+            ),
+        ),
+        "node": dict(
+            counts=(0, 0, 0, 1, 30, 28, 22, 37, 147, 74, 0, 0, 0, 0, 0, 0),
+            count=339,
+            sum="0x1.9a27d7326b3e1p+5", max="0x1.4808e8eb1ceb4p-2",
+            percentiles=(
+                "0x1.61c9011e9c5bap-8", "0x1.386cab5cfef48p-3",
+                "0x1.4808e8eb1ceb4p-2", "0x1.4808e8eb1ceb4p-2",
+                "0x1.4808e8eb1ceb4p-2", "0x1.4808e8eb1ceb4p-2",
+            ),
+            fractions=(
+                "0x1.3550801355080p-11", "0x1.82a4a0182a49fp-5",
+                "0x1.2c0d16e81626cp-3", "0x1.646fc39646fc4p-2",
+                "0x1.b4001eee73352p-1", "0x1.0000000000000p+0",
+            ),
+        ),
+    }
+
+
+    @pytest.fixture(scope="class")
+    def histograms(self):
+        cluster = Cluster.homogeneous(
+            3, machine_config=MachineConfig(
+                num_cores=2,
+                core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=17)
+        rate = flash_crowd_rate(100.0, 1100.0, t_start_s=0.4, ramp_s=0.3,
+                                hold_s=0.5, decay_s=0.6)
+        traffic = FleetTrafficSource(
+            cluster, rate_per_s=rate, max_rate_per_s=1100.0,
+            spec=RequestSpec(instructions=6e6), seed=2005)
+        sim = Simulation(cluster.machines)
+        traffic.attach(sim)
+        sim.run_for(self.HORIZON_S)
+        assert traffic.in_flight > 0     # the censored tail is non-trivial
+        return {
+            "raw": traffic.fleet_digest(),
+            "censored": traffic.fleet_digest(censored=True,
+                                             horizon_s=self.HORIZON_S),
+            "node": traffic.node_digest(cluster.nodes[1].node_id,
+                                        censored=True,
+                                        horizon_s=self.HORIZON_S),
+        }
+
+    @pytest.mark.parametrize("key", ["raw", "censored", "node"])
+    def test_bit_identical(self, histograms, key):
+        h, golden = histograms[key], self.GOLDEN[key]
+        assert h.counts == golden["counts"]
+        assert h.count == golden["count"]
+        assert float.hex(h.sum) == golden["sum"]
+        assert float.hex(h.max) == golden["max"]
+        assert tuple(float.hex(h.percentile(p))
+                     for p in self.PERCENTILES) == golden["percentiles"]
+        assert tuple(float.hex(h.fraction_below(t))
+                     for t in self.TARGETS_S) == golden["fractions"]
 
 
 # ---------------------------------------------------------------------------

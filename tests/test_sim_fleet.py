@@ -652,8 +652,8 @@ def serving_snapshot(machines, traffic, horizon_s):
     """Everything the scalar reference must agree on, bit for bit:
     machine state, per-request stamps (arrival / started / completed /
     ``elapsed_s``), issue and censored in-flight accounting, the censored
-    fleet digest, and the arrival RNG stream positions (the next draw of
-    each stream pins its position)."""
+    fleet histogram with its maximum, and the arrival RNG stream positions
+    (the next draw of each stream pins its position)."""
     traffic.harvest()
     records = [[(r.job.name, r.arrival_s, r.job.started_at_s,
                  r.job.completed_at_s, r.job.state, r.job.elapsed_s())
@@ -663,7 +663,7 @@ def serving_snapshot(machines, traffic, horizon_s):
     next_draws = [src._rng.exponential(1.0) for src in traffic.sources]
     return (fleet_state(machines), records, traffic.issued,
             sum(s.completed for s in traffic.sources), traffic.in_flight,
-            censored.value_dict(), next_draws)
+            {**censored.value_dict(), "max": censored.max}, next_draws)
 
 
 def run_serving_two_ways(build, script, horizon_s):

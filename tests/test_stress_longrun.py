@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
-from repro.core.singlepass import SinglePassScheduler
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE
 from repro.sim.driver import Simulation
@@ -17,6 +16,7 @@ from repro.units import ghz
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.synthetic import two_phase_benchmark
 from tests.conftest import make_machine
+from tests.test_scheduler_vectorized import _reference_schedule
 
 
 class TestLongHorizon:
@@ -85,24 +85,25 @@ class TestSchedulerScale:
 
     def test_thousand_processor_pass(self):
         views = self._views(1000)
-        sched = SinglePassScheduler(POWER4_TABLE)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE)
         budget = 1000 * 60.0
         schedule = sched.schedule(views, power_limit_w=budget)
         assert len(schedule.assignments) == 1000
         assert schedule.total_power_w <= budget
 
     def test_two_pass_and_single_pass_agree_at_scale(self):
+        """The heap step 2 against the literal rescanning Figure 3 loop."""
         views = self._views(300)
         budget = 300 * 55.0
-        two = FrequencyVoltageScheduler(POWER4_TABLE)
-        one = SinglePassScheduler(POWER4_TABLE)
-        assert one.schedule(views, power_limit_w=budget).frequency_vector_hz() \
-            == two.schedule(views, power_limit_w=budget).frequency_vector_hz()
+        sched = FrequencyVoltageScheduler(POWER4_TABLE)
+        expected, _, _, _ = _reference_schedule(sched, views, budget)
+        assert sched.schedule(views, power_limit_w=budget) \
+            .frequency_vector_hz() == [a[2] for a in expected]
 
     def test_deep_budget_walk_terminates(self):
         # Budget just above the floor forces ~15 reductions per processor.
         views = self._views(64)
-        sched = SinglePassScheduler(POWER4_TABLE)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE)
         schedule = sched.schedule(views,
                                   power_limit_w=64 * 9.0 + 5.0)
         assert schedule.total_power_w <= 64 * 9.0 + 5.0

@@ -8,8 +8,10 @@ metrics).
 
 from __future__ import annotations
 
+import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import TelemetryError
@@ -17,6 +19,7 @@ from repro.telemetry import (
     EVENT_BUDGET_BREACH,
     EVENT_FREQUENCY_CHANGE,
     EventBus,
+    Histogram,
     JsonlSink,
     MetricsRegistry,
     NullTelemetry,
@@ -34,6 +37,7 @@ from repro.telemetry import (
     use_telemetry,
     write_metrics_jsonl,
 )
+from repro.workloads.serving import REQUEST_LATENCY_BUCKETS_S
 
 
 class TestCounter:
@@ -83,7 +87,7 @@ class TestHistogram:
         h.observe(2.0)   # == second edge -> bucket 1
         h.observe(5.0)   # == third edge -> bucket 2
         h.observe(5.0001)  # +Inf bucket
-        assert h.bucket_counts() == (1, 2, 1, 1)
+        assert h.counts == (1, 2, 1, 1)
         assert h.cumulative_counts() == (1, 3, 4, 5)
         assert h.count == 5
         assert h.sum == pytest.approx(1.0 + 1.5 + 2.0 + 5.0 + 5.0001)
@@ -92,7 +96,7 @@ class TestHistogram:
         h = MetricsRegistry().histogram("lat", buckets=(1.0,))
         h.observe(0.0)
         h.observe(-3.0)
-        assert h.bucket_counts() == (2, 0)
+        assert h.counts == (2, 0)
 
     def test_mean(self):
         h = MetricsRegistry().histogram("lat", buckets=(10.0,))
@@ -111,6 +115,93 @@ class TestHistogram:
             registry.histogram("c", buckets=(1.0, 1.0))
         with pytest.raises(TelemetryError, match="finite"):
             registry.histogram("d", buckets=(1.0, float("inf")))
+
+    def test_bad_buckets_rejected(self):
+        """The constructor itself validates, not just the registry."""
+        with pytest.raises(TelemetryError):
+            Histogram("lat", buckets=())
+        with pytest.raises(TelemetryError):
+            Histogram("lat", buckets=(0.1, 0.1))
+        with pytest.raises(TelemetryError):
+            Histogram("lat", buckets=(0.1, math.inf))
+
+    @staticmethod
+    def _latency(values=()) -> Histogram:
+        h = Histogram("request_latency_seconds",
+                      buckets=REQUEST_LATENCY_BUCKETS_S)
+        h.observe_many(values)
+        return h
+
+    def test_percentile_matches_exact_to_bucket_resolution(self):
+        rng = np.random.default_rng(3)
+        values = rng.exponential(0.05, size=5000)
+        h = self._latency(values)
+        for pct in (50.0, 90.0, 99.0):
+            exact = float(np.percentile(values, pct))
+            approx = h.percentile(pct)
+            # The estimate lands inside the bucket that holds the exact
+            # value (uppers are the le-bounds).
+            i = np.searchsorted(np.array(h.uppers), exact, side="left")
+            lower = 0.0 if i == 0 else h.uppers[i - 1]
+            upper = h.uppers[i] if i < len(h.uppers) else h.max
+            assert lower <= approx <= upper + 1e-12
+
+    def test_observe_many_matches_scalar_observe(self):
+        values = [0.0, 0.0004, 0.001, 0.02, 4.0, 60.0]
+        a, b = self._latency(), self._latency(values)
+        for v in values:
+            a.observe(v)
+        assert a.counts == b.counts
+        assert a.sum == pytest.approx(b.sum)
+        assert a.max == b.max == 60.0
+
+    def test_merge_equals_union(self):
+        rng = np.random.default_rng(7)
+        xs, ys = rng.exponential(0.01, 300), rng.exponential(0.3, 300)
+        a, b = self._latency(xs), self._latency(ys)
+        union = self._latency(np.concatenate([xs, ys]))
+        merged = Histogram.merged([a, b])
+        assert merged.counts == union.counts
+        assert merged.count == union.count
+        assert merged.sum == pytest.approx(union.sum)
+        assert merged.max == union.max
+        assert merged.percentile(99.0) == pytest.approx(
+            union.percentile(99.0))
+        # merged() leaves its operands untouched.
+        assert a.count == 300 and b.count == 300
+
+    def test_merge_rejects_mismatched_buckets(self):
+        with pytest.raises(TelemetryError, match="different buckets"):
+            Histogram("a", buckets=(0.1, 1.0)).merge(
+                Histogram("b", buckets=(0.2, 1.0)))
+        with pytest.raises(TelemetryError, match="no histograms"):
+            Histogram.merged([])
+
+    def test_overflow_reports_max(self):
+        h = Histogram("lat", buckets=(0.001, 0.01))
+        h.observe_many([5.0, 7.0, 9.0])
+        assert h.percentile(99.0) == 9.0
+        assert h.max == 9.0
+
+    def test_fraction_below_interpolates(self):
+        h = Histogram("lat", buckets=(0.01, 0.02))
+        h.observe_many([0.005] * 50 + [0.015] * 50)
+        assert h.fraction_below(0.02) == pytest.approx(1.0)
+        assert h.fraction_below(0.015) == pytest.approx(0.75)
+        # 0.008 interpolates 80% of the way through the first bucket.
+        assert h.fraction_below(0.008) == pytest.approx(0.4)
+        with pytest.raises(TelemetryError, match="finite"):
+            h.fraction_below(-1.0)
+
+    def test_empty_histogram_raises(self):
+        h = self._latency()
+        with pytest.raises(TelemetryError, match="no observations"):
+            h.percentile(99.0)
+        with pytest.raises(TelemetryError, match="no observations"):
+            h.fraction_below(0.1)
+        h.observe(0.1)
+        with pytest.raises(TelemetryError, match="percentile"):
+            h.percentile(0.0)
 
 
 class TestRegistry:
@@ -187,7 +278,7 @@ class TestConcurrency:
             t.join()
         assert counter.value == n_threads * n_iters
         assert hist.count == n_threads * n_iters
-        assert sum(hist.bucket_counts()) == n_threads * n_iters
+        assert sum(hist.counts) == n_threads * n_iters
 
     def test_threaded_tracer_keeps_per_thread_nesting(self):
         tracer = Tracer()
@@ -372,6 +463,12 @@ class TestJsonlRoundTrip:
 
         rebuilt = registry_from_snapshot(records[0]["snapshot"])
         assert rebuilt.snapshot() == registry.snapshot()
+        # The snapshot has no maximum: the rebuilt histogram bounds it by
+        # its highest non-empty bucket (+Inf here), so interpolated
+        # percentiles below that bucket are unchanged.
+        lat = rebuilt.get("lat")
+        assert lat.max == math.inf
+        assert lat.percentile(50.0) == h.percentile(50.0)
 
     def test_sink_streams_events_and_spans(self, tmp_path):
         tel = Telemetry()
@@ -406,6 +503,19 @@ class TestJsonlRoundTrip:
         with pytest.raises(TelemetryError, match="unknown kind"):
             registry_from_snapshot(
                 {"x": {"type": "mystery", "series": [{"value": 1}]}})
+
+    @pytest.mark.parametrize("counts, count", [
+        ([5, -3, 1], 3),      # a negative bucket, even with a matching total
+        ([5, -3, 1], 10),
+        ([5, 3, 1], 10),      # counts that do not add up to count
+    ])
+    def test_registry_from_snapshot_rejects_bad_histogram_counts(
+            self, counts, count):
+        snapshot = {"lat": {"type": "histogram", "help": "", "series": [{
+            "labels": {}, "buckets": [0.5, 1.0], "counts": counts,
+            "sum": 1.0, "count": count}]}}
+        with pytest.raises(TelemetryError, match="non-negative"):
+            registry_from_snapshot(snapshot)
 
 
 class TestSummaryTables:

@@ -18,6 +18,7 @@ from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.hierarchy import FleetAllocator, FleetConfig
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.core.daemon_mt import MultithreadedFvsstDaemon
+from repro.exec.runner import ParallelRunner
 from repro.power.supply import SupplyBank
 from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
@@ -266,21 +267,38 @@ class TestCliTelemetry:
 
 
 class TestMetricCatalog:
-    def test_every_cluster_metric_is_documented(self):
-        # docs/OBSERVABILITY.md names every metric the control plane
-        # registers, each in full (no "/ _stale / _lost" shorthand).
+    def test_every_cluster_metric_is_documented(self, tmp_path):
+        # docs/OBSERVABILITY.md names every metric the control plane, the
+        # daemons, the driver, the fleet advance and the experiment runner
+        # register, each in full (no "/ _stale / _lost" shorthand).  Built
+        # under use_telemetry: the sim_fleet_* counters resolve the
+        # process default backend, not a constructor argument.
         catalog = (Path(__file__).resolve().parents[1] / "docs"
                    / "OBSERVABILITY.md").read_text()
         tel = Telemetry()
-        ClusterCoordinator(
-            Cluster.homogeneous(2, seed=0),
-            CoordinatorConfig(slo_p99_target_s=0.02), telemetry=tel,
-            seed=1)
-        FleetAllocator(
-            Cluster.homogeneous(4, seed=0), CoordinatorConfig(),
-            fleet=FleetConfig(shard_size=2), telemetry=tel, seed=2)
-        names = tel.snapshot()["metrics"]
-        assert "cluster_slo_floor_hz" in names
-        assert "shard_committed_watts" in names
+        with use_telemetry(tel):
+            ClusterCoordinator(
+                Cluster.homogeneous(2, seed=0),
+                CoordinatorConfig(slo_p99_target_s=0.02), seed=1)
+            FleetAllocator(
+                Cluster.homogeneous(4, seed=0), CoordinatorConfig(),
+                fleet=FleetConfig(shard_size=2), seed=2)
+            machine = SMPMachine(MachineConfig(num_cores=2), seed=0)
+            machine.assign(0, profile_by_name("gzip").job(loop=True))
+            daemon = FvsstDaemon(machine, DaemonConfig(), seed=3)
+            MultithreadedFvsstDaemon(
+                SMPMachine(MachineConfig(num_cores=2), seed=0),
+                DaemonConfig(), seed=4)
+            sim = Simulation(machine)
+            daemon.attach(sim)
+            sim.run_for(0.05)
+            ParallelRunner(cache_dir=tmp_path)
+            names = tel.snapshot()["metrics"]
+        for name in ("cluster_slo_floor_hz", "shard_committed_watts",
+                     "fvsst_schedule_passes_total",
+                     "sim_events_dispatched_total",
+                     "sim_fleet_advances_total", "exec_pool_workers",
+                     "exec_cache_hits_total"):
+            assert name in names
         missing = [name for name in names if f"`{name}`" not in catalog]
         assert not missing, f"undocumented metrics: {missing}"
