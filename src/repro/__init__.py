@@ -84,7 +84,6 @@ from .core import (
     DaemonConfig,
     OverheadModel,
     FrequencyVoltageScheduler,
-    ContinuousFrequencyScheduler,
     ProcessorView,
     Schedule,
     CounterPredictor,
@@ -93,7 +92,6 @@ from .core import (
     UniformScalingGovernor,
     PowerDownGovernor,
     UtilizationGovernor,
-    StaticOracleGovernor,
 )
 from .cluster import (
     ClusterCoordinator,
@@ -102,7 +100,7 @@ from .cluster import (
     FaultSchedule,
     fault_scenario,
 )
-from .core import MultithreadedFvsstDaemon
+from .core import PER_CORE_OVERHEAD
 from .power import ThermalMonitor, ThermalParams
 from .workloads import ServerSource, RequestSpec, diurnal_rate
 from .scenario import Scenario, ScenarioResult
@@ -175,7 +173,6 @@ __all__ = [
     "DaemonConfig",
     "OverheadModel",
     "FrequencyVoltageScheduler",
-    "ContinuousFrequencyScheduler",
     "ProcessorView",
     "Schedule",
     "CounterPredictor",
@@ -184,7 +181,6 @@ __all__ = [
     "UniformScalingGovernor",
     "PowerDownGovernor",
     "UtilizationGovernor",
-    "StaticOracleGovernor",
     # cluster
     "ClusterCoordinator",
     "CrashWindow",
@@ -192,7 +188,7 @@ __all__ = [
     "fault_scenario",
     "CoordinatorConfig",
     # extensions
-    "MultithreadedFvsstDaemon",
+    "PER_CORE_OVERHEAD",
     "ThermalMonitor",
     "ThermalParams",
     "ServerSource",

@@ -46,7 +46,6 @@ from .hierarchy import (
     ShardCoordinator,
     water_fill_budgets,
 )
-from .nested import NestedBudgetScheduler
 
 __all__ = [
     "ProcReport",
@@ -58,7 +57,6 @@ __all__ = [
     "NodeAgent",
     "ClusterCoordinator",
     "CoordinatorConfig",
-    "NestedBudgetScheduler",
     "FaultSchedule",
     "CrashWindow",
     "FAULT_SCENARIOS",

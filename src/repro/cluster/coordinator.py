@@ -68,7 +68,6 @@ from ..telemetry import (
 from ..units import check_non_negative, check_positive
 from .agent import NodeAgent
 from .faults import FaultSchedule
-from .nested import NestedBudgetScheduler
 from .protocol import (
     FrequencyCommand,
     NodeReport,
@@ -201,7 +200,7 @@ class ClusterCoordinator:
         self.config = config or CoordinatorConfig()
         table = cluster.nodes[0].machine.table
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self.scheduler = scheduler or NestedBudgetScheduler(
+        self.scheduler = scheduler or FrequencyVoltageScheduler(
             table, epsilon=self.config.epsilon, telemetry=self.telemetry
         )
         self.predictor = predictor or CounterPredictor(latencies)
@@ -648,12 +647,12 @@ class ClusterCoordinator:
                   floors: dict[int, float]) -> Schedule:
         """Figure 3 over the live rows, with lost nodes pinned to the floor.
 
-        Without lost nodes this is the plain flat (or nested) pass.  Lost
-        nodes are commanded to ``f_min`` — lifted to their SLO floor when
-        one is set, since a lost node is still serving traffic we can't
-        see — and their pinned power is carved out of the global budget
-        before the live nodes are scheduled, so the combined scheduled
-        power honours the limit whenever it is honourable at all.
+        Without lost nodes this is one plain pass.  Lost nodes are
+        commanded to ``f_min`` — lifted to their SLO floor when one is
+        set, since a lost node is still serving traffic we can't see —
+        and their pinned power is carved out of the global budget before
+        the live nodes are scheduled, so the combined scheduled power
+        honours the limit whenever it is honourable at all.
         """
         sched = self.scheduler
         f_min = sched.table.f_min_hz
@@ -711,14 +710,10 @@ class ClusterCoordinator:
                     # after the cap, so floors win).
                     limit, node_limits, ceiling = None, {}, f_min
                     infeasible = True
-        if node_limits and isinstance(sched, NestedBudgetScheduler):
-            live = sched.schedule_nested(
-                batch, limit, node_limits, min_freqs_hz=floors or None,
-                on_infeasible="floor")
-        else:
-            live = sched.schedule(batch, limit, max_freq_hz=ceiling,
-                                  min_freqs_hz=floors or None,
-                                  on_infeasible="floor")
+        live = sched.schedule(batch, limit, node_limits_w=node_limits or None,
+                              max_freq_hz=ceiling,
+                              min_freqs_hz=floors or None,
+                              on_infeasible="floor")
         if not lost_nodes:
             return live
         return Schedule(
@@ -896,10 +891,6 @@ class ClusterCoordinator:
                        now_s: float) -> None:
         """Install (or lift, with ``None``) a per-node limit and run an
         immediate pass — the node-level PSU failure trigger."""
-        if not isinstance(self.scheduler, NestedBudgetScheduler):
-            raise ClusterError(
-                "per-node limits need a NestedBudgetScheduler"
-            )
         if limit_w is None:
             self.node_limits_w.pop(node_id, None)
         else:

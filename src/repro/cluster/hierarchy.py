@@ -50,7 +50,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.scheduler import FrequencyVoltageScheduler
 from ..errors import ClusterError
 from ..sim.cluster import Cluster
 from ..sim.driver import Simulation
@@ -225,14 +224,9 @@ class ShardCoordinator(ClusterCoordinator):
                      for a in assignments),
                     dtype=np.intp, count=procs_n)
                 capped = np.maximum(floor_rungs[:, None], capped)
-            if type(sched).power_for is FrequencyVoltageScheduler.power_for:
-                ladder = powers[capped].sum(axis=0)
-            else:
-                # Heterogeneous power model: per-processor ladder rows.
-                rows = np.array(
-                    [[sched.power_for(a.node_id, a.proc_id, f)
-                      for f in table.freqs_hz] for a in assignments])
-                ladder = np.take_along_axis(rows, capped, axis=1).sum(axis=0)
+            rows = sched.power_ladders([a.node_id for a in assignments],
+                                       [a.proc_id for a in assignments])
+            ladder = np.take_along_axis(rows, capped, axis=1).sum(axis=0)
             mean_loss = float(np.mean([a.predicted_loss
                                        for a in assignments]))
         counts = _health_counts(self.node_health.values())

@@ -1,15 +1,20 @@
 """fvsst — the frequency and voltage scheduler (the paper's contribution).
 
 * :mod:`~repro.core.predictor` — counter-driven IPC prediction.
-* :mod:`~repro.core.scheduler` — the Figure 3 three-step algorithm.
-* :mod:`~repro.core.continuous` — the ``f_ideal`` continuous variant.
+* :mod:`~repro.core.scheduler` — the Figure 3 three-step algorithm, with
+  per-node limits, SLO floors, a frequency ceiling and per-part power
+  scales as inputs to the one pass.
 * :mod:`~repro.core.voltage` — minimum-voltage assignment (step 3).
 * :mod:`~repro.core.triggers` — the three scheduling triggers of Section 5.
 * :mod:`~repro.core.logs` — scheduling and counter logs (Section 6).
-* :mod:`~repro.core.daemon` — the fvsst daemon tying it all together.
+* :mod:`~repro.core.daemon` — the fvsst daemon tying it all together
+  (single-threaded or, with ``OverheadModel.per_core``, Section 9's
+  per-processor threads).
 * :mod:`~repro.core.governor` — common governor interface.
 * :mod:`~repro.core.baselines` — comparison policies (no management,
-  uniform scaling, node power-down, utilization-driven, static oracle).
+  uniform scaling, node power-down, utilization-driven).
+* :mod:`~repro.core.consolidation` — workload consolidation onto fewer
+  processors (the ``migration`` experiment).
 """
 
 from .predictor import (
@@ -25,21 +30,17 @@ from .scheduler import (
     Schedule,
     FrequencyVoltageScheduler,
 )
-from .continuous import ContinuousFrequencyScheduler
-from .hetero import HeterogeneousScheduler
 from .consolidation import ConsolidationGovernor
 from .voltage import VoltageSelector, default_vf_curve
 from .triggers import TriggerBus, PowerLimitChange, IdleTransition
 from .logs import ScheduleLogEntry, CounterLogEntry, FvsstLog
-from .daemon import FvsstDaemon, DaemonConfig, OverheadModel
-from .daemon_mt import MultithreadedFvsstDaemon, MultithreadOverheadModel
+from .daemon import FvsstDaemon, DaemonConfig, OverheadModel, PER_CORE_OVERHEAD
 from .governor import Governor
 from .baselines import (
     NoManagementGovernor,
     UniformScalingGovernor,
     PowerDownGovernor,
     UtilizationGovernor,
-    StaticOracleGovernor,
     uniform_cap_frequency,
 )
 
@@ -53,8 +54,6 @@ __all__ = [
     "ProcessorAssignment",
     "Schedule",
     "FrequencyVoltageScheduler",
-    "ContinuousFrequencyScheduler",
-    "HeterogeneousScheduler",
     "ConsolidationGovernor",
     "VoltageSelector",
     "default_vf_curve",
@@ -67,13 +66,11 @@ __all__ = [
     "FvsstDaemon",
     "DaemonConfig",
     "OverheadModel",
-    "MultithreadedFvsstDaemon",
-    "MultithreadOverheadModel",
+    "PER_CORE_OVERHEAD",
     "Governor",
     "NoManagementGovernor",
     "UniformScalingGovernor",
     "PowerDownGovernor",
     "UtilizationGovernor",
-    "StaticOracleGovernor",
     "uniform_cap_frequency",
 ]

@@ -16,8 +16,6 @@ The alternatives the paper positions fvsst against:
   when low, with no knowledge of memory behaviour.  On a hot-idling
   Power4+ it sees 100% utilisation always — the failure mode the related
   work section points at.
-* :class:`StaticOracleGovernor` — step 1+2 run once on ground-truth
-  signatures: the best any static assignment could do, for ablations.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from ..sim.driver import Simulation
 from ..sim.machine import SMPMachine
 from ..units import check_positive
 from .governor import Governor
-from .scheduler import FrequencyVoltageScheduler, ProcessorView
 
 __all__ = [
     "uniform_cap_frequency",
@@ -37,7 +34,6 @@ __all__ = [
     "UniformScalingGovernor",
     "PowerDownGovernor",
     "UtilizationGovernor",
-    "StaticOracleGovernor",
 ]
 
 
@@ -193,42 +189,3 @@ class UtilizationGovernor(Governor):
     def set_power_limit(self, limit_w: float | None, now_s: float) -> None:
         self.power_limit_w = limit_w
         self._cap_all(now_s)
-
-
-class StaticOracleGovernor(Governor):
-    """Figure 3 run once on ground-truth signatures (ablation upper bound)."""
-
-    name = "oracle"
-
-    def __init__(self, machine: SMPMachine, *,
-                 power_limit_w: float | None = None,
-                 epsilon: float | None = None) -> None:
-        super().__init__(machine)
-        self.power_limit_w = power_limit_w
-        kwargs = {} if epsilon is None else {"epsilon": epsilon}
-        self.scheduler = FrequencyVoltageScheduler(machine.table, **kwargs)
-
-    def _views(self) -> list[ProcessorView]:
-        views = []
-        for core in self.machine.cores:
-            job = core.dispatcher.current_job()
-            signature = (None if job is None else
-                         job.current_phase.true_signature(core.latencies))
-            views.append(ProcessorView(node_id=0, proc_id=core.core_id,
-                                       signature=signature,
-                                       idle_signaled=job is None))
-        return views
-
-    def _apply(self, now_s: float) -> None:
-        schedule = self.scheduler.schedule(self._views(), self.power_limit_w,
-                                           on_infeasible="floor")
-        for a in schedule.assignments:
-            self.machine.core(a.proc_id).set_frequency(a.freq_hz, now_s)
-
-    def attach(self, sim: Simulation) -> None:
-        super().attach(sim)
-        self._apply(sim.now_s)
-
-    def set_power_limit(self, limit_w: float | None, now_s: float) -> None:
-        self.power_limit_w = limit_w
-        self._apply(now_s)

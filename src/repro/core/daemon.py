@@ -33,12 +33,24 @@ from .predictor import CounterPredictor, PredictorProtocol
 from .scheduler import FrequencyVoltageScheduler, ProcessorView, Schedule
 from .triggers import IdleTransition, PowerLimitChange, TriggerBus
 
-__all__ = ["OverheadModel", "DaemonConfig", "FvsstDaemon"]
+__all__ = [
+    "OverheadModel", "PER_CORE_OVERHEAD", "DaemonConfig", "FvsstDaemon",
+]
 
 
 @dataclass(frozen=True, slots=True)
 class OverheadModel:
-    """CPU time fvsst's own code consumes (charged to its host core)."""
+    """CPU time fvsst's own code consumes.
+
+    By default every cost is charged to the daemon's host core: the
+    single-threaded prototype.  ``per_core`` places the costs as Section
+    9's design would, with two threads per processor: "one thread on each
+    processor collects the performance counter data ... while the other
+    one controls the throttling or frequency and voltage scaling for it".
+    Each counter read is then charged to the sampled core and each
+    actuation to the actuated core; only the scheduling calculation stays
+    on the daemon core.
+    """
 
     #: Reading one core's counters through the kernel interface.
     sample_cost_s: float = 25e-6
@@ -47,11 +59,20 @@ class OverheadModel:
     #: Applying one frequency change through the throttle interface.
     actuation_cost_s: float = 10e-6
     enabled: bool = True
+    #: Charge reads and actuations to the cores they touch.
+    per_core: bool = False
 
     def __post_init__(self) -> None:
         check_non_negative(self.sample_cost_s, "sample_cost_s")
         check_non_negative(self.schedule_cost_s, "schedule_cost_s")
         check_non_negative(self.actuation_cost_s, "actuation_cost_s")
+
+
+#: Section 9's two-threads-per-processor costs: a user-level counter read
+#: (no kernel crossing) and a user-level actuation, each charged to the
+#: core it touches, and the centralised scheduling calculation.
+PER_CORE_OVERHEAD = OverheadModel(sample_cost_s=6e-6, schedule_cost_s=150e-6,
+                                  actuation_cost_s=8e-6, per_core=True)
 
 
 @dataclass(frozen=True)
@@ -215,8 +236,17 @@ class FvsstDaemon(Governor):
     # -- the sampling/scheduling loop --------------------------------------------------
 
     def _charge_overhead(self, cost_s: float) -> None:
-        if self.config.overhead.enabled and cost_s > 0.0:
+        """Bulk charge to the daemon core (the single-threaded placement)."""
+        overhead = self.config.overhead
+        if overhead.enabled and not overhead.per_core and cost_s > 0.0:
             self.machine.core(self.config.daemon_core).steal_time(cost_s)
+
+    def _charge_core(self, core, cost_s: float) -> None:
+        """Charge to the core a per-processor thread runs on
+        (``OverheadModel.per_core``)."""
+        overhead = self.config.overhead
+        if overhead.enabled and overhead.per_core:
+            core.steal_time(cost_s)
 
     def _on_sample_tick(self, now_s: float) -> None:
         if self.telemetry.enabled:
@@ -241,17 +271,18 @@ class FvsstDaemon(Governor):
             self._pending_sample_s = []
 
     def _collect_samples(self, now_s: float) -> None:
-        """Read every processor's counters (kernel-mediated, bulk-charged);
-        the multi-threaded daemon overrides the charging placement."""
+        """Read every processor's counters and charge the reads."""
         cfg = self.config
+        sample_cost_s = cfg.overhead.sample_cost_s
         for i, reader in enumerate(self.readers):
             sample = reader.sample(now_s)
             self._windows[i].append(sample)
             self.log.record_sample(CounterLogEntry(
                 time_s=now_s, node_id=cfg.node_id, proc_id=i, sample=sample,
             ))
-        self._charge_overhead(cfg.overhead.sample_cost_s
-                              * self.machine.num_cores)
+            # A per-core collector thread runs on the core it samples.
+            self._charge_core(self.machine.core(i), sample_cost_s)
+        self._charge_overhead(sample_cost_s * self.machine.num_cores)
 
     def _aggregate_window(self, proc: int, now_s: float) -> CounterSample | None:
         window = self._windows[proc]
@@ -394,23 +425,17 @@ class FvsstDaemon(Governor):
             old_hz = core.frequency_setting_hz
             if old_hz != assignment.freq_hz:
                 transitions += 1
-                self._charge_transition(core)
+                # A per-core actuator thread runs on the core it throttles.
+                self._charge_core(core, self.config.overhead.actuation_cost_s)
                 if tel.enabled:
                     tel.emit(EVENT_FREQUENCY_CHANGE, sim_time_s=now_s,
                              node=self.config.node_id,
                              proc=assignment.proc_id,
                              old_hz=old_hz, new_hz=assignment.freq_hz)
             core.set_frequency(assignment.freq_hz, now_s)
-        self._after_apply()
+        self._charge_core(self.machine.core(self.config.daemon_core),
+                          self.config.overhead.schedule_cost_s)
         return transitions
-
-    def _charge_transition(self, core) -> None:
-        """Per-core actuation charge hook (bulk-charged here; the
-        multi-threaded daemon steals from the actuated core instead)."""
-
-    def _after_apply(self) -> None:
-        """Post-actuation hook (the multi-threaded daemon charges the
-        centralised scheduling calculation here)."""
 
     # -- triggers --------------------------------------------------------------------
 

@@ -12,7 +12,8 @@ Three steps over all processors of all nodes:
    predicted loss versus ``f_max`` and move it down one step.  Idle
    processors (predicted loss 0) drain first; processors with unknown
    workloads are treated pessimistically as pure-CPU (loss grows linearly
-   as frequency drops).
+   as frequency drops).  Per-node limits nested inside the global one run
+   the same reduction over each limited node's processors first.
 3. Assign each processor the minimum stable voltage for its frequency.
 
 The implementation is vectorised: step 1 evaluates one ``(P x F)``
@@ -34,6 +35,7 @@ is a different governor's job).
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Literal, Mapping, NamedTuple, Sequence
@@ -41,7 +43,7 @@ from typing import Literal, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .. import constants
-from ..errors import InfeasibleBudgetError, SchedulingError
+from ..errors import InfeasibleBudgetError, PowerModelError, SchedulingError
 from ..model.ipc import WorkloadSignature
 from ..model.perf import perf_loss
 from ..power.table import FrequencyPowerTable
@@ -73,28 +75,21 @@ class ProcessorView:
 class ViewBatch:
     """Structure-of-arrays form of a population of :class:`ProcessorView`.
 
-    The scheduler's vectorised pass never needs the per-processor objects —
-    only the signature columns, the idle mask, and the (node, proc) keys.
-    A ``ViewBatch`` carries exactly those as numpy arrays, so a producer
-    that already has columns (the cluster coordinator's batched predictor
-    path) can skip building N·P ``ProcessorView``/``WorkloadSignature``
-    objects per pass, and the scheduler can skip re-extracting arrays from
-    them.
+    The scheduler's pass reads only columns: the signature columns, the
+    idle mask, and the (node, proc) keys.  A producer that already has
+    columns (the cluster coordinator's batched predictor path) builds a
+    ``ViewBatch`` directly and skips N·P ``ProcessorView`` and
+    ``WorkloadSignature`` objects per pass; ``schedule`` turns a view list
+    into one with :meth:`from_views`.
 
     Rows without a usable signature (``has_signature`` False) must hold the
     neutral placeholder values ``core_cpi = 1.0`` and
     ``mem_time_per_instr_s = 0.0`` — the same placeholders the vectorised
     loss matrix uses before masking — which the batched predictors emit.
-
-    The batch also quacks like ``Sequence[ProcessorView]``: iteration and
-    indexing lazily materialise (and cache) the equivalent view objects, so
-    pointwise fallback paths (subclasses overriding ``predicted_loss``,
-    ``epsilon_constrained`` or ``power_for``) and existing callers keep
-    working unchanged, just at object-construction cost.
     """
 
     __slots__ = ("node_ids", "proc_ids", "has_signature", "core_cpi",
-                 "mem_time_per_instr_s", "idle_signaled", "_views")
+                 "mem_time_per_instr_s", "idle_signaled")
 
     def __init__(self, node_ids, proc_ids, has_signature, core_cpi,
                  mem_time_per_instr_s, idle_signaled=None) -> None:
@@ -116,13 +111,12 @@ class ViewBatch:
                     f"ViewBatch column {name!r} has shape "
                     f"{getattr(self, name).shape}, expected ({n},)"
                 )
-        self._views: list[ProcessorView] | None = None
 
     @classmethod
     def from_views(cls, views: Sequence[ProcessorView]) -> "ViewBatch":
-        """Column form of existing view objects (the thin adapter)."""
+        """Column form of existing view objects."""
         n = len(views)
-        batch = cls(
+        return cls(
             node_ids=[v.node_id for v in views],
             proc_ids=[v.proc_id for v in views],
             has_signature=np.fromiter(
@@ -136,60 +130,14 @@ class ViewBatch:
             idle_signaled=np.fromiter(
                 (v.idle_signaled for v in views), dtype=bool, count=n),
         )
-        batch._views = list(views)
-        return batch
-
-    # -- Sequence[ProcessorView] compatibility ---------------------------------
-
-    def views(self) -> list[ProcessorView]:
-        """The equivalent view objects (materialised once, then cached)."""
-        if self._views is None:
-            sigs = [
-                WorkloadSignature(core_cpi=c, mem_time_per_instr_s=m)
-                if h else None
-                for h, c, m in zip(self.has_signature.tolist(),
-                                   self.core_cpi.tolist(),
-                                   self.mem_time_per_instr_s.tolist())
-            ]
-            self._views = [
-                ProcessorView(node_id=nd, proc_id=pc, signature=sig,
-                              idle_signaled=idle)
-                for nd, pc, sig, idle in zip(self.node_ids.tolist(),
-                                             self.proc_ids.tolist(), sigs,
-                                             self.idle_signaled.tolist())
-            ]
-        return self._views
 
     def __len__(self) -> int:
         return self.node_ids.size
-
-    def __iter__(self):
-        return iter(self.views())
-
-    def __getitem__(self, index):
-        return self.views()[index]
 
     def __repr__(self) -> str:
         return (f"ViewBatch({len(self)} procs, "
                 f"{int(self.has_signature.sum())} with signatures, "
                 f"{int(self.idle_signaled.sum())} idle)")
-
-
-def _view_columns(views: "Sequence[ProcessorView] | ViewBatch"
-                  ) -> tuple[list[int], list[int], np.ndarray]:
-    """``(node_ids, proc_ids, idle mask)`` of a view population.
-
-    The id lists come out as plain Python values (heap keys and assignment
-    fields want them scalar); the idle mask as a bool array.  A
-    :class:`ViewBatch` hands its columns over directly.
-    """
-    if isinstance(views, ViewBatch):
-        return (views.node_ids.tolist(), views.proc_ids.tolist(),
-                views.idle_signaled)
-    n = len(views)
-    return ([v.node_id for v in views], [v.proc_id for v in views],
-            np.fromiter((v.idle_signaled for v in views), dtype=bool,
-                        count=n))
 
 
 class ProcessorAssignment(NamedTuple):
@@ -259,18 +207,34 @@ class Schedule:
 
 
 class FrequencyVoltageScheduler:
-    """The Figure 3 algorithm over a fixed operating-point table."""
+    """The Figure 3 algorithm over a fixed operating-point table.
+
+    ``power_scales`` maps ``(node_id, proc_id)`` to a power multiplier for
+    parts that draw more or less than the table at every operating point
+    (process variation: "this part draws 12% more").  Step 2 then sheds
+    power where a watt buys the least performance on that specific part,
+    and the predicted total reflects the mixed silicon.  Parts absent from
+    the map draw the table's power.
+    """
 
     def __init__(self, table: FrequencyPowerTable, *,
                  epsilon: float = constants.DEFAULT_EPSILON,
                  voltage_selector: VoltageSelector | None = None,
-                 telemetry: Telemetry | None = None) -> None:
+                 telemetry: Telemetry | None = None,
+                 power_scales: Mapping[tuple[int, int], float] | None = None
+                 ) -> None:
         check_positive(epsilon, "epsilon")
         if epsilon >= 1.0:
             raise SchedulingError("epsilon must be < 1")
         self.table = table
         self.epsilon = epsilon
         self.voltages = voltage_selector or VoltageSelector()
+        self.power_scales = dict(power_scales or {})
+        for key, scale in self.power_scales.items():
+            if not 0.0 < scale < math.inf:
+                raise PowerModelError(
+                    f"power scale {scale!r} for {key} must be positive "
+                    f"and finite")
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         m = self.telemetry.metrics
         self._m_passes = m.counter(
@@ -288,16 +252,13 @@ class FrequencyVoltageScheduler:
             "scheduler_pass_seconds",
             "Wall-clock latency of one scheduling pass")
 
-    # -- step 1 ------------------------------------------------------------------
+    # -- the scalar reference -------------------------------------------------------
 
     def power_for(self, node_id: int, proc_id: int, freq_hz: float) -> float:
-        """Power of one processor at an operating point.
-
-        The base scheduler assumes identical parts; the heterogeneous
-        subclass overrides this with per-processor tables (process
-        variation).
-        """
-        return self.table.power_at(freq_hz)
+        """Power of one processor at an operating point (its table power
+        times its ``power_scales`` entry)."""
+        return (self.table.power_at(freq_hz)
+                * self.power_scales.get((node_id, proc_id), 1.0))
 
     def predicted_loss(self, signature: WorkloadSignature | None,
                        freq_hz: float) -> float:
@@ -329,10 +290,10 @@ class FrequencyVoltageScheduler:
 
     # -- vectorised evaluation -----------------------------------------------------
 
-    def _loss_matrix(self, views: Sequence[ProcessorView]) -> np.ndarray:
+    def _loss_matrix(self, batch: ViewBatch) -> np.ndarray:
         """Predicted loss vs ``f_max`` for every (processor, rung) pair.
 
-        Row ``i`` holds :meth:`predicted_loss` of ``views[i]`` at every
+        Row ``i`` holds :meth:`predicted_loss` of row ``i`` at every
         ladder frequency (ascending) — one numpy pass instead of ``P x F``
         scalar model evaluations.  The elementwise operations mirror the
         scalar path exactly (``ipc * f``, then the relative drop against
@@ -341,26 +302,9 @@ class FrequencyVoltageScheduler:
         do not zero rows here.
         """
         freqs = self.table.freqs_array()
-        if type(self).predicted_loss is not FrequencyVoltageScheduler.predicted_loss:
-            # A subclass redefined the loss model: honour it pointwise.
-            return np.array([
-                [self.predicted_loss(v.signature, f) for f in self.table.freqs_hz]
-                for v in views
-            ])
-        if isinstance(views, ViewBatch):
-            # Columns arrive ready-made; no per-view extraction at all.
-            has_sig = views.has_signature
-            c0 = views.core_cpi
-            m = views.mem_time_per_instr_s
-        else:
-            n = len(views)
-            has_sig = np.fromiter((v.signature is not None for v in views),
-                                  dtype=bool, count=n)
-            c0 = np.array([v.signature.core_cpi if v.signature is not None
-                           else 1.0 for v in views])
-            m = np.array([v.signature.mem_time_per_instr_s
-                          if v.signature is not None else 0.0 for v in views])
-        ipc = 1.0 / (c0[:, None] + m[:, None] * freqs[None, :])
+        has_sig = batch.has_signature
+        ipc = 1.0 / (batch.core_cpi[:, None]
+                     + batch.mem_time_per_instr_s[:, None] * freqs[None, :])
         perf = ipc * freqs[None, :]
         ref = perf[:, -1:]
         losses = (ref - perf) / ref
@@ -370,48 +314,48 @@ class FrequencyVoltageScheduler:
             losses = np.where(has_sig[:, None], losses, pessimistic[None, :])
         return losses
 
-    def _step1_indices(self, views: Sequence[ProcessorView],
-                       losses: np.ndarray) -> np.ndarray:
-        """Epsilon-constrained rung index per view (idle handled by caller).
-
-        The vectorised first-admissible-rung selection; falls back to the
-        (possibly overridden) :meth:`epsilon_constrained` pointwise when a
-        subclass replaced step 1, e.g. the continuous-frequency variant.
-        """
-        if (type(self).epsilon_constrained
-                is not FrequencyVoltageScheduler.epsilon_constrained):
-            return np.array([
-                self.table.index_of(self.epsilon_constrained(v.signature)[0])
-                for v in views
-            ])
+    def _step1_indices(self, losses: np.ndarray) -> np.ndarray:
+        """Epsilon-constrained rung index per row (idle handled by caller):
+        the first admissible rung, vectorised."""
         admissible = losses < self.epsilon
         return np.where(admissible.any(axis=1), admissible.argmax(axis=1),
                         losses.shape[1] - 1)
 
-    def _power_ladders(self, views: Sequence[ProcessorView]) -> np.ndarray:
+    def power_ladders(self, node_ids: Sequence[int],
+                      proc_ids: Sequence[int]) -> np.ndarray:
         """Per-processor power at every rung, shape ``(P, F)``.
 
-        Homogeneous parts share one row (a broadcast view of the table's
-        cached power array); a subclass with per-processor power overrides
-        :meth:`power_for` (or this method, for bulk lookups) instead.
+        Without ``power_scales`` every row is one broadcast view of the
+        table's cached power array; with them each row is that array times
+        the part's scale, entry for entry what :meth:`power_for` returns.
         """
-        if type(self).power_for is FrequencyVoltageScheduler.power_for:
-            powers = self.table.powers_array()
-            return np.broadcast_to(powers, (len(views), powers.size))
-        return np.array([
-            [self.power_for(v.node_id, v.proc_id, f)
-             for f in self.table.freqs_hz]
-            for v in views
-        ])
+        powers = self.table.powers_array()
+        if not self.power_scales:
+            return np.broadcast_to(powers, (len(node_ids), powers.size))
+        get = self.power_scales.get
+        scales = np.fromiter((get(key, 1.0)
+                              for key in zip(node_ids, proc_ids)),
+                             dtype=float, count=len(node_ids))
+        return scales[:, None] * powers[None, :]
 
     # -- the full pass ------------------------------------------------------------
 
     def schedule(self, views: "Sequence[ProcessorView] | ViewBatch",
                  power_limit_w: float | None = None, *,
+                 node_limits_w: Mapping[int, float] | None = None,
                  max_freq_hz: float | None = None,
                  min_freqs_hz: Mapping[int, float] | None = None,
                  on_infeasible: Literal["floor", "raise"] = "floor") -> Schedule:
         """Run steps 1–3 and return the complete decision.
+
+        ``node_limits_w`` maps node ids to per-node limits nested inside
+        the global one (a node whose own supply degrades must get under
+        its node budget regardless of the cluster-wide picture).  Before
+        the global step 2, one step-2 pass per limited node, in node-id
+        order, reduces only that node's processors until it fits.  Those
+        passes never raise a frequency, so the global pass (which only
+        lowers further) keeps every node limit met.  A limit naming a
+        node absent from ``views`` is a :class:`SchedulingError`.
 
         ``max_freq_hz`` is an optional per-processor frequency ceiling —
         the mechanism a *thermal* constraint needs, since an aggregate
@@ -425,21 +369,26 @@ class FrequencyVoltageScheduler:
         requests must not drop below the frequency that keeps its tail
         latency under target, no matter how deep the power budget cuts.
         Floors are quantised up to the ladder, win conflicts with the
-        idle pin and the ceiling, and bound step 2 from below; a budget
-        unreachable without breaking a floor is reported ``infeasible``
-        (the floor schedule stands).  Nodes absent from the map have no
-        floor; map entries for nodes absent from ``views`` are ignored
-        (a degraded pass schedules live nodes only).
+        idle pin and the ceiling, and bound every step-2 pass from below;
+        a limit unreachable without breaking a floor is reported
+        ``infeasible`` (the floor schedule stands).  Nodes absent from the
+        map have no floor; map entries for nodes absent from ``views`` are
+        ignored (a degraded pass schedules live nodes only).
         """
         n = len(views)
         if not n:
             raise SchedulingError("no processors to schedule")
-        nodes_list, procs_list, idle = _view_columns(views)
-        keys = set(zip(nodes_list, procs_list))
-        if len(keys) != n:
+        batch = views if isinstance(views, ViewBatch) \
+            else ViewBatch.from_views(views)
+        nodes_list = batch.node_ids.tolist()
+        procs_list = batch.proc_ids.tolist()
+        idle = batch.idle_signaled
+        if len(set(zip(nodes_list, procs_list))) != n:
             raise SchedulingError("duplicate (node, proc) in views")
         if power_limit_w is not None:
             check_positive(power_limit_w, "power_limit_w")
+        for node_id, limit_w in (node_limits_w or {}).items():
+            check_positive(limit_w, f"node_limits_w[{node_id}]")
         cap_idx: int | None = None
         if max_freq_hz is not None:
             check_positive(max_freq_hz, "max_freq_hz")
@@ -458,8 +407,8 @@ class FrequencyVoltageScheduler:
         # first-admissible-rung selection, idle pins, the ceiling, then the
         # SLO floors (floors win: a request-serving node must hold its tail
         # latency even against a thermal ceiling or an idle signal).
-        losses = self._loss_matrix(views)
-        idx = self._step1_indices(views, losses)
+        losses = self._loss_matrix(batch)
+        idx = self._step1_indices(losses)
         idx[idle] = 0
         eps_idx = idx.copy()
         if cap_idx is not None:
@@ -468,21 +417,39 @@ class FrequencyVoltageScheduler:
             np.maximum(idx, floor_idx, out=idx)
         step1_evals = n - int(idle.sum())
 
-        # Step 2: heap-based greedy power reduction.
-        infeasible = False
-        steps = loss_evals = 0
-        if power_limit_w is not None:
+        # Step 2: heap-based greedy power reduction — the per-node passes
+        # over row slices of the shared matrices, then the global pass.
+        ladders = self.power_ladders(nodes_list, procs_list)
+        results: list[tuple[bool, int, int]] = []
+        if power_limit_w is not None or node_limits_w:
             # Idle processors cost nothing to slow down.
             step2_losses = np.where(idle[:, None], 0.0, losses) \
                 if idle.any() else losses
-            infeasible, steps, loss_evals = self._reduce_indices(
-                nodes_list, procs_list, idx, step2_losses,
-                self._power_ladders(views), power_limit_w, on_infeasible,
-                floor_idx=floor_idx)
+            for node_id, limit_w in sorted((node_limits_w or {}).items()):
+                rows = np.flatnonzero(batch.node_ids == node_id)
+                if rows.size == 0:
+                    raise SchedulingError(
+                        f"node limit for unknown node {node_id}")
+                row_list = rows.tolist()
+                sub_idx = idx[rows]
+                results.append(self._reduce_indices(
+                    [nodes_list[i] for i in row_list],
+                    [procs_list[i] for i in row_list],
+                    sub_idx, step2_losses[rows], ladders[rows], limit_w,
+                    on_infeasible,
+                    floor_idx=None if floor_idx is None else floor_idx[rows]))
+                idx[rows] = sub_idx
+            if power_limit_w is not None:
+                results.append(self._reduce_indices(
+                    nodes_list, procs_list, idx, step2_losses, ladders,
+                    power_limit_w, on_infeasible, floor_idx=floor_idx))
+        infeasible = any(r[0] for r in results)
+        steps = sum(r[1] for r in results)
+        loss_evals = sum(r[2] for r in results)
 
         # Step 3: voltages, and assembly.
         assignments, total = self._assemble_assignments(
-            nodes_list, procs_list, idx, eps_idx, losses, idle)
+            nodes_list, procs_list, idx, eps_idx, losses, idle, ladders)
         if tel.enabled:
             self._m_passes.inc()
             self._m_step1.inc(step1_evals)
@@ -503,7 +470,7 @@ class FrequencyVoltageScheduler:
     def _assemble_assignments(self, nodes_list: list[int],
                               procs_list: list[int], idx: np.ndarray,
                               eps_idx: np.ndarray, losses: np.ndarray,
-                              idle: np.ndarray
+                              idle: np.ndarray, ladders: np.ndarray
                               ) -> tuple[tuple[ProcessorAssignment, ...],
                                          float]:
         """Step 3 plus assembly: the final per-processor operating points.
@@ -511,17 +478,18 @@ class FrequencyVoltageScheduler:
         Works column-wise: per-field lists indexed by rung, then one
         positional ``map`` over the columns — scalar lookups off plain
         Python lists beat numpy scalar indexing at this size, and one
-        ``map`` beats P keyword constructor calls.  Homogeneous parts read
-        power straight off the table's rung tuple (``power_for`` resolves
-        to exactly that entry), and a plain :class:`VoltageSelector` with
-        no per-processor overrides collapses to one voltage per rung.
+        ``map`` beats P keyword constructor calls.  Identical parts read
+        power straight off the table's rung tuple, scaled parts off their
+        ladder rows, and a plain :class:`VoltageSelector` with no
+        per-processor overrides collapses to one voltage per rung.
         """
         n = len(nodes_list)
         freqs_list = self.table.freqs_hz
         idx_list = idx.tolist()
         freq_i = [freqs_list[k] for k in idx_list]
         eps_i = [freqs_list[k] for k in eps_idx.tolist()]
-        loss_i = np.where(idle, 0.0, losses[np.arange(n), idx]).tolist()
+        rows = np.arange(n)
+        loss_i = np.where(idle, 0.0, losses[rows, idx]).tolist()
         rung_volts = self.voltages.rung_voltages(freqs_list) \
             if type(self.voltages) is VoltageSelector else None
         if rung_volts is not None:
@@ -530,13 +498,11 @@ class FrequencyVoltageScheduler:
             min_voltage = self.voltages.min_voltage
             volt_i = [min_voltage(nodes_list[i], procs_list[i], freq_i[i])
                       for i in range(n)]
-        if type(self).power_for is FrequencyVoltageScheduler.power_for:
+        if self.power_scales:
+            power_i = ladders[rows, idx].tolist()
+        else:
             powers_list = self.table.powers_w
             power_i = [powers_list[k] for k in idx_list]
-        else:
-            power_for = self.power_for
-            power_i = [power_for(nodes_list[i], procs_list[i], freq_i[i])
-                       for i in range(n)]
         assignments = tuple(map(ProcessorAssignment, nodes_list, procs_list,
                                 freq_i, volt_i, power_i, loss_i, eps_i))
         return assignments, sum(power_i)
@@ -640,26 +606,3 @@ class FrequencyVoltageScheduler:
         finally:
             idx[:] = idx_list
         return False, steps, loss_evals
-
-    def _reduce_to_budget(self, views: "Sequence[ProcessorView] | ViewBatch",
-                          freqs: list[float], limit_w: float,
-                          on_infeasible: Literal["floor", "raise"]
-                          ) -> tuple[bool, int, int]:
-        """Step 2 in place on ``freqs`` (explicit frequency-list form).
-
-        A wrapper over :meth:`_reduce_indices` for callers that carry
-        frequency lists rather than rung indices — the nested-budget
-        scheduler's scoped per-node passes.  Returns
-        ``(infeasible, reduction_steps, loss_evaluations)``.
-        """
-        nodes_list, procs_list, idle = _view_columns(views)
-        idx = np.array([self.table.index_of(f) for f in freqs])
-        losses = self._loss_matrix(views)
-        if idle.any():
-            losses = np.where(idle[:, None], 0.0, losses)
-        result = self._reduce_indices(nodes_list, procs_list, idx, losses,
-                                      self._power_ladders(views), limit_w,
-                                      on_infeasible)
-        freqs_arr = self.table.freqs_array()
-        freqs[:] = [float(freqs_arr[int(k)]) for k in idx]
-        return result

@@ -17,6 +17,8 @@ Four studies:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..analysis.report import ExperimentResult, TableResult
@@ -305,8 +307,7 @@ def run_daemon_design(seed: int = 2005, fast: bool = False
     sampled core).  Scored on benchmark throughput impact and total stolen
     time.
     """
-    from ..core.daemon import DaemonConfig, FvsstDaemon
-    from ..core.daemon_mt import MultithreadedFvsstDaemon
+    from ..core.daemon import PER_CORE_OVERHEAD, DaemonConfig, FvsstDaemon
     from ..sim.core import CoreConfig
     from ..sim.driver import Simulation
     from ..sim.machine import MachineConfig, SMPMachine
@@ -335,8 +336,8 @@ def run_daemon_design(seed: int = 2005, fast: bool = False
         if variant == "single":
             FvsstDaemon(machine, config, seed=seed_ + 1).attach(sim)
         elif variant == "multi":
-            MultithreadedFvsstDaemon(machine, config,
-                                     seed=seed_ + 1).attach(sim)
+            FvsstDaemon(machine, replace(config, overhead=PER_CORE_OVERHEAD),
+                        seed=seed_ + 1).attach(sim)
         sim.run_for(duration)
         stolen = sum(c.overhead_executed_s for c in machine.cores)
         return {

@@ -7,15 +7,14 @@ machine with the same workloads:
 * the homogeneous scheduler believes every part draws nominal Table 1
   power — its predicted total under-counts the leaky parts, so the
   *measured* draw exceeds the budget it reports as met;
-* the :class:`~repro.core.hetero.HeterogeneousScheduler` plans with
-  per-part tables, and its measured draw respects the budget.
+* the variation-aware scheduler (``power_scales``) plans with per-part
+  power, and its measured draw respects the budget.
 """
 
 from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, TableResult
 from ..core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
-from ..core.hetero import HeterogeneousScheduler
 from ..core.scheduler import FrequencyVoltageScheduler
 from ..sim.core import CoreConfig
 from ..sim.driver import Simulation
@@ -41,13 +40,9 @@ def _run_policy(policy: str, *, seed: int, fast: bool) -> dict[str, float]:
         machine.core(i).power_scale = scale
         machine.assign(i, ALL_PROFILES[app].job(loop=True))
 
-    if policy == "aware":
-        scheduler = HeterogeneousScheduler.from_scales(
-            machine.table,
-            {(0, i): s for i, s in enumerate(POWER_SCALES)},
-        )
-    else:
-        scheduler = FrequencyVoltageScheduler(machine.table)
+    scales = ({(0, i): s for i, s in enumerate(POWER_SCALES)}
+              if policy == "aware" else None)
+    scheduler = FrequencyVoltageScheduler(machine.table, power_scales=scales)
 
     daemon = FvsstDaemon(machine, DaemonConfig(
         power_limit_w=BUDGET_W, counter_noise_sigma=0.0,

@@ -54,6 +54,12 @@ def make_machine(num_cores: int = 1, *, seed: int = 0,
     return SMPMachine(config, seed=seed)
 
 
+def node_power_w(schedule, node_id: int) -> float:
+    """Scheduled power of one node."""
+    return sum(a.power_w for a in schedule.assignments
+               if a.node_id == node_id)
+
+
 @pytest.fixture
 def quiet_machine():
     """A single-core machine with no stochastic effects."""

@@ -13,8 +13,6 @@ import pytest
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.faults import fault_scenario, fleet_fault_scenario
 from repro.cluster.hierarchy import FleetAllocator, FleetConfig
-from repro.cluster.nested import NestedBudgetScheduler
-from repro.core.hetero import HeterogeneousScheduler
 from repro.core.logs import FvsstLog, ScheduleLogEntry
 from repro.core.predictor import AlphaPredictor, CounterPredictor
 from repro.core.scheduler import (
@@ -141,22 +139,6 @@ def _views(n, seed=0):
 
 
 class TestViewBatch:
-    def test_round_trip_and_sequence_protocol(self):
-        views = _views(16, seed=2)
-        batch = ViewBatch.from_views(views)
-        assert len(batch) == 16
-        assert list(batch) == views
-        assert batch[3] == views[3]
-
-    def test_materialises_equal_views_from_columns(self):
-        views = _views(16, seed=2)
-        adapter = ViewBatch.from_views(views)
-        rebuilt = ViewBatch(adapter.node_ids, adapter.proc_ids,
-                            adapter.has_signature, adapter.core_cpi,
-                            adapter.mem_time_per_instr_s,
-                            adapter.idle_signaled)
-        assert rebuilt.views() == views
-
     def test_column_shape_mismatch_rejected(self):
         with pytest.raises(SchedulingError):
             ViewBatch([0, 0], [0], [True], [1.0], [0.0])
@@ -168,21 +150,22 @@ class TestViewBatch:
         assert sched.schedule(views, limit) == \
             sched.schedule(ViewBatch.from_views(views), limit)
 
-    def test_schedule_nested_identical_to_view_list(self):
+    def test_node_limits_identical_to_view_list(self):
         views = _views(32, seed=5)
-        sched = NestedBudgetScheduler(POWER4_TABLE)
-        a = sched.schedule_nested(views, 280.0, {1: 70.0, 3: 60.0})
-        b = sched.schedule_nested(ViewBatch.from_views(views), 280.0,
-                                  {1: 70.0, 3: 60.0})
+        sched = FrequencyVoltageScheduler(POWER4_TABLE)
+        limits = {1: 70.0, 3: 60.0}
+        a = sched.schedule(views, 280.0, node_limits_w=limits)
+        b = sched.schedule(ViewBatch.from_views(views), 280.0,
+                           node_limits_w=limits)
         assert a == b
 
     def test_heterogeneous_scheduler_accepts_batch(self):
         views = _views(16, seed=6)
         rng = np.random.default_rng(1)
-        sched = HeterogeneousScheduler.from_scales(
+        sched = FrequencyVoltageScheduler(
             POWER4_TABLE,
-            {(v.node_id, v.proc_id): float(rng.uniform(0.9, 1.2))
-             for v in views})
+            power_scales={(v.node_id, v.proc_id): float(rng.uniform(0.9, 1.2))
+                          for v in views})
         assert sched.schedule(views, 120.0) == \
             sched.schedule(ViewBatch.from_views(views), 120.0)
 
@@ -280,11 +263,15 @@ def run_coordinator_scenario(scenario):
 #: sha256 of each scenario's outputs (:func:`outputs_digest`), recorded
 #: while the coordinator still had two pipelines — the columnar pass and
 #: the per-object ``CoordinatorConfig(columnar=False)`` path — which gave
-#: the same digest on every scenario here.
+#: the same digest on every scenario here.  The none/lossy/crash digests
+#: were re-recorded once, when node-limited passes started counting in
+#: the ``scheduler_*`` metrics: the hashed payloads differed from the
+#: earlier ones in the four ``scheduler_{passes,step1_evaluations,
+#: step2_iterations,loss_evaluations}_total`` series alone.
 GOLDEN_DIGESTS = {
-    "none": "71a6dc1521253d00eeba1ba54b290f5403fd2b7bfde2fdd34b048b3fa08ece2d",
-    "lossy": "97782e95bded79d5819d7a7104a740193d0343fa79ce1a22b66f34ea813ef1e9",
-    "crash": "17207f7b423ec6151250374881f5e7678901ff80a26cd25a3096bd42e24acd73",
+    "none": "fb7682d725ac3bd3c2980ee6e4710626d1e86a1fbf8c81746f4c89dbddc27221",
+    "lossy": "9dcc3bca782286c5009cb075e6303fbc422a7e7b96e7f9f3c3a64e558ba99af2",
+    "crash": "994faf442993f2c829b5edc3006c4a73ff01f8ed3988b7d5a42f77d283acbd22",
     "alpha": "17b6c334ac056c327a57d09533b8d8f21d9cc157ff13fc9a324d4d5cb5f2fc3e",
     "fleet-chaos":
         "f4d50b8e60c4b7e8927025f95177b63fa976425fc518f1ad6aba3a1e84e586c2",
@@ -305,6 +292,21 @@ class TestCoordinatorColumnarEquivalence:
             GOLDEN_DIGESTS[name]
         # Every node is back to healthy by the end of each scenario.
         assert health_gauges(telemetry) == (3, 0, 0)
+
+    @pytest.mark.parametrize("scenario", ["none", "lossy", "crash"])
+    def test_every_pass_counts_in_scheduler_metrics(self, scenario):
+        # Node-limited passes included: each pass the coordinator did not
+        # skip is one Figure 3 pass in the scheduler's own counters.
+        _cluster, _coord, telemetry = run_coordinator_scenario(scenario)
+        snap = telemetry.snapshot()
+
+        def total(name):
+            return sum(pt["value"]
+                       for pt in snap["metrics"][name]["series"])
+
+        assert total("scheduler_passes_total") == \
+            total("cluster_global_passes_total") \
+            - total("cluster_passes_skipped_total")
 
     def test_alpha_predictor_paths_identical(self):
         # AlphaPredictor ignores interval_s, so the coordinator must mask

@@ -317,7 +317,6 @@ class TestZeroIntervalReports:
         ))
         batch = coord._view_batch_from_reports([report])
         assert not batch.has_signature[0]
-        assert batch[0].signature is None
 
 
 class TestCoordinatorAgentIndex:

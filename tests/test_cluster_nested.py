@@ -1,13 +1,12 @@
-"""Nested per-node budgets."""
+"""Nested per-node budgets: ``schedule(..., node_limits_w=...)``."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
-from repro.cluster.nested import NestedBudgetScheduler
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
-from repro.errors import ClusterError, SchedulingError
+from repro.errors import SchedulingError, UnitError
 from repro.experiments import run_experiment
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE
@@ -15,8 +14,10 @@ from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig
+from repro.telemetry import Telemetry
 from repro.units import ghz
 from repro.workloads.tiers import tiered_cluster_assignment
+from tests.conftest import node_power_w
 
 ratios = st.floats(0.05, 20.0)
 
@@ -37,33 +38,61 @@ def views_for(node_ratios: dict[int, list[float]]) -> list[ProcessorView]:
 
 class TestNestedScheduler:
     def test_node_limit_enforced_locally_only(self):
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         v = views_for({0: [10.0, 10.0], 1: [10.0, 10.0]})
-        schedule = sched.schedule_nested(v, None, {0: 150.0})
-        assert sched.node_power_w(schedule, 0) <= 150.0
-        assert sched.node_power_w(schedule, 1) == pytest.approx(280.0)
+        schedule = sched.schedule(v, None, node_limits_w={0: 150.0})
+        assert node_power_w(schedule, 0) <= 150.0
+        assert node_power_w(schedule, 1) == pytest.approx(280.0)
 
     def test_global_and_node_limits_compose(self):
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         v = views_for({0: [10.0, 10.0], 1: [10.0, 10.0]})
-        schedule = sched.schedule_nested(v, 300.0, {0: 100.0})
-        assert sched.node_power_w(schedule, 0) <= 100.0
+        schedule = sched.schedule(v, 300.0, node_limits_w={0: 100.0})
+        assert node_power_w(schedule, 0) <= 100.0
         assert schedule.total_power_w <= 300.0
 
     def test_unknown_node_rejected(self):
-        sched = NestedBudgetScheduler(POWER4_TABLE)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE)
         v = views_for({0: [1.0]})
         with pytest.raises(SchedulingError):
-            sched.schedule_nested(v, None, {5: 100.0})
+            sched.schedule(v, None, node_limits_w={5: 100.0})
+
+    def test_ceiling_validated_with_node_limits(self):
+        # The same checks as without node limits: a non-positive ceiling
+        # is a unit error, one below the ladder a scheduling error.
+        sched = FrequencyVoltageScheduler(POWER4_TABLE)
+        v = views_for({0: [1.0, 0.1]})
+        with pytest.raises(UnitError):
+            sched.schedule(v, node_limits_w={0: 100.0}, max_freq_hz=-5.0)
+        with pytest.raises(SchedulingError):
+            sched.schedule(v, node_limits_w={0: 100.0}, max_freq_hz=1e6)
+
+    def test_node_limits_count_in_scheduler_metrics(self):
+        tel = Telemetry()
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04,
+                                          telemetry=tel)
+        v = views_for({0: [10.0, 10.0], 1: [10.0, 10.0]})
+        schedule = sched.schedule(v, 250.0, node_limits_w={0: 100.0})
+        metrics = tel.snapshot()["metrics"]
+
+        def value(name):
+            return metrics[name]["series"][0]["value"]
+
+        assert value("scheduler_passes_total") == 1
+        assert value("scheduler_step1_evaluations_total") == 4
+        # Node 0's pass and the global pass both reduce.
+        assert value("scheduler_step2_iterations_total") == \
+            schedule.reduction_steps > 0
+        assert value("scheduler_loss_evaluations_total") > \
+            4 * len(POWER4_TABLE)
 
     def test_no_limits_matches_plain_schedule(self):
-        nested = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
-        plain = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         v = views_for({0: [5.0, 0.075], 1: [0.3, 1.0]})
         for limit in (None, 300.0):
-            a = nested.schedule_nested(v, limit)
-            b = plain.schedule(v, limit)
-            assert a.frequency_vector_hz() == b.frequency_vector_hz()
+            a = sched.schedule(v, limit, node_limits_w={})
+            b = sched.schedule(v, limit)
+            assert a == b
 
     @given(
         node_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -93,10 +122,10 @@ class TestNestedScheduler:
                       st.floats(total_procs * POWER4_TABLE.min_power_w,
                                 total_procs * 140.0)),
             label="global")
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
-        schedule = sched.schedule_nested(v, global_limit, node_limits)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
+        schedule = sched.schedule(v, global_limit, node_limits_w=node_limits)
         for n, limit in node_limits.items():
-            assert sched.node_power_w(schedule, n) <= limit + 1e-9
+            assert node_power_w(schedule, n) <= limit + 1e-9
         if global_limit is not None:
             assert schedule.total_power_w <= global_limit + 1e-9
 
@@ -108,10 +137,10 @@ class TestDelegatedBudgetShrink:
     a superset of the reductions at the higher one)."""
 
     def test_shrink_never_raises_any_processor(self):
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         v = views_for({0: [10.0, 0.3], 1: [5.0, 0.08]})
-        before = sched.schedule_nested(v, 400.0, {0: 180.0})
-        after = sched.schedule_nested(v, 300.0, {0: 180.0})
+        before = sched.schedule(v, 400.0, node_limits_w={0: 180.0})
+        after = sched.schedule(v, 300.0, node_limits_w={0: 180.0})
         for a, b in zip(before.assignments, after.assignments):
             assert (b.node_id, b.proc_id) == (a.node_id, a.proc_id)
             assert b.freq_hz <= a.freq_hz + 1e-9
@@ -135,20 +164,22 @@ class TestDelegatedBudgetShrink:
         floor = total * POWER4_TABLE.min_power_w
         b1 = data.draw(st.floats(floor, total * 140.0), label="budget")
         b2 = data.draw(st.floats(floor, b1), label="shrunk")
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
-        before = sched.schedule_nested(v, b1, {}, on_infeasible="floor")
-        after = sched.schedule_nested(v, b2, {}, on_infeasible="floor")
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
+        before = sched.schedule(v, b1, node_limits_w={},
+                                on_infeasible="floor")
+        after = sched.schedule(v, b2, node_limits_w={},
+                               on_infeasible="floor")
         for a, b in zip(before.assignments, after.assignments):
             assert b.freq_hz <= a.freq_hz + 1e-9
         assert after.total_power_w <= b2 + 1e-9
 
     def test_shrink_to_floor_never_raises(self):
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         v = views_for({0: [10.0, 10.0], 1: [0.075, 0.3]})
-        before = sched.schedule_nested(v, 350.0, {1: 120.0})
+        before = sched.schedule(v, 350.0, node_limits_w={1: 120.0})
         floor = 4 * POWER4_TABLE.min_power_w
-        after = sched.schedule_nested(v, floor, {1: 120.0},
-                                      on_infeasible="floor")
+        after = sched.schedule(v, floor, node_limits_w={1: 120.0},
+                               on_infeasible="floor")
         for a, b in zip(before.assignments, after.assignments):
             assert b.freq_hz <= a.freq_hz + 1e-9
         assert all(b.freq_hz == POWER4_TABLE.f_min_hz
@@ -190,13 +221,6 @@ class TestCoordinatorNodeLimits:
         coordinator.set_node_limit(0, None, sim.now_s)
         sim.run_for(0.3)
         assert cluster.node(0).cpu_power_w() > 200.0
-
-    def test_plain_scheduler_rejects_node_limits(self):
-        cluster, coordinator, sim = self._cluster(seed=9)
-        coordinator.scheduler = FrequencyVoltageScheduler(
-            cluster.nodes[0].machine.table)
-        with pytest.raises(ClusterError):
-            coordinator.set_node_limit(0, 100.0, sim.now_s)
 
 
 class TestClusterFailoverExperiment:

@@ -1,22 +1,19 @@
 """Scheduler composition and cross-seed robustness.
 
-The scheduler variants were designed to compose: per-processor power
-tables (``power_for``) are orthogonal to nested budgets
-(``schedule_nested``) and to the continuous step-1 replacement
-(``epsilon_constrained``).  These tests pin the compositions, and a
-cross-seed sweep pins the headline experiment shapes against seed luck.
+Per-part power scales (``power_scales``) are orthogonal to nested
+budgets (``node_limits_w``): both are inputs to the one Figure 3 pass.
+These tests pin the composition, and a cross-seed sweep pins the
+headline experiment shapes against seed luck.
 """
 
 import pytest
 
-from repro.cluster.nested import NestedBudgetScheduler
-from repro.core.continuous import ContinuousFrequencyScheduler
-from repro.core.hetero import HeterogeneousScheduler
-from repro.core.scheduler import ProcessorView
+from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
 from repro.experiments import run_experiment
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE
-from repro.units import ghz, mhz
+from repro.units import ghz
+from tests.conftest import node_power_w
 
 
 def sig(ratio: float) -> WorkloadSignature:
@@ -24,48 +21,22 @@ def sig(ratio: float) -> WorkloadSignature:
                              mem_time_per_instr_s=0.65 / ratio / ghz(1.0))
 
 
-class HeteroNestedScheduler(NestedBudgetScheduler, HeterogeneousScheduler):
-    """Nested budgets over corner-lot parts: pure composition."""
-
-
-class ContinuousHeteroScheduler(ContinuousFrequencyScheduler,
-                                HeterogeneousScheduler):
-    """f_ideal step 1 over corner-lot parts."""
-
-
 class TestSchedulerComposition:
     def test_hetero_nested_respects_both_dimensions(self):
-        sched = HeteroNestedScheduler(POWER4_TABLE, epsilon=0.04)
-        sched.set_processor_table(0, 0, POWER4_TABLE.scaled_power(1.5))
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04,
+                                          power_scales={(0, 0): 1.5})
         views = [
             ProcessorView(node_id=0, proc_id=0, signature=sig(10.0)),
             ProcessorView(node_id=0, proc_id=1, signature=sig(10.0)),
             ProcessorView(node_id=1, proc_id=0, signature=sig(10.0)),
         ]
-        schedule = sched.schedule_nested(views, 400.0, {0: 250.0})
+        schedule = sched.schedule(views, 400.0, node_limits_w={0: 250.0})
         # Node 0's limit accounts for the leaky part's true draw.
-        assert sched.node_power_w(schedule, 0) <= 250.0
+        assert node_power_w(schedule, 0) <= 250.0
         assert schedule.total_power_w <= 400.0
         leaky = schedule.assignment_for(0, 0)
         assert leaky.power_w == pytest.approx(
             1.5 * POWER4_TABLE.power_at(leaky.freq_hz))
-
-    def test_continuous_hetero_composes(self):
-        sched = ContinuousHeteroScheduler(POWER4_TABLE, epsilon=0.04)
-        sched.set_processor_table(0, 1, POWER4_TABLE.scaled_power(1.3))
-        views = [
-            ProcessorView(node_id=0, proc_id=0, signature=sig(0.075)),
-            ProcessorView(node_id=0, proc_id=1, signature=sig(0.075)),
-        ]
-        schedule = sched.schedule(views, power_limit_w=120.0)
-        # Step 1 from the continuous form (650 rung for this ratio)...
-        assert all(a.eps_freq_hz == mhz(650)
-                   for a in schedule.assignments)
-        # ...step 2 against per-part power.
-        assert schedule.total_power_w <= 120.0
-        assert schedule.assignment_for(0, 1).power_w == pytest.approx(
-            1.3 * POWER4_TABLE.power_at(
-                schedule.assignment_for(0, 1).freq_hz))
 
 
 class TestCrossSeedRobustness:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.baselines import (
     NoManagementGovernor,
     PowerDownGovernor,
-    StaticOracleGovernor,
     UniformScalingGovernor,
     UtilizationGovernor,
     uniform_cap_frequency,
@@ -136,24 +135,3 @@ class TestUtilization:
         with pytest.raises(SchedulingError):
             UtilizationGovernor(machine(), up_threshold=0.4,
                                 down_threshold=0.5)
-
-
-class TestStaticOracle:
-    def test_uses_ground_truth_signatures(self):
-        m = machine(num_cores=2)
-        m.assign(0, profile_by_name("mcf").job(loop=True))
-        g = StaticOracleGovernor(m, epsilon=0.04)
-        sim = Simulation(m)
-        g.attach(sim)
-        # mcf's first loop phase saturates at 650; idle core floor-pinned.
-        assert m.core(0).frequency_setting_hz == mhz(650)
-        assert m.core(1).frequency_setting_hz == mhz(250)
-
-    def test_budget_pass_applies(self):
-        m = machine(num_cores=4)
-        for i in range(4):
-            m.assign(i, profile_by_name("gzip").job(loop=True))
-        g = StaticOracleGovernor(m, power_limit_w=294.0, epsilon=0.04)
-        sim = Simulation(m)
-        g.attach(sim)
-        assert m.cpu_power_w() <= 294.0

@@ -1,14 +1,13 @@
-"""Heterogeneous (process-variation) scheduling."""
+"""Heterogeneous (process-variation) scheduling: per-part power scales."""
 
 import pytest
 
-from repro.core.hetero import HeterogeneousScheduler
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
-from repro.errors import SchedulingError
+from repro.errors import PowerModelError
 from repro.experiments import run_experiment
 from repro.model.ipc import WorkloadSignature
-from repro.power.table import POWER4_TABLE, FrequencyPowerTable
-from repro.units import ghz, mhz
+from repro.power.table import POWER4_TABLE
+from repro.units import ghz
 
 
 def sig(ratio: float) -> WorkloadSignature:
@@ -21,35 +20,49 @@ def views(*ratios):
             for i, r in enumerate(ratios)]
 
 
-class TestHeterogeneousScheduler:
+class TestPowerScales:
     def test_defaults_to_base_table(self):
-        sched = HeterogeneousScheduler(POWER4_TABLE)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE)
         assert sched.power_for(0, 0, ghz(1.0)) == 140.0
-        assert sched.table_for(0, 0) is POWER4_TABLE
+        assert sched.power_scales == {}
 
     def test_per_processor_override(self):
-        sched = HeterogeneousScheduler.from_scales(
-            POWER4_TABLE, {(0, 1): 1.2})
+        sched = FrequencyVoltageScheduler(POWER4_TABLE,
+                                          power_scales={(0, 1): 1.2})
         assert sched.power_for(0, 0, ghz(1.0)) == 140.0
         assert sched.power_for(0, 1, ghz(1.0)) == pytest.approx(168.0)
 
-    def test_mismatched_frequency_set_rejected(self):
-        other = FrequencyPowerTable({mhz(500): 35.0, mhz(900): 109.0})
-        sched = HeterogeneousScheduler(POWER4_TABLE)
-        with pytest.raises(SchedulingError):
-            sched.set_processor_table(0, 0, other)
+    @pytest.mark.parametrize("scale", [0.0, -1.2, float("nan"),
+                                       float("inf")])
+    def test_non_positive_scale_rejected(self, scale):
+        with pytest.raises(PowerModelError):
+            FrequencyVoltageScheduler(POWER4_TABLE,
+                                      power_scales={(0, 0): 1.1,
+                                                    (0, 1): scale})
+
+    def test_scaled_power_is_the_scaled_table(self):
+        # Every rung of a scaled part draws exactly what a table built by
+        # ``scaled_power`` lists: same IEEE products, no tolerance.
+        scales = {(0, 0): 1.25, (0, 1): 0.9, (0, 2): 1.15}
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, power_scales=scales)
+        for (node, proc), scale in scales.items():
+            scaled = POWER4_TABLE.scaled_power(scale)
+            assert [sched.power_for(node, proc, f)
+                    for f in POWER4_TABLE.freqs_hz] == list(scaled.powers_w)
+            assert sched.power_ladders([node], [proc])[0].tolist() == \
+                list(scaled.powers_w)
 
     def test_schedule_totals_use_per_part_power(self):
-        sched = HeterogeneousScheduler.from_scales(
-            POWER4_TABLE, {(0, 0): 1.5, (0, 1): 1.5})
+        sched = FrequencyVoltageScheduler(
+            POWER4_TABLE, power_scales={(0, 0): 1.5, (0, 1): 1.5})
         schedule = sched.schedule(views(0.075, 0.075))
         assert schedule.total_power_w == pytest.approx(2 * 57.0 * 1.5)
 
     def test_budget_enforced_against_true_draw(self):
         # Two leaky CPU-bound parts: a homogeneous scheduler would stop at
         # 2 x 140 = 280 <= 300, but the true draw is 1.5x.
-        hetero = HeterogeneousScheduler.from_scales(
-            POWER4_TABLE, {(0, 0): 1.5, (0, 1): 1.5})
+        hetero = FrequencyVoltageScheduler(
+            POWER4_TABLE, power_scales={(0, 0): 1.5, (0, 1): 1.5})
         schedule = hetero.schedule(views(50.0, 50.0), power_limit_w=300.0)
         assert schedule.total_power_w <= 300.0
         homogeneous = FrequencyVoltageScheduler(POWER4_TABLE)
@@ -63,15 +76,15 @@ class TestHeterogeneousScheduler:
         # paper's metric is loss-based so ties break by proc id; but the
         # *budget* converges faster per step on the leaky part — total
         # power after scheduling must satisfy the limit either way.
-        sched = HeterogeneousScheduler.from_scales(
-            POWER4_TABLE, {(0, 1): 2.0})
+        sched = FrequencyVoltageScheduler(POWER4_TABLE,
+                                          power_scales={(0, 1): 2.0})
         schedule = sched.schedule(views(0.075, 0.075),
                                   power_limit_w=160.0)
         assert schedule.total_power_w <= 160.0
 
     def test_equal_scales_match_base_scheduler(self):
-        hetero = HeterogeneousScheduler.from_scales(
-            POWER4_TABLE, {(0, i): 1.0 for i in range(3)})
+        hetero = FrequencyVoltageScheduler(
+            POWER4_TABLE, power_scales={(0, i): 1.0 for i in range(3)})
         base = FrequencyVoltageScheduler(POWER4_TABLE)
         v = views(10.0, 0.3, 0.075)
         for limit in (None, 250.0, 120.0):

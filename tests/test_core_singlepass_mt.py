@@ -1,12 +1,13 @@
-"""The single-pass scheduler on the paper's cases, and the multi-threaded
-daemon."""
+"""The single-pass scheduler on the paper's cases, and the daemon with
+Section 9's per-processor threads (``OverheadModel.per_core``)."""
 
 import pytest
 
-from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
-from repro.core.daemon_mt import (
-    MultithreadedFvsstDaemon,
-    MultithreadOverheadModel,
+from repro.core.daemon import (
+    PER_CORE_OVERHEAD,
+    DaemonConfig,
+    FvsstDaemon,
+    OverheadModel,
 )
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
 from repro.errors import InfeasibleBudgetError
@@ -66,40 +67,48 @@ class TestMultithreadedDaemon:
         return m
 
     def test_schedules_like_the_single_threaded_daemon(self):
-        def freq_vector(cls, seed):
+        def freq_vector(per_core, seed):
             m = self._machine(seed)
-            kwargs = {}
-            if cls is MultithreadedFvsstDaemon:
-                kwargs["mt_overhead"] = MultithreadOverheadModel(
-                    enabled=False)
-                config = DaemonConfig(counter_noise_sigma=0.0)
-            else:
-                config = DaemonConfig(
-                    counter_noise_sigma=0.0,
-                    overhead=OverheadModel(enabled=False))
-            d = cls(m, config, seed=seed + 1, **kwargs)
+            config = DaemonConfig(
+                counter_noise_sigma=0.0,
+                overhead=OverheadModel(enabled=False, per_core=per_core))
+            d = FvsstDaemon(m, config, seed=seed + 1)
             sim = Simulation(m)
             d.attach(sim)
             sim.run_for(1.0)
             return m.frequency_vector_hz()
 
-        assert freq_vector(FvsstDaemon, 3) == \
-            freq_vector(MultithreadedFvsstDaemon, 3)
+        assert freq_vector(False, 3) == freq_vector(True, 3)
+
+    def _stolen_per_core(self, daemon) -> list[float]:
+        sim = Simulation(daemon.machine)
+        daemon.attach(sim)
+        sim.run_for(1.0)
+        return [c.overhead_executed_s for c in daemon.machine.cores]
 
     def test_overhead_distributed_across_cores(self):
         m = self._machine(4)
-        d = MultithreadedFvsstDaemon(
-            m, DaemonConfig(counter_noise_sigma=0.0, daemon_core=0),
-            seed=5)
-        sim = Simulation(m)
-        d.attach(sim)
-        sim.run_for(1.0)
-        stolen = [c.overhead_executed_s for c in m.cores]
+        stolen = self._stolen_per_core(FvsstDaemon(
+            m, DaemonConfig(counter_noise_sigma=0.0, daemon_core=0,
+                            overhead=PER_CORE_OVERHEAD),
+            seed=5))
         # Every core pays for its own collector thread.
         assert all(s > 0 for s in stolen)
         # And no single core pays for everyone (the single-threaded
         # pathology): core 0 carries only the scheduling calculation on
         # top of its own collector (~1.5 ms vs ~0.6 ms over one second).
+        assert stolen[0] < 5 * stolen[3]
+
+    def test_with_config_keeps_per_core_charging(self):
+        m = self._machine(4)
+        d = FvsstDaemon(
+            m, DaemonConfig(counter_noise_sigma=0.0, daemon_core=0,
+                            overhead=PER_CORE_OVERHEAD),
+            seed=5)
+        swept = d.with_config(epsilon=0.08)
+        assert swept.config.overhead is PER_CORE_OVERHEAD
+        stolen = self._stolen_per_core(swept)
+        assert all(s > 0 for s in stolen)
         assert stolen[0] < 5 * stolen[3]
 
     def test_single_threaded_concentrates_overhead(self):
@@ -115,8 +124,9 @@ class TestMultithreadedDaemon:
 
     def test_mt_budget_compliance(self):
         m = self._machine(8)
-        d = MultithreadedFvsstDaemon(
-            m, DaemonConfig(counter_noise_sigma=0.0, power_limit_w=294.0),
+        d = FvsstDaemon(
+            m, DaemonConfig(counter_noise_sigma=0.0, power_limit_w=294.0,
+                            overhead=PER_CORE_OVERHEAD),
             seed=9)
         sim = Simulation(m)
         d.attach(sim)

@@ -165,16 +165,14 @@ class TestMachineEdgeCases:
 
 class TestMultithreadDaemonStructuredOverheadOff:
     def test_disabled_mt_overhead_is_free(self):
-        from repro.core.daemon import DaemonConfig
-        from repro.core.daemon_mt import (
-            MultithreadedFvsstDaemon,
-            MultithreadOverheadModel,
-        )
+        from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
         m = make_machine(2)
         m.assign(0, profile_by_name("mcf").job(loop=True))
-        d = MultithreadedFvsstDaemon(
-            m, DaemonConfig(counter_noise_sigma=0.0),
-            mt_overhead=MultithreadOverheadModel(enabled=False), seed=1)
+        d = FvsstDaemon(
+            m, DaemonConfig(counter_noise_sigma=0.0,
+                            overhead=OverheadModel(enabled=False,
+                                                   per_core=True)),
+            seed=1)
         sim = Simulation(m)
         d.attach(sim)
         sim.run_for(1.0)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.scheduler import FrequencyVoltageScheduler
 from repro.errors import ModelError
 from repro.model.ideal import ideal_frequency
 from repro.model.ipc import WorkloadSignature
 from repro.model.perf import perf
+from repro.power.table import POWER4_TABLE
 from repro.units import ghz
 
 
@@ -71,3 +73,35 @@ class TestIdealFrequency:
                             f_min_hz=ghz(0.25),
                             ipc_threshold=float("inf"))
         assert ghz(0.25) <= f <= ghz(1.0)
+
+
+def ratio_signature(ratio: float) -> WorkloadSignature:
+    return WorkloadSignature(core_cpi=0.65,
+                             mem_time_per_instr_s=0.65 / ratio / ghz(1.0))
+
+
+def quantized_ideal(signature: WorkloadSignature) -> float:
+    """Section 5's continuous ``f_ideal``, quantised up to Table 1."""
+    return POWER4_TABLE.quantize_up(ideal_frequency(
+        signature, POWER4_TABLE.f_max_hz, epsilon=0.04,
+        f_min_hz=POWER4_TABLE.f_min_hz))
+
+
+class TestClosedFormOnTheLadder:
+    """The closed form stands in for step 1's per-rung loss scan."""
+
+    def test_agrees_with_discrete_within_one_rung(self):
+        discrete = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
+        for ratio in (5.0, 1.0, 0.3, 0.12, 0.075, 0.05):
+            f_d, _ = discrete.epsilon_constrained(ratio_signature(ratio))
+            f_c = quantized_ideal(ratio_signature(ratio))
+            steps = abs(POWER4_TABLE.index_of(f_d)
+                        - POWER4_TABLE.index_of(f_c))
+            assert steps <= 1, f"ratio {ratio}: {f_d} vs {f_c}"
+
+    def test_quantize_up_never_exceeds_epsilon(self):
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
+        for ratio in (1.0, 0.3, 0.12, 0.075):
+            signature = ratio_signature(ratio)
+            loss = sched.predicted_loss(signature, quantized_ideal(signature))
+            assert loss < 0.04 + 1e-9

@@ -5,7 +5,8 @@ and step 2 through a heap; this file re-implements the pre-vectorisation
 algorithm — pointwise epsilon-constrained selection, rescanning greedy
 reduction — and asserts *exact* float equality of every assignment field
 on randomized 256-processor populations (idle signals, missing
-signatures, tight/infeasible budgets, frequency ceilings included).
+signatures, tight/infeasible budgets, frequency ceilings, per-part power
+scales, per-node limits and SLO floors included).
 """
 
 import numpy as np
@@ -19,12 +20,16 @@ from repro.power.vf_curve import LinearVFCurve
 from repro.units import ghz
 
 
-def _reference_schedule(sched, views, power_limit_w, max_freq_hz=None):
+def _reference_schedule(sched, views, power_limit_w, max_freq_hz=None,
+                        min_freqs_hz=None, node_limits_w=None):
     """Figure 3 as literal per-processor loops (the pre-vectorised path).
 
     Uses only the scheduler's *pointwise* hooks (``epsilon_constrained``,
     ``predicted_loss``, ``power_for``) so any drift between the scalar
-    model and the matrix path fails the comparison.
+    model and the matrix path fails the comparison.  SLO floors are
+    quantised up, win over the idle pin and the ceiling, and bound every
+    reduction; each node limit runs its own rescanning loop over that
+    node's processors, in node-id order, before the global loop.
     """
     table = sched.table
     freqs_hz = table.freqs_hz
@@ -40,32 +45,50 @@ def _reference_schedule(sched, views, power_limit_w, max_freq_hz=None):
     if max_freq_hz is not None:
         cap = table.index_of(table.quantize_down(max_freq_hz))
         idx = [min(k, cap) for k in idx]
+    floors = min_freqs_hz or {}
+    lo = [table.index_of(table.quantize_up(floors[v.node_id]))
+          if v.node_id in floors else 0 for v in views]
+    idx = [max(k, f) for k, f in zip(idx, lo)]
 
-    steps = 0
-    infeasible = False
-    if power_limit_w is not None:
+    def reduce(members, limit_w):
+        """One rescanning step-2 loop over ``views[i]`` for ``members``."""
         def total():
             return sum(
-                sched.power_for(v.node_id, v.proc_id, freqs_hz[idx[i]])
-                for i, v in enumerate(views)
+                sched.power_for(views[i].node_id, views[i].proc_id,
+                                freqs_hz[idx[i]])
+                for i in members
             )
+        steps = 0
         t = total()
-        while t > power_limit_w:
+        while t > limit_w:
             candidates = []
-            for i, v in enumerate(views):
+            for i in members:
+                v = views[i]
                 k = idx[i]
-                if k == 0:
+                if k <= lo[i]:
                     continue
                 loss = 0.0 if v.idle_signaled else sched.predicted_loss(
                     v.signature, freqs_hz[k - 1])
                 candidates.append((loss, v.node_id, v.proc_id, i))
             if not candidates:
-                infeasible = True
-                break
+                return steps, True
             _, _, _, i = min(candidates)
             idx[i] -= 1
             steps += 1
             t = total()
+        return steps, False
+
+    steps = 0
+    infeasible = False
+    passes = [([i for i, v in enumerate(views) if v.node_id == node_id],
+               limit_w)
+              for node_id, limit_w in sorted((node_limits_w or {}).items())]
+    if power_limit_w is not None:
+        passes.append((list(range(len(views))), power_limit_w))
+    for members, limit_w in passes:
+        pass_steps, pass_infeasible = reduce(members, limit_w)
+        steps += pass_steps
+        infeasible = infeasible or pass_infeasible
 
     assignments = []
     for i, v in enumerate(views):
@@ -102,11 +125,30 @@ def _random_views(rng, n):
     return views
 
 
-def _assert_matches_reference(sched, views, limit, max_freq_hz=None):
+def _random_limits(rng, views):
+    """Per-part power scales in 0.9-1.25, limits on about a third of the
+    nodes (some below their own floor power), floors on about a quarter."""
+    scales = {(v.node_id, v.proc_id): float(rng.uniform(0.9, 1.25))
+              for v in views}
+    node_limits, floors = {}, {}
+    for node_id in sorted({v.node_id for v in views}):
+        if rng.uniform() < 1 / 3:
+            node_limits[node_id] = float(
+                rng.uniform(0.05, 1.0)) * 4 * POWER4_TABLE.max_power_w
+        if rng.uniform() < 0.25:
+            floors[node_id] = float(rng.uniform(POWER4_TABLE.f_min_hz,
+                                                POWER4_TABLE.f_max_hz))
+    return scales, node_limits, floors
+
+
+def _assert_matches_reference(sched, views, limit, max_freq_hz=None,
+                              min_freqs_hz=None, node_limits_w=None):
     expected, total_w, steps, infeasible = _reference_schedule(
-        sched, views, limit, max_freq_hz)
+        sched, views, limit, max_freq_hz, min_freqs_hz, node_limits_w)
     got = sched.schedule(views, power_limit_w=limit,
-                         max_freq_hz=max_freq_hz)
+                         node_limits_w=node_limits_w,
+                         max_freq_hz=max_freq_hz,
+                         min_freqs_hz=min_freqs_hz)
     actual = [(a.node_id, a.proc_id, a.freq_hz, a.voltage, a.power_w,
                a.predicted_loss, a.eps_freq_hz) for a in got.assignments]
     assert actual == expected          # exact — no tolerances anywhere
@@ -144,6 +186,23 @@ def test_worked_example_ladder_matches_reference():
     sched = FrequencyVoltageScheduler(WORKED_EXAMPLE_TABLE)
     peak = 32 * WORKED_EXAMPLE_TABLE.max_power_w
     _assert_matches_reference(sched, _random_views(rng, 32), 0.7 * peak)
+
+
+@pytest.mark.parametrize("limit,max_freq_hz", [
+    (None, None),                                    # step 1 and node limits
+    (0.85 * PEAK_256, None),                         # loose
+    (0.45 * PEAK_256, None),                         # tight
+    (0.6 * PEAK_256, ghz(0.8)),                      # tight, with a ceiling
+    (256 * POWER4_TABLE.min_power_w * 0.5, None),    # infeasible
+])
+def test_random_256_scaled_parts_with_limits_and_floors_match_reference(
+        limit, max_freq_hz):
+    rng = np.random.default_rng(20051017)
+    views = _random_views(rng, 256)
+    scales, node_limits, floors = _random_limits(rng, views)
+    sched = FrequencyVoltageScheduler(POWER4_TABLE, power_scales=scales)
+    _assert_matches_reference(sched, views, limit, max_freq_hz=max_freq_hz,
+                              min_freqs_hz=floors, node_limits_w=node_limits)
 
 
 class TestVoltageSelectorCache:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.hierarchy import FleetAllocator, FleetConfig
-from repro.cluster.nested import NestedBudgetScheduler
 from repro.core.scheduler import (
     FrequencyVoltageScheduler,
     ProcessorView,
@@ -310,22 +309,22 @@ class TestSchedulerFloors:
                            min_freqs_hz={0: -1.0})
 
     def test_nested_respects_floors_inside_node_limits(self):
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         views = [pview(0, 0, sig(10.0)), pview(0, 1, sig(10.0)),
                  pview(1, 0, sig(10.0)), pview(1, 1, sig(10.0))]
-        schedule = sched.schedule_nested(
-            views, 400.0, {0: 170.0, 1: 170.0},
+        schedule = sched.schedule(
+            views, 400.0, node_limits_w={0: 170.0, 1: 170.0},
             min_freqs_hz={0: mhz(700)})
         for a in schedule.assignments:
             if a.node_id == 0:
                 assert a.freq_hz >= mhz(700)
 
     def test_nested_floors_none_identical_to_default(self):
-        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
+        sched = FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.04)
         views = [pview(0, 0, sig(10.0)), pview(1, 0, sig(0.1))]
-        base = sched.schedule_nested(views, 250.0, {0: 120.0})
-        again = sched.schedule_nested(views, 250.0, {0: 120.0},
-                                      min_freqs_hz=None)
+        base = sched.schedule(views, 250.0, node_limits_w={0: 120.0})
+        again = sched.schedule(views, 250.0, node_limits_w={0: 120.0},
+                               min_freqs_hz=None)
         assert again.assignments == base.assignments
 
 

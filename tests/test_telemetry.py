@@ -259,7 +259,7 @@ class TestRegistry:
 
 class TestConcurrency:
     def test_threaded_counters_and_histograms_are_exact(self):
-        """The daemon_mt design hammers one registry from many threads."""
+        """Per-processor daemon threads would hammer one registry at once."""
         registry = MetricsRegistry()
         counter = registry.counter("ops_total")
         hist = registry.histogram("lat", buckets=(0.5, 1.5))

@@ -16,8 +16,12 @@ import pytest
 from repro.cli import main as cli_main
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.hierarchy import FleetAllocator, FleetConfig
-from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
-from repro.core.daemon_mt import MultithreadedFvsstDaemon
+from repro.core.daemon import (
+    PER_CORE_OVERHEAD,
+    DaemonConfig,
+    FvsstDaemon,
+    OverheadModel,
+)
 from repro.exec.runner import ParallelRunner
 from repro.power.supply import SupplyBank
 from repro.sim.cluster import Cluster
@@ -134,8 +138,9 @@ class TestDaemonInstrumentation:
         tel = Telemetry()
         machine = quiet_machine(num_cores=2)
         machine.assign(1, profile_by_name("mcf").job(loop=True))
-        daemon = MultithreadedFvsstDaemon(
-            machine, DaemonConfig(counter_noise_sigma=0.0, daemon_core=0),
+        daemon = FvsstDaemon(
+            machine, DaemonConfig(counter_noise_sigma=0.0, daemon_core=0,
+                                  overhead=PER_CORE_OVERHEAD),
             telemetry=tel, seed=5)
         sim = Simulation(machine)
         daemon.attach(sim)
@@ -286,9 +291,9 @@ class TestMetricCatalog:
             machine = SMPMachine(MachineConfig(num_cores=2), seed=0)
             machine.assign(0, profile_by_name("gzip").job(loop=True))
             daemon = FvsstDaemon(machine, DaemonConfig(), seed=3)
-            MultithreadedFvsstDaemon(
+            FvsstDaemon(
                 SMPMachine(MachineConfig(num_cores=2), seed=0),
-                DaemonConfig(), seed=4)
+                DaemonConfig(overhead=PER_CORE_OVERHEAD), seed=4)
             sim = Simulation(machine)
             daemon.attach(sim)
             sim.run_for(0.05)
