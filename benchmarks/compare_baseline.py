@@ -33,6 +33,7 @@ MAX_RATIO_FOR = {
     "test_bench_advance_1024_nodes_10s": 5.0,
     "test_bench_advance_16_nodes_100s": 2.0,
     "test_bench_serving_advance": 5.0,
+    "test_bench_agent_sample_tick": 5.0,
 }
 
 

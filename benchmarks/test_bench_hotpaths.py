@@ -277,6 +277,30 @@ class TestBenchCounterPath:
         sample = benchmark(sample_tick)
         assert sample.interval_s > 0
 
+    def test_bench_agent_sample_tick(self, benchmark):
+        """One noisy tick of a coordinator's agent sampler over 256 x 4
+        resident lanes: one gather from the fleet's counter columns, one
+        block delta, two window-sum adds (a noise refill every 16th)."""
+        from repro.cluster.coordinator import ClusterCoordinator
+        from repro.sim.cluster import Cluster
+        from repro.sim.driver import Simulation
+        from repro.workloads.tiers import tiered_cluster_assignment
+
+        cluster = Cluster.homogeneous(
+            256, machine_config=MachineConfig(num_cores=4), seed=2)
+        cluster.assign_all(tiered_cluster_assignment(256, 4))
+        coord = ClusterCoordinator(cluster, seed=3)
+        assert coord.config.counter_noise_sigma > 0.0
+        sim = Simulation(cluster.machines)
+        coord.attach(sim)
+        sim.run_for(0.005)   # the fleet is live; no tick has fired yet
+        core = cluster.nodes[0].machine.cores[0]
+        assert core._fleet is not None and core._fleet._valid
+        tick = coord._sampler._on_tick
+
+        benchmark(tick, sim.now_s)
+        assert coord._sampler.since_confirm.shape == (8, 1024)
+
     def test_bench_prediction(self, benchmark):
         predictor = CounterPredictor(POWER4_LATENCIES)
         sample = CounterSample(
@@ -295,22 +319,22 @@ class TestBenchCounterPath:
 
 
 def _node_reports(nodes: int, procs: int, seed: int = 17, start: int = 0):
-    from repro.cluster.protocol import NodeReport, ProcReport
+    from repro.cluster.protocol import REPORT_FIELDS, NodeReport
     rng = np.random.default_rng(seed)
     reports = []
     for n in range(start, start + nodes):
-        prs = []
+        counters = np.zeros((len(REPORT_FIELDS), procs))
         for p in range(procs):
             instr = float(rng.uniform(5e5, 5e6))
-            prs.append(ProcReport(
-                proc_id=p, instructions=instr,
-                cycles=instr * float(rng.uniform(0.8, 2.5)),
-                n_l2=float(rng.uniform(0.0, 2e4)),
-                n_l3=float(rng.uniform(0.0, 8e3)),
-                n_mem=float(rng.uniform(0.0, 4e3)),
-                l1_stall_cycles=float(rng.uniform(0.0, 1e5)),
-                halted_cycles=0.0, interval_s=0.1, idle_signaled=False))
-        reports.append(NodeReport(node_id=n, time_s=0.1, procs=tuple(prs)))
+            counters[:, p] = (instr, instr * float(rng.uniform(0.8, 2.5)),
+                              float(rng.uniform(0.0, 2e4)),
+                              float(rng.uniform(0.0, 8e3)),
+                              float(rng.uniform(0.0, 4e3)),
+                              float(rng.uniform(0.0, 1e5)), 0.0, 0.1)
+        reports.append(NodeReport(node_id=n, time_s=0.1,
+                                  proc_ids=tuple(range(procs)),
+                                  counters=counters,
+                                  idle_signaled=(False,) * procs))
     return reports
 
 

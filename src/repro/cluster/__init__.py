@@ -23,7 +23,7 @@ substrate:
 """
 
 from .protocol import (
-    ProcReport,
+    REPORT_FIELDS,
     NodeReport,
     FrequencyCommand,
     ShardSummary,
@@ -48,7 +48,7 @@ from .hierarchy import (
 )
 
 __all__ = [
-    "ProcReport",
+    "REPORT_FIELDS",
     "NodeReport",
     "FrequencyCommand",
     "ShardSummary",

@@ -1,4 +1,4 @@
-"""The per-node agent.
+"""The per-node agent, and the sampler its coordinator runs.
 
 Each node runs a lightweight agent (the cluster analogue of the fvsst
 daemon's data-collection half): it samples local counters every ``t``,
@@ -6,6 +6,12 @@ aggregates them into per-processor summaries, and on request produces a
 :class:`~repro.cluster.protocol.NodeReport`.  Frequency commands from the
 coordinator are applied locally through the same actuators the single-node
 daemon uses.
+
+Sampling is columnar: the agents of one coordinator share one
+:class:`AgentSampler` and one periodic event, which reads the counters of
+all their cores at once (:func:`~repro.sim.fleet.gather_counters`) into a
+:class:`~repro.sim.counters.CounterBlock`, a row per core, and adds the
+deltas into array windows.  A lone agent runs the one-agent case.
 
 Two delivery-failure rules matter on a lossy network:
 
@@ -19,17 +25,20 @@ Two delivery-failure rules matter on a lossy network:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ClusterError
-from ..sim.counters import CounterReader, CounterSample
+from ..sim.counters import CounterBlock
 from ..sim.driver import Simulation
+from ..sim.fleet import gather_counters
 from ..sim.node import ClusterNode
 from ..sim.rng import spawn_rngs
 from ..telemetry import EVENT_FREQUENCY_CHANGE, Telemetry, get_telemetry
 from ..units import check_positive
 from .faults import FaultSchedule
-from .protocol import FrequencyCommand, NodeReport, ProcReport
+from .protocol import REPORT_FIELDS, FrequencyCommand, NodeReport
 
-__all__ = ["NodeAgent"]
+__all__ = ["NodeAgent", "AgentSampler"]
 
 
 class NodeAgent:
@@ -45,6 +54,7 @@ class NodeAgent:
         check_positive(sample_period_s, "sample_period_s")
         self.node = node
         self.sample_period_s = sample_period_s
+        self.counter_noise_sigma = counter_noise_sigma
         self.idle_detection = idle_detection
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.faults = faults
@@ -57,34 +67,22 @@ class NodeAgent:
         self._m_commands = m.counter(
             "agent_commands_applied_total",
             "Frequency commands applied by node agents")
-        rngs = spawn_rngs(seed, node.machine.num_cores)
-        self.readers = [
-            CounterReader(core.counters, noise_sigma=counter_noise_sigma,
-                          rng=rngs[i])
-            for i, core in enumerate(node.machine.cores)
-        ]
-        self._windows: list[list[CounterSample]] = [
-            [] for _ in node.machine.cores
-        ]
+        #: One read-noise stream per processor.
+        self._rngs = spawn_rngs(seed, node.machine.num_cores)
         self._idle_flags = [False] * node.machine.num_cores
         self._attached = False
-        #: Samples per window covered by the last unconfirmed report.
-        self._pending_counts: list[int] | None = None
+        #: Whether a report awaits :meth:`confirm_report`.
+        self._pending = False
         #: Decision time of the newest applied command (stale-command guard).
         self._last_command_time_s = float("-inf")
-        self._was_crashed = False
+        # Sets ``_sampler`` and this agent's ``_cols`` in its windows (a
+        # coordinator regroups its agents under one sampler).
+        AgentSampler([self])
 
     def attach(self, sim: Simulation) -> None:
-        """Install the periodic local sampler."""
-        if self._attached:
-            raise ClusterError(f"agent of node {self.node.node_id} already attached")
-        self._attached = True
-        if self.idle_detection:
-            for core in self.node.machine.cores:
-                core.idle_detector.enabled = True
-                core.idle_detector.subscribe(self._on_idle_signal)
-        sim.every(self.sample_period_s, self._on_sample,
-                  name=f"agent-n{self.node.node_id}-sample")
+        """Install the periodic sampler of this agent's group (this agent
+        alone, unless a coordinator grouped it)."""
+        self._sampler.attach(sim)
 
     # -- crash state -------------------------------------------------------------
 
@@ -94,26 +92,6 @@ class NodeAgent:
             return True
         return (self.faults is not None
                 and self.faults.node_crashed(self.node.node_id, now_s))
-
-    def _on_sample(self, now_s: float) -> None:
-        if self.crashed(now_s):
-            if not self._was_crashed:
-                # The crash wiped the agent's process state: windows and
-                # any unconfirmed report snapshot are gone.
-                self._was_crashed = True
-                for window in self._windows:
-                    window.clear()
-                self._pending_counts = None
-            # The counters keep running under the crashed agent; discard
-            # the unobserved interval so recovery starts a clean window.
-            for reader in self.readers:
-                reader.sample(now_s)
-            return
-        self._was_crashed = False
-        for i, reader in enumerate(self.readers):
-            self._windows[i].append(reader.sample(now_s))
-        if self.telemetry.enabled:
-            self._m_samples.inc(len(self.readers))
 
     def _on_idle_signal(self, core_id: int, is_idle: bool) -> None:
         self._idle_flags[core_id] = is_idle
@@ -129,25 +107,15 @@ class NodeAgent:
         simply superseded: the next one covers the same samples plus
         whatever accumulated since.
         """
-        procs = []
-        self._pending_counts = [len(w) for w in self._windows]
-        for i, window in enumerate(self._windows):
-            procs.append(ProcReport(
-                proc_id=i,
-                instructions=sum(s.instructions for s in window),
-                cycles=sum(s.cycles for s in window),
-                n_l2=sum(s.n_l2 for s in window),
-                n_l3=sum(s.n_l3 for s in window),
-                n_mem=sum(s.n_mem for s in window),
-                l1_stall_cycles=sum(s.l1_stall_cycles for s in window),
-                halted_cycles=sum(s.halted_cycles for s in window),
-                interval_s=sum(s.interval_s for s in window),
-                idle_signaled=self._idle_flags[i],
-            ))
+        cols = self._cols
+        self._sampler.since_report[:, cols] = 0.0
+        self._pending = True
         if self.telemetry.enabled:
             self._m_reports.inc()
         return NodeReport(node_id=self.node.node_id, time_s=now_s,
-                          procs=tuple(procs))
+                          proc_ids=tuple(range(cols.stop - cols.start)),
+                          counters=self._sampler.since_confirm[:, cols].copy(),
+                          idle_signaled=tuple(self._idle_flags))
 
     def confirm_report(self) -> None:
         """Acknowledge delivery of the last report: drop its samples.
@@ -155,11 +123,11 @@ class NodeAgent:
         Only the samples the report covered are dropped; anything sampled
         after :meth:`make_report` stays for the next window.
         """
-        if self._pending_counts is None:
-            return
-        for window, count in zip(self._windows, self._pending_counts):
-            del window[:count]
-        self._pending_counts = None
+        if self._pending:
+            windows = self._sampler
+            windows.since_confirm[:, self._cols] = \
+                windows.since_report[:, self._cols]
+            self._pending = False
 
     def apply_command(self, command: FrequencyCommand, now_s: float) -> None:
         """Set local frequencies per the coordinator's decision.
@@ -208,3 +176,74 @@ class NodeAgent:
             core.set_frequency(freq, now_s)
         if tel.enabled:
             self._m_commands.inc()
+
+
+class AgentSampler:
+    """One periodic counter sampler for agents that share ``t`` and phase.
+
+    Its windows are two running-sum matrices, rows :data:`REPORT_FIELDS`
+    and a column per processor: since each agent's last confirmed report,
+    and since its last report.  Each tick adds to sums that start at 0.0,
+    so a window is bitwise the sequential ``sum()`` of its samples.
+    """
+
+    def __init__(self, agents: list[NodeAgent]) -> None:
+        self.agents = agents
+        self.cores = [c for a in agents for c in a.node.machine.cores]
+        # Nothing has advanced since the agents were built: this is each
+        # per-core reader's construction-time baseline.
+        self.block = CounterBlock(
+            gather_counters(self.cores),
+            [rng for a in agents for rng in a._rngs],
+            noise_sigma=agents[0].counter_noise_sigma)
+        self.since_confirm = np.zeros((len(REPORT_FIELDS), len(self.cores)))
+        self.since_report = np.zeros_like(self.since_confirm)
+        #: Agents that were down at the last tick.
+        self._down: set[NodeAgent] = set()
+        lo = 0
+        for agent in agents:
+            agent._sampler = self
+            agent._cols = slice(lo, lo + agent.node.machine.num_cores)
+            lo = agent._cols.stop
+
+    def attach(self, sim: Simulation) -> None:
+        """Register the one sampling event (and the agents' idle hooks)."""
+        for agent in self.agents:
+            if agent._attached:
+                raise ClusterError(
+                    f"agent of node {agent.node.node_id} already attached")
+        for agent in self.agents:
+            agent._attached = True
+            if agent.idle_detection:
+                for core in agent.node.machine.cores:
+                    core.idle_detector.enabled = True
+                    core.idle_detector.subscribe(agent._on_idle_signal)
+        lead = self.agents[0]
+        sim.every(lead.sample_period_s, self._on_tick,
+                  name=f"agent-n{lead.node.node_id}-sample")
+
+    def _on_tick(self, now_s: float) -> None:
+        down = [a for a in self.agents if a.crashed(now_s)]
+        # A crashed agent's rows are still read: its counters keep
+        # running, and its recovery starts a clean window.
+        deltas, interval = self.block.sample(now_s,
+                                             gather_counters(self.cores))
+        live, live_rows = slice(None), deltas.shape[1]
+        if down or self._down:
+            live = np.ones(live_rows, dtype=bool)
+            for agent in down:
+                if agent not in self._down:
+                    # The crash wiped the agent's process state: windows
+                    # and any unconfirmed report are gone.
+                    self.since_confirm[:, agent._cols] = 0.0
+                    self.since_report[:, agent._cols] = 0.0
+                    agent._pending = False
+                live[agent._cols] = False
+            self._down = set(down)
+            live_rows = int(np.count_nonzero(live))
+        for sums in (self.since_confirm, self.since_report):
+            sums[:-1, live] += deltas[:, live]
+            sums[-1, live] += interval
+        lead = self.agents[0]
+        if lead.telemetry.enabled:
+            lead._m_samples.inc(live_rows)

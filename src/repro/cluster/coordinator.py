@@ -37,6 +37,7 @@ synchronous pass.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import time
 from dataclasses import dataclass
@@ -66,16 +67,10 @@ from ..telemetry import (
     get_telemetry,
 )
 from ..units import check_non_negative, check_positive
-from .agent import NodeAgent
+from .agent import AgentSampler, NodeAgent
 from .faults import FaultSchedule
-from .protocol import (
-    FrequencyCommand,
-    NodeReport,
-    ProcReport,
-    message_size_bytes,
-)
+from .protocol import FrequencyCommand, NodeReport, message_size_bytes
 
-_by_proc_id = operator.attrgetter("proc_id")
 _by_node_proc = operator.attrgetter("node_id", "proc_id")
 
 __all__ = ["CoordinatorConfig", "ClusterCoordinator"]
@@ -144,6 +139,9 @@ class CoordinatorConfig:
     slo_percentile: float = 99.0
 
     def __post_init__(self) -> None:
+        check_positive(self.epsilon, "epsilon")
+        if self.epsilon >= 1.0:
+            raise ClusterError(f"epsilon must be < 1, got {self.epsilon}")
         check_positive(self.sample_period_s, "sample_period_s")
         check_positive(self.schedule_period_s, "schedule_period_s")
         if self.schedule_period_s < self.sample_period_s:
@@ -163,8 +161,11 @@ class CoordinatorConfig:
                 f"enough to need the timeout would already be stale, so "
                 f"every pass would silently schedule from cached views"
             )
-        if self.command_retries < 0:
-            raise ClusterError("command_retries must be non-negative")
+        check_non_negative(self.counter_noise_sigma, "counter_noise_sigma")
+        if type(self.command_retries) is not int or self.command_retries < 0:
+            raise ClusterError(
+                f"command_retries must be a non-negative int, got "
+                f"{self.command_retries!r}")
         check_positive(self.retry_timeout_s, "retry_timeout_s")
         if self.reschedule_tolerance is not None:
             check_non_negative(self.reschedule_tolerance,
@@ -230,6 +231,7 @@ class ClusterCoordinator:
             if node_id in self._agents_by_id:
                 raise ClusterError(f"duplicate node id {node_id}")
             self._agents_by_id[node_id] = agent
+        self._sampler = AgentSampler(self.agents)
         self.power_limit_w = self.config.power_limit_w
         #: Optional per-node limits nested inside the global one (node
         #: supply degradation, per-rack breakers, ...).
@@ -338,12 +340,11 @@ class ClusterCoordinator:
     # -- lifecycle -----------------------------------------------------------------
 
     def attach(self, sim: Simulation) -> None:
-        """Install agents and the periodic global pass."""
+        """Install the agents' sampler and the periodic global pass."""
         if self._sim is not None:
             raise ClusterError("coordinator already attached")
         self._sim = sim
-        for agent in self.agents:
-            agent.attach(sim)
+        self._sampler.attach(sim)
         sim.every(self.config.schedule_period_s, self._on_schedule_tick,
                   name="coordinator-schedule")
 
@@ -525,31 +526,33 @@ class ClusterCoordinator:
 
     def _view_batch_from_reports(self, reports: list[NodeReport]
                                  ) -> ViewBatch:
-        """The reports' rows, node by node in proc order: one extraction
-        loop, one batched predictor evaluation, no per-processor
-        sample/signature/view objects."""
-        node_ids: list[int] = []
-        procs: list[ProcReport] = []
-        for report in reports:
-            row = sorted(report.procs, key=_by_proc_id)
-            node_ids.extend([report.node_id] * len(row))
-            procs.extend(row)
-        # Per-field comprehensions beat one loop of interleaved appends.
-        proc_ids = [p.proc_id for p in procs]
-        idle = [p.idle_signaled for p in procs]
-        interval = [p.interval_s for p in procs]
+        """The reports' rows, node by node in proc order: one
+        concatenation, one batched predictor evaluation, no per-processor
+        objects."""
+        sizes = [len(r.proc_ids) for r in reports]
+        n = sum(sizes)
+        proc_ids = np.fromiter(
+            itertools.chain.from_iterable(r.proc_ids for r in reports),
+            dtype=np.int64, count=n)
+        idle = np.fromiter(
+            itertools.chain.from_iterable(r.idle_signaled for r in reports),
+            dtype=bool, count=n)
+        counters = np.concatenate([r.counters for r in reports], axis=1)
+        report_of_row = np.repeat(np.arange(len(reports)), sizes)
+        node_ids = np.repeat([r.node_id for r in reports], sizes)
+        # Agents report in proc order; only a hand-built report may not.
+        if np.any((np.diff(proc_ids) < 0) & (np.diff(report_of_row) == 0)):
+            order = np.lexsort((proc_ids, report_of_row))
+            proc_ids, idle = proc_ids[order], idle[order]
+            counters = counters[:, order]
+        interval = counters[7]
+        # Rows 0-5: instructions, cycles, n_l2, n_l3, n_mem, l1 stalls.
         has_sig, core_cpi, mem_time = self.predictor.signatures_from_arrays(
-            [p.instructions for p in procs],
-            [p.cycles for p in procs],
-            [p.n_l2 for p in procs],
-            [p.n_l3 for p in procs],
-            [p.n_mem for p in procs],
-            [p.l1_stall_cycles for p in procs],
-            interval)
+            *counters[:6], interval)
         # An empty window (the t = 0 tick, or a T == t ordering tie) has no
         # usable signature, whatever the predictor makes of it
         # (AlphaPredictor ignores interval_s).
-        empty = np.asarray(interval, dtype=float) <= 0.0
+        empty = interval <= 0.0
         if empty.any():
             has_sig = has_sig & ~empty
             core_cpi = np.where(empty, 1.0, core_cpi)
@@ -573,7 +576,7 @@ class ClusterCoordinator:
             batch = self._view_batch_from_reports(list(fresh.values()))
             lo = 0
             for node_id, report in fresh.items():
-                hi = lo + len(report.procs)
+                hi = lo + len(report.proc_ids)
                 self._view_cache[node_id] = (now_s, batch, lo, hi)
                 lo = hi
         segments: list[tuple[ViewBatch, int, int]] = []

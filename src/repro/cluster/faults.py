@@ -77,10 +77,15 @@ class FaultSchedule:
         self.network = network
         self.crashes = tuple(crashes)
         self.name = name
+        self._crashes_by_node: dict[int, list[CrashWindow]] = {}
+        for window in self.crashes:
+            self._crashes_by_node.setdefault(window.node_id, []).append(
+                window)
 
     def node_crashed(self, node_id: int, now_s: float) -> bool:
         """Whether the node's agent is down at ``now_s``."""
-        return any(w.covers(node_id, now_s) for w in self.crashes)
+        return any(w.covers(node_id, now_s)
+                   for w in self._crashes_by_node.get(node_id, ()))
 
     def install(self, cluster) -> None:
         """Attach the network-level plan to the cluster's interconnect."""

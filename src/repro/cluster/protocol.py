@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ClusterError
 
-__all__ = ["ProcReport", "NodeReport", "FrequencyCommand",
+__all__ = ["REPORT_FIELDS", "NodeReport", "FrequencyCommand",
            "ShardSummary", "BudgetLease", "message_size_bytes"]
 
 #: Encoded size of one float field on the wire.
@@ -27,35 +29,37 @@ _FIELD_BYTES = 8
 #: Fixed framing/header cost per message.
 _HEADER_BYTES = 32
 
-
-@dataclass(frozen=True, slots=True)
-class ProcReport:
-    """Counter summary of one processor over the last window."""
-
-    proc_id: int
-    instructions: float
-    cycles: float
-    n_l2: float
-    n_l3: float
-    n_mem: float
-    l1_stall_cycles: float
-    halted_cycles: float
-    interval_s: float
-    idle_signaled: bool
+#: The rows of :attr:`NodeReport.counters`: the window's summed counter
+#: deltas in :class:`~repro.sim.counters.CounterBank` field order, then
+#: the wall time the window covers.
+REPORT_FIELDS = ("instructions", "cycles", "n_l2", "n_l3", "n_mem",
+                 "l1_stall_cycles", "halted_cycles", "interval_s")
 
 
 @dataclass(frozen=True, slots=True)
 class NodeReport:
-    """All processor summaries of one node."""
+    """Counter summaries of one node's processors over the last window.
+
+    Column ``j`` of :attr:`counters` (rows :data:`REPORT_FIELDS`) and
+    ``idle_signaled[j]`` belong to processor ``proc_ids[j]``.
+    """
 
     node_id: int
     time_s: float
-    procs: tuple[ProcReport, ...]
+    proc_ids: tuple[int, ...]
+    #: ``(8, len(proc_ids))`` float array, rows :data:`REPORT_FIELDS`.
+    counters: np.ndarray
+    idle_signaled: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        ids = [p.proc_id for p in self.procs]
-        if len(set(ids)) != len(ids):
+        k = len(self.proc_ids)
+        if len(set(self.proc_ids)) != k:
             raise ClusterError(f"node {self.node_id}: duplicate proc ids")
+        if (np.shape(self.counters) != (len(REPORT_FIELDS), k)
+                or len(self.idle_signaled) != k):
+            raise ClusterError(
+                f"node {self.node_id}: report columns do not match its "
+                f"{k} proc ids")
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,8 +166,8 @@ def message_size_bytes(
 ) -> int:
     """Wire-size estimate for the network model."""
     if isinstance(message, NodeReport):
-        per_proc = 9 * _FIELD_BYTES + 1  # 9 numeric fields + idle flag
-        return _HEADER_BYTES + per_proc * len(message.procs)
+        per_proc = 9 * _FIELD_BYTES + 1  # proc id, 8 numbers, idle flag
+        return _HEADER_BYTES + per_proc * len(message.proc_ids)
     if isinstance(message, FrequencyCommand):
         # Proc ids pack into the per-slot field estimate (a u16 rides in
         # the slack of the 8-byte float fields), so carrying them does not

@@ -6,11 +6,15 @@ The Power4+ "provides performance counters for cache and memory accesses"
 register file; a :class:`CounterReader` belongs to the software side and
 produces interval deltas (:class:`CounterSample`), optionally corrupted by
 multiplicative read noise — one of the error sources behind Table 2.
+A :class:`CounterBlock` is the same reader over many cores sampled at the
+same instants, one row per core, with no per-sample objects (the cluster
+agents' path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,10 +23,14 @@ from ..model.ipc import MemoryCounts
 from ..units import check_non_negative
 from .rng import make_rng
 
-__all__ = ["CounterBank", "CounterSnapshot", "CounterSample", "CounterReader"]
+__all__ = ["CounterBank", "CounterSnapshot", "CounterSample", "CounterReader",
+           "CounterBlock"]
 
 _FIELDS = ("instructions", "cycles", "n_l2", "n_l3", "n_mem",
            "l1_stall_cycles", "halted_cycles")
+
+#: Ticks of read noise a :class:`CounterBlock` draws per refill.
+_NOISE_TICKS = 16
 
 
 @dataclass
@@ -62,8 +70,11 @@ class CounterBank:
 
         While the owning core is resident in the fleet kernel, its running
         totals live in fleet columns and the bank's fields lag behind; the
-        fleet installs ``_fleet_flush`` here so a snapshot (the only way
-        agents and readers observe counters) synchronises first.
+        fleet installs ``_fleet_flush`` here so a snapshot (how a
+        :class:`CounterReader` observes counters) synchronises first.
+        Cluster agents read resident lanes straight from the columns
+        instead (:func:`repro.sim.fleet.gather_counters`), which leaves
+        the bank lagging until the next flush.
         """
         flush = getattr(self, "_fleet_flush", None)
         if flush is not None:
@@ -212,3 +223,75 @@ class CounterReader:
                 noise = 1.0 + self._noise_sigma * float(draws[i])
                 values[i] = max(0.0, values[i] * noise)
         return CounterSample(now_s, interval, *values)
+
+
+class CounterBlock:
+    """Delta reader over ``k`` cores sampled at the same instants.
+
+    Row ``r`` is a :class:`CounterReader` without dropout over core ``r``,
+    drawing its read noise from ``rngs[r]``: each :meth:`sample` applies
+    that reader's operations elementwise, in the same order, so every row
+    equals the scalar reader's sample bit-for-bit.  The caller passes the
+    cores' current totals as a ``(7, k)`` array in :class:`CounterBank`
+    field order (:func:`repro.sim.fleet.gather_counters` reads them).
+
+    Noise comes in blocks: every ``_NOISE_TICKS`` noisy samples each row's
+    generator refills its row of one preallocated buffer in place, and
+    ``standard_normal(n)`` is exactly ``n`` scalar draws.
+    """
+
+    def __init__(self, totals: np.ndarray,
+                 rngs: Sequence[np.random.Generator], *,
+                 noise_sigma: float = 0.0) -> None:
+        check_non_negative(noise_sigma, "noise_sigma")
+        self.last = np.array(totals, dtype=float)
+        if self.last.shape != (len(_FIELDS), len(rngs)):
+            raise CounterError(
+                f"totals have shape {self.last.shape}, expected "
+                f"({len(_FIELDS)}, {len(rngs)})")
+        self.last_time_s: float | None = None
+        self._rngs = list(rngs)
+        self._noise_sigma = noise_sigma
+        self._noise: np.ndarray | None = None
+        self._tick = _NOISE_TICKS
+
+    def sample(self, now_s: float,
+               totals: np.ndarray) -> tuple[np.ndarray, float]:
+        """Deltas since the previous sample (or since construction) as a
+        ``(7, k)`` array, and the interval they cover.  ``totals`` is kept
+        as the next sample's baseline, so it must be a fresh array."""
+        check_non_negative(now_s, "now_s")
+        d = totals - self.last
+        back = d < -1e-6
+        if back.any():
+            row, field = np.argwhere(back.T)[0]
+            raise CounterError(f"counter {_FIELDS[field]} went backwards "
+                               f"by {-d[field, row]}")
+        # max(0.0, d) on every input, NaN and -0.0 included.
+        d = np.where(d > 0.0, d, 0.0)
+        last_time = self.last_time_s
+        if last_time is not None and now_s < last_time:
+            raise CounterError(
+                f"sample time went backwards: {now_s} < {last_time}")
+        interval = 0.0 if last_time is None else now_s - last_time
+        self.last = totals
+        self.last_time_s = now_s
+        if self._noise_sigma > 0.0:
+            t = self._tick
+            if t == _NOISE_TICKS:
+                self._refill()
+                t = 0
+            self._tick = t + 1
+            n = len(_FIELDS)
+            draws = self._noise[:, n * t:n * (t + 1)].T
+            d = d * (1.0 + self._noise_sigma * draws)
+            d = np.where(d > 0.0, d, 0.0)
+        return d, interval
+
+    def _refill(self) -> None:
+        buf = self._noise
+        if buf is None:
+            buf = self._noise = np.empty(
+                (len(self._rngs), len(_FIELDS) * _NOISE_TICKS))
+        for rng, row in zip(self._rngs, buf):
+            rng.standard_normal(out=row)

@@ -80,10 +80,13 @@ columns and the underlying objects lag.  Mutators routed through the core
 (``set_frequency``, ``add_job``, ``steal_time``, ``offline``,
 ``power_scale``, ``config`` replacement, ``steal`` via migrate,
 idle-detector subscription) bump :meth:`FleetState.invalidate_core`, and
-:meth:`CounterBank.snapshot` — the only way agents observe counters —
-flushes through an installed hook.  Residency dicts, job progress, and
-energy ledgers are synchronised by :func:`flush_machines` (the driver does
-this when ``run_until`` returns) or by any ``advance_fleet(...,
+:meth:`CounterBank.snapshot` (how a :class:`~repro.sim.counters.CounterReader`
+observes counters) flushes through an installed hook.  Cluster agents read
+counters through :func:`gather_counters` instead: one ``(7, k)`` gather
+from the counter columns per sampling tick, with no flush, so banks lag
+until the next flush or snapshot.  Residency dicts, job progress, counter
+banks and energy ledgers are synchronised by :func:`flush_machines` (the
+driver does this when ``run_until`` returns) or by any ``advance_fleet(...,
 flush=True)`` call.  Structural mutations with no hook (attaching a supply
 bank mid-run, swapping a meter/ledger/dispatcher instance) require
 :func:`reset_fleet` first.
@@ -111,7 +114,7 @@ from .throttle import ThrottleActuator
 __all__ = ["FleetState", "advance_machines", "advance_fleet",
            "flush_machines", "reset_fleet", "set_fleet_enabled",
            "fleet_enabled", "fleet_stats", "fleet_fallback_reasons",
-           "fallback_breakdown"]
+           "fallback_breakdown", "gather_counters"]
 
 # Per-core execution modes over one event-free span.
 _OFFLINE = 0    # closed form: residency only
@@ -360,6 +363,8 @@ class FleetState:
             self.cores.extend(m.cores)
             self.meters.extend([m.meter] * len(m.cores))
         self._lane_of = {c: i for i, c in enumerate(self.cores)}
+        #: :func:`gather_counters` lane indexes, by id of the core list.
+        self._gathers: dict[int, tuple] = {}
 
         self.freq = np.zeros(n)
         self.thr = np.zeros(n)
@@ -1242,6 +1247,47 @@ def advance_machines(machines, dt: float, *, flush: bool = True) -> None:
         return
     for machine in machines:
         machine.advance(dt)
+
+
+def gather_counters(cores: list[SimulatedCore]) -> np.ndarray:
+    """The current counter totals of ``cores`` as one ``(7, k)`` array,
+    rows in :class:`CounterBank` field order: column ``j`` is what
+    ``cores[j].counters.snapshot()`` returns.
+
+    Resident lanes are read straight from the counter columns, through a
+    lane index the live fleet caches per core list (keep passing the same
+    list), and nothing is flushed.  Every other core reads
+    ``bank.snapshot()``: a delegated machine's, an object-authoritative
+    chunked lane's, one outside any live fleet, and every core while the
+    fleet is switched off.
+    """
+    fleet = None
+    if _FLEET_ENABLED:
+        for core in cores:
+            f = core._fleet
+            if f is not None and f._valid:
+                fleet = f
+                break
+    if fleet is None:
+        out = np.empty((7, len(cores)))
+        for j, core in enumerate(cores):
+            out[:, j] = core.counters.snapshot().as_tuple()
+        return out
+    index = fleet._gathers.get(id(cores))
+    if index is None or index[0] is not cores:
+        # -1: not resident in this fleet, so read from its bank below.
+        lanes = np.array([fleet._lane_of.get(c, -1) for c in cores],
+                         dtype=np.intp)
+        index = (cores, lanes, np.flatnonzero(lanes < 0).tolist())
+        fleet._gathers[id(cores)] = index
+    _, lanes, others = index
+    out = fleet.cnt[:, lanes]
+    if fleet._chunked:
+        others = others + np.flatnonzero(
+            np.isin(lanes, list(fleet._chunked))).tolist()
+    for j in others:
+        out[:, j] = cores[j].counters.snapshot().as_tuple()
+    return out
 
 
 def _get_fleet(machines: list) -> FleetState:

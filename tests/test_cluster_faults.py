@@ -11,6 +11,7 @@ Coordinator-level fault *scenarios* (budget safety under loss, partitions,
 recovery convergence) live in tests/test_failure_injection.py.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster.agent import NodeAgent
@@ -21,7 +22,7 @@ from repro.cluster.faults import (
     FaultSchedule,
     fault_scenario,
 )
-from repro.cluster.protocol import FrequencyCommand
+from repro.cluster.protocol import REPORT_FIELDS, FrequencyCommand, NodeReport
 from repro.errors import ClusterError
 from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
@@ -31,6 +32,9 @@ from repro.sim.network import Network, NetworkConfig, NetworkFaults, PartitionWi
 from repro.telemetry import Telemetry
 from repro.units import ghz, mhz
 from repro.workloads.tiers import tiered_cluster_assignment
+
+INSTR = REPORT_FIELDS.index("instructions")
+INTERVAL = REPORT_FIELDS.index("interval_s")
 
 
 def quiet_cluster(nodes=2, procs=2, seed=0) -> Cluster:
@@ -235,14 +239,14 @@ class TestReportRetention:
         agent.attach(sim)
         sim.run_for(0.1)
         first = agent.make_report(sim.now_s)
-        assert first.procs[0].instructions > 0
+        assert first.counters[INSTR, 0] > 0
         # The report was dropped in flight: no confirm_report().  The next
         # report must still carry the first window's events.
         sim.run_for(0.1)
         retry = agent.make_report(sim.now_s)
-        assert retry.procs[0].instructions > first.procs[0].instructions
-        assert retry.procs[0].interval_s == \
-            pytest.approx(2 * first.procs[0].interval_s)
+        assert retry.counters[INSTR, 0] > first.counters[INSTR, 0]
+        assert retry.counters[INTERVAL, 0] == \
+            pytest.approx(2 * first.counters[INTERVAL, 0])
 
     def test_confirm_drops_only_reported_samples(self):
         cluster = quiet_cluster(nodes=1)
@@ -256,7 +260,7 @@ class TestReportRetention:
         sim.run_for(0.05)
         agent.confirm_report()
         nxt = agent.make_report(sim.now_s)
-        assert 0 < nxt.procs[0].interval_s < report.procs[0].interval_s
+        assert 0 < nxt.counters[INTERVAL, 0] < report.counters[INTERVAL, 0]
 
     def test_confirm_without_report_is_noop(self):
         cluster = quiet_cluster(nodes=1)
@@ -272,7 +276,7 @@ class TestReportRetention:
         sim.run_for(0.2)   # two passes
         # Windows were confirmed each pass: a fresh report is empty.
         report = coord.agents[0].make_report(sim.now_s)
-        assert report.procs[0].interval_s == pytest.approx(0.0)
+        assert report.counters[INTERVAL, 0] == pytest.approx(0.0)
 
 
 class TestZeroIntervalReports:
@@ -306,15 +310,13 @@ class TestZeroIntervalReports:
             assert entry.freq_hz in table
 
     def test_zero_interval_views_have_no_signature(self):
-        from repro.cluster.protocol import NodeReport, ProcReport
-
         cluster = quiet_cluster(nodes=1)
         coord = ClusterCoordinator(cluster, seed=5)
-        report = NodeReport(node_id=0, time_s=0.0, procs=(
-            ProcReport(proc_id=0, instructions=5e6, cycles=4e6, n_l2=0,
-                       n_l3=0, n_mem=0, l1_stall_cycles=0, halted_cycles=0,
-                       interval_s=0.0, idle_signaled=False),
-        ))
+        counters = np.zeros((len(REPORT_FIELDS), 1))
+        counters[INSTR, 0] = 5e6
+        counters[REPORT_FIELDS.index("cycles"), 0] = 4e6
+        report = NodeReport(node_id=0, time_s=0.0, proc_ids=(0,),
+                            counters=counters, idle_signaled=(False,))
         batch = coord._view_batch_from_reports([report])
         assert not batch.has_signature[0]
 
@@ -365,7 +367,7 @@ class TestAgentCrash:
         report = agent.make_report(sim.now_s)
         # Pre-crash and in-crash samples are gone; only the post-recovery
         # window (3 x 10 ms samples) remains.
-        assert report.procs[0].interval_s == pytest.approx(0.03, abs=1e-6)
+        assert report.counters[INTERVAL, 0] == pytest.approx(0.03, abs=1e-6)
 
     def test_scheduled_crash_window(self):
         cluster = quiet_cluster(nodes=1)

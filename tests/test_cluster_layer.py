@@ -1,16 +1,19 @@
 """Cluster protocol, agents, and the global coordinator."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.agent import NodeAgent
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.protocol import (
+    REPORT_FIELDS,
     FrequencyCommand,
     NodeReport,
-    ProcReport,
     message_size_bytes,
 )
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ReproError
 from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
@@ -20,10 +23,17 @@ from repro.units import ghz, mhz
 from repro.workloads.tiers import tiered_cluster_assignment
 
 
-def proc_report(proc=0, instr=1e6) -> ProcReport:
-    return ProcReport(proc_id=proc, instructions=instr, cycles=1e6,
-                      n_l2=0, n_l3=0, n_mem=0, l1_stall_cycles=0,
-                      halted_cycles=0, interval_s=0.1, idle_signaled=False)
+INSTR = REPORT_FIELDS.index("instructions")
+
+
+def node_report(proc_ids=(0,), instr=1e6) -> NodeReport:
+    counters = np.zeros((len(REPORT_FIELDS), len(proc_ids)))
+    counters[INSTR] = instr
+    counters[REPORT_FIELDS.index("cycles")] = 1e6
+    counters[REPORT_FIELDS.index("interval_s")] = 0.1
+    return NodeReport(node_id=0, time_s=0.0, proc_ids=tuple(proc_ids),
+                      counters=counters,
+                      idle_signaled=(False,) * len(proc_ids))
 
 
 def quiet_cluster(nodes=2, procs=2, seed=0) -> Cluster:
@@ -39,15 +49,13 @@ def quiet_cluster(nodes=2, procs=2, seed=0) -> Cluster:
 
 class TestProtocol:
     def test_report_size_scales_with_procs(self):
-        one = NodeReport(node_id=0, time_s=0.0, procs=(proc_report(0),))
-        two = NodeReport(node_id=0, time_s=0.0,
-                         procs=(proc_report(0), proc_report(1)))
+        one = node_report((0,))
+        two = node_report((0, 1))
         assert message_size_bytes(two) > message_size_bytes(one)
 
     def test_duplicate_procs_rejected(self):
         with pytest.raises(ClusterError):
-            NodeReport(node_id=0, time_s=0.0,
-                       procs=(proc_report(0), proc_report(0)))
+            node_report((0, 0))
 
     def test_command_vector_lengths_checked(self):
         with pytest.raises(ClusterError):
@@ -68,15 +76,15 @@ class TestNodeAgent:
         agent.attach(sim)
         sim.run_for(0.1)
         report = agent.make_report(sim.now_s)
-        assert len(report.procs) == 2
-        assert report.procs[0].instructions > 0
+        assert report.proc_ids == (0, 1)
+        assert report.counters[INSTR, 0] > 0
         # Windows survive until delivery is confirmed: an unconfirmed
         # report is superseded, not destroyed.
         resend = agent.make_report(sim.now_s)
-        assert resend.procs[0].instructions == report.procs[0].instructions
+        assert resend.counters[INSTR, 0] == report.counters[INSTR, 0]
         agent.confirm_report()
         empty = agent.make_report(sim.now_s)
-        assert empty.procs[0].instructions == 0.0
+        assert empty.counters[INSTR, 0] == 0.0
 
     def test_apply_command_sets_frequencies(self):
         cluster = quiet_cluster(nodes=1)
@@ -181,3 +189,41 @@ class TestCoordinator:
     def test_t_less_than_sample_rejected(self):
         with pytest.raises(ClusterError):
             CoordinatorConfig(sample_period_s=0.1, schedule_period_s=0.05)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestCoordinatorConfigBoundary:
+    """Everything ``CoordinatorConfig`` accepts must build a coordinator:
+    no field may be checked only later, by the agents or the scheduler."""
+
+    @pytest.mark.parametrize("retries", [1.5, True, -1, "2", None])
+    def test_command_retries_must_be_a_non_negative_int(self, retries):
+        with pytest.raises(ClusterError):
+            CoordinatorConfig(command_retries=retries)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -0.01, float("inf")])
+    def test_noise_sigma_checked(self, sigma):
+        with pytest.raises(ReproError):
+            CoordinatorConfig(counter_noise_sigma=sigma)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.1, float("nan")])
+    def test_epsilon_checked(self, epsilon):
+        with pytest.raises(ReproError):
+            CoordinatorConfig(epsilon=epsilon)
+
+    @given(epsilon=st.one_of(_ANY_FLOAT, st.floats(0.0, 1.0)),
+           sample_period_s=st.one_of(_ANY_FLOAT, st.floats(1e-4, 0.1)),
+           counter_noise_sigma=st.one_of(_ANY_FLOAT, st.floats(0.0, 0.1)),
+           command_retries=st.one_of(st.integers(-2, 5), st.booleans(),
+                                     _ANY_FLOAT),
+           power_limit_w=st.one_of(st.none(), _ANY_FLOAT),
+           retry_timeout_s=st.one_of(_ANY_FLOAT, st.floats(1e-4, 0.1)))
+    @settings(max_examples=80, deadline=None)
+    def test_every_accepted_config_builds_a_coordinator(self, **fields):
+        try:
+            config = CoordinatorConfig(schedule_period_s=0.1, **fields)
+        except ReproError:
+            return
+        ClusterCoordinator(quiet_cluster(nodes=2, procs=2), config, seed=1)

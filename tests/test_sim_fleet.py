@@ -1037,11 +1037,14 @@ def test_overlapping_fleets_steal_cleanly():
 # -- fault scenarios end-to-end ----------------------------------------------------
 
 
-@pytest.mark.parametrize("scenario", ["lossy", "crash", "chaos"])
-def test_fault_scenarios_end_to_end(scenario):
+@pytest.mark.parametrize("scenario,sigma", [
+    pytest.param(scenario, sigma,
+                 id=scenario if sigma == 0.0 else f"{scenario}-noisy")
+    for scenario in ("lossy", "crash", "chaos") for sigma in (0.0, 0.005)])
+def test_fault_scenarios_end_to_end(scenario, sigma):
     """A faulted coordinator run over a small cluster is bit-identical
     with the fleet kernel on and off — loss, crash windows, partitions,
-    degraded scheduling and all."""
+    degraded scheduling, and read noise drawn under crashes."""
     def run():
         cluster = Cluster.homogeneous(
             4,
@@ -1056,7 +1059,7 @@ def test_fault_scenarios_end_to_end(scenario):
             cluster,
             CoordinatorConfig(
                 power_limit_w=0.6 * 4 * 2 * table.max_power_w,
-                counter_noise_sigma=0.0,
+                counter_noise_sigma=sigma,
                 sample_period_s=0.05, schedule_period_s=0.1),
             faults=fault_scenario(scenario, seed=99),
             seed=7)
@@ -1082,7 +1085,7 @@ def test_fault_scenarios_end_to_end(scenario):
 
 @pytest.mark.parametrize("experiment_id", ["failover", "table3",
                                            "cluster_failover", "migration",
-                                           "curtailment"])
+                                           "curtailment", "cluster_cap"])
 def test_experiment_exports_match_scalar_path(experiment_id):
     """Whole experiments, not just hand-built fixtures: the exported
     result is byte-identical with the fleet on and with every machine on

@@ -9,6 +9,7 @@ CLI flag producing the JSONL + Prometheus artifacts.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -272,14 +273,21 @@ class TestCliTelemetry:
 
 
 class TestMetricCatalog:
-    def test_every_cluster_metric_is_documented(self, tmp_path):
-        # docs/OBSERVABILITY.md names every metric the control plane, the
-        # daemons, the driver, the fleet advance and the experiment runner
-        # register, each in full (no "/ _stale / _lost" shorthand).  Built
-        # under use_telemetry: the sim_fleet_* counters resolve the
-        # process default backend, not a constructor argument.
-        catalog = (Path(__file__).resolve().parents[1] / "docs"
-                   / "OBSERVABILITY.md").read_text()
+    @staticmethod
+    def _catalog() -> str:
+        return (Path(__file__).resolve().parents[1] / "docs"
+                / "OBSERVABILITY.md").read_text()
+
+    @staticmethod
+    def _registered(tmp_path) -> dict:
+        """Every metric the control plane, the daemons, the driver, the
+        fleet advance (one delegated machine included, for the ``reason``
+        series) and the experiment runner register.  Built under
+        use_telemetry: the sim_fleet_* counters resolve the process
+        default backend, not a constructor argument."""
+        class Delegated(SMPMachine):
+            pass
+
         tel = Telemetry()
         with use_telemetry(tel):
             ClusterCoordinator(
@@ -294,11 +302,19 @@ class TestMetricCatalog:
             FvsstDaemon(
                 SMPMachine(MachineConfig(num_cores=2), seed=0),
                 DaemonConfig(overhead=PER_CORE_OVERHEAD), seed=4)
-            sim = Simulation(machine)
+            sim = Simulation([machine,
+                              Delegated(MachineConfig(num_cores=1), seed=5)])
             daemon.attach(sim)
             sim.run_for(0.05)
             ParallelRunner(cache_dir=tmp_path)
-            names = tel.snapshot()["metrics"]
+            return tel.snapshot()["metrics"]
+
+    def test_every_cluster_metric_is_documented(self, tmp_path):
+        # docs/OBSERVABILITY.md names every metric the control plane, the
+        # daemons, the driver, the fleet advance and the experiment runner
+        # register, each in full (no "/ _stale / _lost" shorthand).
+        catalog = self._catalog()
+        names = self._registered(tmp_path)
         for name in ("cluster_slo_floor_hz", "shard_committed_watts",
                      "fvsst_schedule_passes_total",
                      "sim_events_dispatched_total",
@@ -307,3 +323,24 @@ class TestMetricCatalog:
             assert name in names
         missing = [name for name in names if f"`{name}`" not in catalog]
         assert not missing, f"undocumented metrics: {missing}"
+
+    def test_every_documented_label_is_registered(self, tmp_path):
+        # A catalog row's labels, written ``label `x` `` in its meaning
+        # or ``name{x="..."}`` in its name, must exist on a registered
+        # series of that metric.
+        names = self._registered(tmp_path)
+        documented = []
+        for row in self._catalog().splitlines():
+            m = re.match(r"\| `(\w+)(?:\{(\w+)=)?", row)
+            if m is None or m.group(1) not in names:
+                continue
+            labels = re.findall(r"label `(\w+)`", row)
+            if m.group(2):
+                labels.append(m.group(2))
+            documented += [(m.group(1), label) for label in labels]
+        assert ("sim_fleet_fallbacks_total", "reason") in documented
+        unregistered = [
+            (name, label) for name, label in documented
+            if not any(label in series["labels"]
+                       for series in names[name]["series"])]
+        assert not unregistered, f"documented, never registered: {unregistered}"
