@@ -94,8 +94,6 @@ class TestBenchSimulatorAdvance:
         reference path, forced via a subclass) by >= 4x."""
         import time as _time
 
-        from repro.sim.fleet import fleet_stats
-
         phases = tuple(
             synthetic_phase(r, duration_s=0.05, name=f"p{i}")
             for i, r in enumerate((1.0, 0.5, 0.2))
@@ -117,15 +115,14 @@ class TestBenchSimulatorAdvance:
             return ms
 
         machines = build()
-        before = dict(fleet_stats)
+        spans = []
 
         def advance_all():
-            advance_machines(machines, 100.0)
+            spans.append(advance_machines(machines, 100.0))
 
         benchmark(advance_all)
         # Every span kept every machine in columns: no fallbacks.
-        assert fleet_stats["fallbacks"] == before["fallbacks"]
-        assert fleet_stats["advances"] >= before["advances"] + 16
+        assert spans and all(span == (16, None) for span in spans)
         # Demand (746 W) stays under two-supply capacity: no cascades.
         assert all(m.supply_bank.cascade_count == 0 for m in machines)
         assert machines[0].ledger.total_energy_j > 0
@@ -153,20 +150,20 @@ class TestBenchSimulatorAdvance:
             f"per-chunk walk {scalar_s * 1e3:.1f} ms: only {speedup:.1f}x"
         )
 
-    def test_bench_serving_advance(self, benchmark):
+    def test_bench_serving_advance(self, benchmark, monkeypatch):
         """Open-loop serving at fleet-kernel cost: 16 eight-core nodes
         under constant Poisson traffic for 100 simulated seconds.  Every
         request is a ONCE job; since completion became a columnar
         crossing the lanes stay resident through arrival, completion, and
         the drain back to hot idle — the bench asserts *zero* fallbacks
-        (``reason="transient"`` included) and >= 5x over the forced-scalar
-        path (``--no-fleet-kernel``) on a shorter horizon."""
+        (``reason="transient"`` included) and >= 5x over the scalar
+        reference (every span through ``machine.advance``) on a shorter
+        horizon."""
         import time as _time
 
+        from repro.sim import driver
         from repro.sim.cluster import Cluster
         from repro.sim.driver import Simulation
-        from repro.sim.fleet import (fallback_breakdown, fleet_stats,
-                                     set_fleet_enabled)
         from repro.workloads.server import RequestSpec
         from repro.workloads.serving import FleetTrafficSource
 
@@ -189,21 +186,23 @@ class TestBenchSimulatorAdvance:
         def serve_100s():
             sim, traffic = build()
             sim.run_for(100.0)
-            state["traffic"] = traffic
+            state["sim"], state["traffic"] = sim, traffic
 
-        before = dict(fleet_stats)
-        transient_before = fallback_breakdown().get("transient", 0)
         benchmark(serve_100s)
-        traffic = state["traffic"]
+        sim, traffic = state["sim"], state["traffic"]
         assert traffic.issued > 10_000
         assert traffic.completed > 10_000
         # Resident serving lanes: no fallbacks of any reason, and in
         # particular no "transient" ones (the pre-crossing ONCE reason).
-        assert fleet_stats["fallbacks"] == before["fallbacks"]
-        assert fallback_breakdown().get("transient", 0) == transient_before
-        assert fleet_stats["advances"] > before["advances"]
+        assert sim.fleet_fallbacks == {}
+        assert sim.fleet_advances > 0
 
-        # The >= 5x acceptance vs the forced-scalar path, min-of-2 on a
+        def scalar_reference(machines, dt, *, flush=True):
+            for machine in machines:
+                machine.advance(dt)
+            return 0, None
+
+        # The >= 5x acceptance vs the scalar reference, min-of-2 on a
         # 10 s horizon (same traffic, same seeds, bit-identical results).
         fleet_s = scalar_s = float("inf")
         for _ in range(2):
@@ -211,18 +210,16 @@ class TestBenchSimulatorAdvance:
             t0 = _time.perf_counter()
             sim.run_for(10.0)
             fleet_s = min(fleet_s, _time.perf_counter() - t0)
-            set_fleet_enabled(False)
-            try:
+            with monkeypatch.context() as mp:
+                mp.setattr(driver, "advance_machines", scalar_reference)
                 sim, _ = build()
                 t0 = _time.perf_counter()
                 sim.run_for(10.0)
                 scalar_s = min(scalar_s, _time.perf_counter() - t0)
-            finally:
-                set_fleet_enabled(True)
         speedup = scalar_s / fleet_s
         assert speedup >= 5.0, (
-            f"fleet serving advance {fleet_s * 1e3:.1f} ms vs forced "
-            f"scalar {scalar_s * 1e3:.1f} ms: only {speedup:.1f}x"
+            f"fleet serving advance {fleet_s * 1e3:.1f} ms vs scalar "
+            f"reference {scalar_s * 1e3:.1f} ms: only {speedup:.1f}x"
         )
 
     def test_bench_advance_1024_nodes_10s(self, benchmark):
@@ -230,8 +227,8 @@ class TestBenchSimulatorAdvance:
         driven through the event loop with a 10 ms periodic tick — the
         chaos-smoke access pattern.  Every span goes through the fleet
         columns (one numpy pass over all 1024 lanes), which is the layer-6
-        win; disabling the fleet kernel makes this bench ~2 orders of
-        magnitude slower."""
+        win; the scalar reference makes this bench ~2 orders of magnitude
+        slower."""
         from repro.sim.driver import Simulation
 
         phases = tuple(

@@ -38,7 +38,6 @@ from repro.cluster.hierarchy import FleetAllocator, FleetConfig
 from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
-from repro.sim.fleet import fleet_stats
 from repro.sim.machine import MachineConfig
 from repro.telemetry import (
     EVENT_SHARD_LOST,
@@ -91,15 +90,14 @@ def _chaos_run(seed: int, scenario: str = "chaos"):
     # The chaos windows live in [0.35, 0.9); run past the heal so the
     # partitioned shards can recover.
     sim.run_for(1.2)
-    return allocator, telemetry, budget
+    return allocator, telemetry, budget, sim
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_fleet_faults_1024_nodes(scenario, seed):
-    stats0 = dict(fleet_stats)
     wall0 = time.perf_counter()
-    allocator, telemetry, budget = _chaos_run(seed, scenario)
+    allocator, telemetry, budget, sim = _chaos_run(seed, scenario)
     wall = time.perf_counter() - wall0
     assert wall <= WALL_BUDGET_S, (
         f"chaos run took {wall:.1f}s (> {WALL_BUDGET_S:.0f}s): machines "
@@ -110,8 +108,8 @@ def test_fleet_faults_1024_nodes(scenario, seed):
     # is the precise one.  Nearly every machine-span must go through the
     # fleet columns; a change that silently demotes a machine class to
     # the scalar path shows up here as a falling ratio.
-    adv = fleet_stats["advances"] - stats0["advances"]
-    fell = fleet_stats["fallbacks"] - stats0["fallbacks"]
+    adv = sim.fleet_advances
+    fell = sum(sim.fleet_fallbacks.values())
     assert adv > 0
     residency = adv / (adv + fell)
     assert residency >= 0.90, (

@@ -99,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="p99 latency target for SLO-aware serving "
                             "experiments, in milliseconds (only serving "
                             "experiments support it)")
-    run_p.add_argument("--no-fleet-kernel", action="store_true",
-                       help="advance every machine through the scalar "
-                            "reference path instead of the fleet-wide "
-                            "columns (escape hatch; results are "
-                            "bit-identical)")
     return parser
 
 
@@ -261,16 +256,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(report.render())
             return 0 if report.passed else 1
         if args.command == "run":
-            from .sim.fleet import fleet_enabled, set_fleet_enabled
-            was_enabled = fleet_enabled()
-            if args.no_fleet_kernel:
-                set_fleet_enabled(False)
+            from .exec import configure, configured_jobs
+            jobs = configured_jobs()
             try:
                 return _run_command(args)
             finally:
-                # The switch is process-wide; later calls in the same
-                # process must not inherit this run's routing.
-                set_fleet_enabled(was_enabled)
+                # --jobs sets a process-wide count; later calls in the
+                # same process must not inherit this run's fan-out.
+                configure(jobs)
         raise AssertionError(f"unhandled command {args.command!r}")
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from ..telemetry import (
 )
 from ..units import check_non_negative, check_positive
 from .governor import Governor
-from .logs import CounterLogEntry, FvsstLog, ScheduleLogEntry
+from .logs import CounterLogEntry, FvsstLog
 from .predictor import CounterPredictor, PredictorProtocol
 from .scheduler import FrequencyVoltageScheduler, ProcessorView, Schedule
 from .triggers import IdleTransition, PowerLimitChange, TriggerBus
@@ -395,22 +395,18 @@ class FvsstDaemon(Governor):
         transitions = self._apply(schedule, now_s)
         self._charge_overhead(cfg.overhead.schedule_cost_s
                               + cfg.overhead.actuation_cost_s * transitions)
-        for view, assignment in zip(views, schedule.assignments):
-            predicted = (None if view.signature is None
-                         else view.signature.ipc(assignment.freq_hz))
-            self.log.record_schedule(ScheduleLogEntry(
-                time_s=now_s,
-                node_id=assignment.node_id,
-                proc_id=assignment.proc_id,
-                freq_hz=assignment.freq_hz,
-                eps_freq_hz=assignment.eps_freq_hz,
-                voltage=assignment.voltage,
-                power_w=assignment.power_w,
-                predicted_loss=assignment.predicted_loss,
-                predicted_ipc=predicted,
-                power_limit_w=self.power_limit_w,
-                infeasible=schedule.infeasible,
-            ))
+        # Assignments are NamedTuples: one zip transposes every field.
+        (node_ids, proc_ids, freqs_hz, voltages, powers_w,
+         predicted_losses, eps_freqs_hz) = zip(*schedule.assignments)
+        self.log.record_schedule_pass(
+            now_s, node_ids, proc_ids, freqs_hz, eps_freqs_hz,
+            voltages, powers_w, predicted_losses,
+            predicted_ipcs=[None if view.signature is None
+                            else view.signature.ipc(freq)
+                            for view, freq in zip(views, freqs_hz)],
+            power_limit_w=self.power_limit_w,
+            infeasible=schedule.infeasible,
+        )
         self.last_schedule = schedule
         for w in self._windows:
             w.clear()

@@ -8,10 +8,10 @@ Figure 9/10's desired-vs-actual traces, and Table 2's predicted-vs-measured
 IPC deviations all come out of :class:`FvsstLog` queries.
 
 The backing store is columnar: rows live in growable numpy arrays (one per
-field), recorded either entry-by-entry (:meth:`FvsstLog.record_sample` /
-:meth:`FvsstLog.record_schedule`, the daemon's scalar path) or as whole
-scheduling passes at once (:meth:`FvsstLog.record_schedule_pass`, the
-cluster coordinator's bulk path).  Queries run vectorised over the columns
+field).  Counter samples are recorded one by one
+(:meth:`FvsstLog.record_sample`) and scheduling decisions as whole passes
+(:meth:`FvsstLog.record_schedule_pass`, one call per daemon or coordinator
+pass).  Queries run vectorised over the columns
 through a lazily built per-``(node, proc)`` row index; the familiar
 ``ScheduleLogEntry``/``CounterLogEntry`` objects are materialised lazily
 (and cached) only when someone actually asks for them.  ``None`` in the
@@ -129,15 +129,14 @@ _COUNTER_SPEC = {
 class FvsstLog:
     """Accumulated logs plus the queries the experiments need."""
 
-    __slots__ = ("_sched", "_counters", "_pending_sched", "_pending_counters",
+    __slots__ = ("_sched", "_counters", "_pending_counters",
                  "_sched_cache", "_counter_cache", "_sched_index",
                  "_sched_indexed", "_counter_index", "_counter_indexed")
 
     def __init__(self) -> None:
         self._sched = _ColumnStore(_SCHED_SPEC)
         self._counters = _ColumnStore(_COUNTER_SPEC)
-        #: Entry objects recorded scalar-style, not yet moved into columns.
-        self._pending_sched: list[ScheduleLogEntry] = []
+        #: Samples recorded one by one, not yet moved into columns.
         self._pending_counters: list[CounterLogEntry] = []
         #: Materialised entry lists (invalidated by any record).
         self._sched_cache: list[ScheduleLogEntry] | None = None
@@ -154,10 +153,6 @@ class FvsstLog:
     def record_sample(self, entry: CounterLogEntry) -> None:
         self._pending_counters.append(entry)
         self._counter_cache = None
-
-    def record_schedule(self, entry: ScheduleLogEntry) -> None:
-        self._pending_sched.append(entry)
-        self._sched_cache = None
 
     def record_schedule_pass(self, time_s: float,
                              node_ids: Sequence[int],
@@ -176,7 +171,6 @@ class FvsstLog:
         count = len(node_ids)
         if not count:
             return
-        self._flush_sched()
         nan = math.nan
         if predicted_ipcs is None:
             ipc_col: float | list[float] = nan
@@ -195,31 +189,6 @@ class FvsstLog:
         self._sched_cache = None
 
     # -- column flushing --------------------------------------------------------------
-
-    def _flush_sched(self) -> None:
-        pend = self._pending_sched
-        if not pend:
-            return
-        nan = math.nan
-        self._sched.append(
-            len(pend),
-            time_s=[e.time_s for e in pend],
-            node_id=[e.node_id for e in pend],
-            proc_id=[e.proc_id for e in pend],
-            freq_hz=[e.freq_hz for e in pend],
-            eps_freq_hz=[e.eps_freq_hz for e in pend],
-            voltage=[e.voltage for e in pend],
-            power_w=[e.power_w for e in pend],
-            predicted_loss=[e.predicted_loss for e in pend],
-            predicted_ipc=[nan if e.predicted_ipc is None else e.predicted_ipc
-                           for e in pend],
-            power_limit_w=[nan if e.power_limit_w is None else e.power_limit_w
-                           for e in pend],
-            infeasible=[e.infeasible for e in pend],
-            pass_wall_s=[nan if e.pass_wall_s is None else e.pass_wall_s
-                         for e in pend],
-        )
-        self._pending_sched = []
 
     def _flush_counters(self) -> None:
         pend = self._pending_counters
@@ -248,7 +217,6 @@ class FvsstLog:
     def schedule_entries(self) -> list[ScheduleLogEntry]:
         """All scheduling decisions, in record order, as entry objects."""
         if self._sched_cache is None:
-            self._flush_sched()
             s = self._sched
             self._sched_cache = [
                 ScheduleLogEntry(
@@ -302,7 +270,6 @@ class FvsstLog:
     # -- the (node, proc) row index ------------------------------------------------------
 
     def _sched_rows(self, node_id: int, proc_id: int) -> np.ndarray:
-        self._flush_sched()
         n = len(self._sched)
         if self._sched_indexed < n:
             start = self._sched_indexed
@@ -373,7 +340,6 @@ class FvsstLog:
         decision per ``(time, node, proc)`` counts: the later pass
         supersedes the earlier one, it does not add to it.
         """
-        self._flush_sched()
         count = len(self._sched)
         if count == 0:
             return np.array([]), np.array([])

@@ -29,7 +29,6 @@ from ..model.latency import POWER4_LATENCIES
 from ..model.latency_model import service_time_s
 from ..sim.cluster import Cluster
 from ..sim.driver import Simulation
-from ..sim.fleet import fallback_breakdown, fleet_stats
 from ..sim.machine import MachineConfig
 from ..sim.rng import spawn_seeds
 from ..workloads.server import RequestSpec
@@ -98,11 +97,6 @@ def _run_curtailment(budget_fraction: float, *, seed: int, fast: bool,
         coordinator.attach(sim)
         coordinators = [coordinator]
     traffic.attach(sim)
-    # Fleet-kernel residency over this run: deltas of the process-wide
-    # counters, so the scalars are identical at any --jobs fan-out.
-    advances0 = fleet_stats["advances"]
-    fallbacks0 = fleet_stats["fallbacks"]
-    transient0 = fallback_breakdown().get("transient", 0)
     sim.run_for(duration)
 
     censored = traffic.fleet_digest(censored=True, horizon_s=duration)
@@ -123,10 +117,10 @@ def _run_curtailment(budget_fraction: float, *, seed: int, fast: bool,
                                       for c in coordinators)),
         "infeasible_passes": float(sum(c.slo_infeasible_passes
                                        for c in coordinators)),
-        "fleet_advances": float(fleet_stats["advances"] - advances0),
-        "fleet_fallbacks": float(fleet_stats["fallbacks"] - fallbacks0),
+        "fleet_advances": float(sim.fleet_advances),
+        "fleet_fallbacks": float(sum(sim.fleet_fallbacks.values())),
         "fleet_transient_fallbacks": float(
-            fallback_breakdown().get("transient", 0) - transient0),
+            sim.fleet_fallbacks.get("transient", 0)),
     }
 
 
@@ -204,8 +198,8 @@ def run(seed: int = 2005, fast: bool = False,
         "slo_energy_j_min_budget": slo_rows[0]["energy_j"],
         "slo_energy_j_max_budget": slo_rows[-1]["energy_j"],
         # Serving-path residency: fraction of machine-spans the fleet
-        # columnar kernel kept resident across all runs (1.0 when the
-        # kernel is disabled and no spans were attempted).
+        # columnar kernel kept resident across all runs (1.0 when no
+        # span was counted).
         "fleet_residency": advances / spans if spans else 1.0,
         "fleet_transient_fallbacks": sum(
             r["fleet_transient_fallbacks"] for r in results),

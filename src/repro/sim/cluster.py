@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 from ..errors import ClusterError
 from ..workloads.job import Job
-from .fleet import advance_machines
 from .machine import MachineConfig, SMPMachine
 from .network import Network, NetworkConfig
 from .node import ClusterNode
@@ -81,17 +80,6 @@ class Cluster:
         """True aggregate processor draw across the cluster — the quantity
         the global power limit constrains."""
         return sum(n.cpu_power_w() for n in self.nodes)
-
-    # -- time --------------------------------------------------------------------
-
-    def advance(self, dt: float) -> None:
-        """Step every node through one event-free span of ``dt`` seconds.
-
-        Routes through the fleet columns, so a cluster-scale advance costs
-        one numpy pass over every resident core instead of one Python step
-        per machine per 10 ms supply-observation chunk.
-        """
-        advance_machines(self.machines, dt)
 
     # -- workload placement ---------------------------------------------------------
 

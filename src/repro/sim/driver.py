@@ -14,6 +14,7 @@ times.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Callable, Sequence
 
 from ..errors import SimulationError
@@ -89,10 +90,24 @@ class Simulation:
         self._m_callback_seconds = m.histogram(
             "sim_callback_seconds",
             "Wall-clock latency of each fired event callback")
+        self._m_fleet_advances = m.counter(
+            "sim_fleet_advances_total",
+            "Machine-spans advanced through fleet columns")
+        self._m_fleet_fallbacks = m.counter(
+            "sim_fleet_fallbacks_total",
+            "Machine-spans delegated to the scalar path")
+        #: This run's residency: machine-spans advanced through the fleet
+        #: columns, and machine-spans delegated to ``machine.advance`` per
+        #: fallback reason.
+        self.fleet_advances = 0
+        self.fleet_fallbacks: Counter[str] = Counter()
         # Per-event stats batch locally and flush when run_until returns
-        # (and on any snapshot), keeping the dispatch loop lock-free.
+        # (and on any snapshot), keeping the dispatch loop lock-free; the
+        # residency tallies export as deltas past what was flushed.
         self._pending_dispatched = 0
         self._pending_callback_s: list[float] = []
+        self._flushed_advances = 0
+        self._flushed_fallbacks: Counter[str] = Counter()
         if self.telemetry.enabled:
             self.telemetry.add_flusher(self._flush_dispatch_stats)
 
@@ -135,7 +150,10 @@ class Simulation:
         # One fleet advance per event-free span; resident machines stay in
         # fleet columns between spans (counters still synchronise on
         # snapshot) and flush when run_until returns.
-        advance_machines(self.machines, dt, flush=False)
+        advances, fallbacks = advance_machines(self.machines, dt, flush=False)
+        self.fleet_advances += advances
+        if fallbacks:
+            self.fleet_fallbacks.update(fallbacks)
 
     def run_until(self, t_end_s: float) -> None:
         """Advance simulation time to ``t_end_s``, firing events on the way."""
@@ -181,6 +199,19 @@ class Simulation:
         if self._pending_callback_s:
             self._m_callback_seconds.observe_many(self._pending_callback_s)
             self._pending_callback_s = []
+        advances = self.fleet_advances - self._flushed_advances
+        if advances:
+            self._m_fleet_advances.inc(advances)
+            self._flushed_advances = self.fleet_advances
+        fallbacks = self.fleet_fallbacks - self._flushed_fallbacks
+        if fallbacks:
+            for reason, k in fallbacks.items():
+                self._m_fleet_fallbacks.inc(k)
+                self.telemetry.metrics.counter(
+                    "sim_fleet_fallbacks_total",
+                    "Machine-spans delegated to the scalar path",
+                    labels={"reason": reason}).inc(k)
+            self._flushed_fallbacks = self.fleet_fallbacks.copy()
 
     def run_for(self, duration_s: float) -> None:
         """Advance by ``duration_s``."""

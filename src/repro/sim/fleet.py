@@ -71,9 +71,10 @@ hooks, desynchronised machine clocks, active idle listeners,
 negative-power meters, a supply bank *shared* between machines, and
 banked machines mid-settle or holding ONCE work (their chunk walk prices
 the whole span's demand up front) — delegates that machine to
-``machine.advance`` (the bit-equal reference), counted by
-``sim_fleet_fallbacks_total`` and broken down per reason by its
-``reason``-labelled series (see :func:`fallback_breakdown`).
+``machine.advance`` (the bit-equal reference).  :func:`advance_machines`
+returns each span's residency tally, delegations broken down per reason
+label; the :class:`~repro.sim.driver.Simulation` sums it over its run and
+exports it as ``sim_fleet_advances_total`` / ``sim_fleet_fallbacks_total``.
 
 View synchronisation: while resident, a core's running totals live in
 columns and the underlying objects lag.  Mutators routed through the core
@@ -86,10 +87,10 @@ counters through :func:`gather_counters` instead: one ``(7, k)`` gather
 from the counter columns per sampling tick, with no flush, so banks lag
 until the next flush or snapshot.  Residency dicts, job progress, counter
 banks and energy ledgers are synchronised by :func:`flush_machines` (the
-driver does this when ``run_until`` returns) or by any ``advance_fleet(...,
-flush=True)`` call.  Structural mutations with no hook (attaching a supply
-bank mid-run, swapping a meter/ledger/dispatcher instance) require
-:func:`reset_fleet` first.
+driver does this when ``run_until`` returns) or by any
+``advance_machines(..., flush=True)`` call.  Structural mutations with no
+hook (attaching a supply bank mid-run, swapping a meter/ledger/dispatcher
+instance) require :func:`reset_fleet` first.
 """
 
 from __future__ import annotations
@@ -111,10 +112,8 @@ from .os_sched import Dispatcher
 from .powermeter import PowerMeter
 from .throttle import ThrottleActuator
 
-__all__ = ["FleetState", "advance_machines", "advance_fleet",
-           "flush_machines", "reset_fleet", "set_fleet_enabled",
-           "fleet_enabled", "fleet_stats", "fleet_fallback_reasons",
-           "fallback_breakdown", "gather_counters"]
+__all__ = ["FleetState", "advance_machines", "flush_machines",
+           "reset_fleet", "gather_counters"]
 
 # Per-core execution modes over one event-free span.
 _OFFLINE = 0    # closed form: residency only
@@ -125,36 +124,6 @@ _CHUNKED = 3    # object-authoritative: scalar core.advance each span/chunk
 #: Hooks whose override forces the scalar path.
 _CORE_HOOKS = ("advance", "_advance_slice", "_advance_idle",
                "_advance_overhead", "_jitter_scale", "_record_residency")
-
-#: Routing switch for the fleet columns (``fvsst run --no-fleet-kernel``
-#: clears it; the scalar ``machine.advance`` is the bit-equal reference).
-_FLEET_ENABLED = True
-
-
-def set_fleet_enabled(enabled: bool) -> None:
-    """Enable/disable routing spans through the fleet columns."""
-    global _FLEET_ENABLED
-    _FLEET_ENABLED = bool(enabled)
-
-
-def fleet_enabled() -> bool:
-    return _FLEET_ENABLED
-
-
-#: Process-wide tallies (tests and quick diagnostics; the telemetry
-#: counters sim_fleet_advances_total / sim_fleet_fallbacks_total carry the
-#: same numbers through the metrics registry).
-fleet_stats = {"advances": 0, "fallbacks": 0}
-
-#: Process-wide per-reason fallback tallies (mirrored by the
-#: ``reason``-labelled ``sim_fleet_fallbacks_total`` series).
-fleet_fallback_reasons: dict[str, int] = {}
-
-
-def fallback_breakdown() -> dict[str, int]:
-    """Copy of the per-reason fallback tallies (``reason`` -> count)."""
-    return dict(fleet_fallback_reasons)
-
 
 #: Eligibility blockers mapped to the fallback-reason label they report
 #: under.  Overridden methods/components collapse into "subclass".
@@ -170,50 +139,6 @@ _REASON_LABEL = {
     "power": "power",
     "transient": "transient",
 }
-
-_tel_cache = None
-
-
-def _bump(advances: int, fallbacks: dict[str, int] | None = None) -> None:
-    """Tally machine-spans advanced/delegated; ``fallbacks`` maps reason
-    label -> count.  Registry counters update at span boundaries (this is
-    called once per ``advance_fleet`` span), never from the hot loops."""
-    global _tel_cache
-    nfb = 0
-    if fallbacks:
-        for reason, k in fallbacks.items():
-            nfb += k
-            fleet_fallback_reasons[reason] = \
-                fleet_fallback_reasons.get(reason, 0) + k
-    if advances:
-        fleet_stats["advances"] += advances
-    if nfb:
-        fleet_stats["fallbacks"] += nfb
-    tel = get_telemetry()
-    cache = _tel_cache
-    if cache is None or cache[0] is not tel:
-        m = tel.metrics
-        cache = (tel,
-                 m.counter("sim_fleet_advances_total",
-                           "Machine-spans advanced through fleet columns"),
-                 m.counter("sim_fleet_fallbacks_total",
-                           "Machine-spans delegated to the scalar path"),
-                 {})
-        _tel_cache = cache
-    if advances:
-        cache[1].inc(advances)
-    if nfb:
-        cache[2].inc(nfb)
-        by_reason = cache[3]
-        for reason, k in fallbacks.items():
-            c = by_reason.get(reason)
-            if c is None:
-                c = cache[0].metrics.counter(
-                    "sim_fleet_fallbacks_total",
-                    "Machine-spans delegated to the scalar path",
-                    labels={"reason": reason})
-                by_reason[reason] = c
-            c.inc(k)
 
 
 class _Evict(Exception):
@@ -1233,22 +1158,6 @@ class FleetState:
 # -- module-level dispatch ---------------------------------------------------------
 
 
-def advance_machines(machines, dt: float, *, flush: bool = True) -> None:
-    """Advance every machine across one event-free span of ``dt`` seconds.
-
-    Spans route through :func:`advance_fleet` unless the fleet is switched
-    off (:func:`set_fleet_enabled`), in which case every machine runs the
-    scalar ``machine.advance`` reference.  ``flush=False`` defers writing
-    fleet columns back to the machine objects — the driver's hot loop does
-    this and flushes once per ``run_until``.
-    """
-    if _FLEET_ENABLED:
-        advance_fleet(machines, dt, flush=flush)
-        return
-    for machine in machines:
-        machine.advance(dt)
-
-
 def gather_counters(cores: list[SimulatedCore]) -> np.ndarray:
     """The current counter totals of ``cores`` as one ``(7, k)`` array,
     rows in :class:`CounterBank` field order: column ``j`` is what
@@ -1258,16 +1167,14 @@ def gather_counters(cores: list[SimulatedCore]) -> np.ndarray:
     lane index the live fleet caches per core list (keep passing the same
     list), and nothing is flushed.  Every other core reads
     ``bank.snapshot()``: a delegated machine's, an object-authoritative
-    chunked lane's, one outside any live fleet, and every core while the
-    fleet is switched off.
+    chunked lane's, and one outside any live fleet.
     """
     fleet = None
-    if _FLEET_ENABLED:
-        for core in cores:
-            f = core._fleet
-            if f is not None and f._valid:
-                fleet = f
-                break
+    for core in cores:
+        f = core._fleet
+        if f is not None and f._valid:
+            fleet = f
+            break
     if fleet is None:
         out = np.empty((7, len(cores)))
         for j, core in enumerate(cores):
@@ -1302,10 +1209,16 @@ def _get_fleet(machines: list) -> FleetState:
     return fleet
 
 
-def advance_fleet(machines, dt: float, *, flush: bool = True) -> None:
+def advance_machines(machines, dt: float, *, flush: bool = True
+                     ) -> tuple[int, dict[str, int] | None]:
     """Advance every machine across one event-free span of ``dt`` seconds,
     resident lanes through fleet columns and the rest through the scalar
     ``machine.advance`` reference.
+
+    Returns the span's residency tally: the machine-spans advanced through
+    the columns, and the machine-spans delegated to ``machine.advance``
+    per reason label (None when no machine was delegated; treat the dict
+    as read-only).  A span that raises returns nothing.
 
     ``flush=False`` leaves resident state in the columns (the driver's hot
     loop does this and flushes once when ``run_until`` returns); counters
@@ -1315,7 +1228,7 @@ def advance_fleet(machines, dt: float, *, flush: bool = True) -> None:
     if not isinstance(machines, list):
         machines = list(machines)
     if dt == 0.0 or not machines:
-        return
+        return 0, None
     fleet = None
     for _ in range(2):
         cand = _get_fleet(machines)
@@ -1334,11 +1247,9 @@ def advance_fleet(machines, dt: float, *, flush: bool = True) -> None:
         reason = "rebuild" if fleet is None else fleet._span_blocker
         if fleet is not None:
             fleet.detach()
-        _bump(0, {reason: len(machines)})
         for m in machines:
             m.advance(dt)
-        return
-    _bump(len(fleet.resident), fleet.delegate_reasons or None)
+        return 0, {reason: len(machines)}
     try:
         for m in fleet.delegates:
             m.advance(dt)
@@ -1347,6 +1258,7 @@ def advance_fleet(machines, dt: float, *, flush: bool = True) -> None:
         raise
     if flush:
         fleet.flush()
+    return len(fleet.resident), fleet.delegate_reasons or None
 
 
 def flush_machines(machines) -> None:

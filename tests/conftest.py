@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.model.ipc import WorkloadSignature
@@ -76,3 +78,28 @@ def quiet_machine4():
 def sim_factory():
     """Build a Simulation over one or more machines."""
     return lambda machines: Simulation(machines)
+
+
+@contextmanager
+def scalar_reference():
+    """Run every ``Simulation`` span through the scalar ``machine.advance``
+    reference instead of the fleet columns.
+
+    Patches the driver's one call site, :func:`repro.sim.fleet.advance_machines`
+    as bound in :mod:`repro.sim.driver`, with the per-machine loop, which
+    reports no machine-span through the columns and none delegated.  A
+    fleet built while the seam is in place fails the test: every span must
+    have taken the reference.
+    """
+    def advance(machines, dt, *, flush=True):
+        for machine in machines:
+            machine.advance(dt)
+        return 0, None
+
+    def no_fleet(machines):
+        raise AssertionError("a FleetState was built under scalar_reference()")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.sim.driver.advance_machines", advance)
+        mp.setattr("repro.sim.fleet.FleetState", no_fleet)
+        yield

@@ -77,13 +77,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 5" in out
 
-    def test_no_fleet_kernel_does_not_leak_into_later_runs(self, capsys):
-        from repro.sim.fleet import fleet_enabled
-        assert fleet_enabled()
-        assert main(["run", "table1", "--fast", "--no-fleet-kernel"]) == 0
-        assert fleet_enabled()
-        assert main(["run", "table1", "--fast"]) == 0
-        assert fleet_enabled()
+    def test_jobs_does_not_leak_into_later_runs(self, capsys):
+        from repro.exec import configured_jobs
+        jobs = configured_jobs()
+        assert main(["run", "table1", "--fast", "--jobs", "2"]) == 0
+        assert configured_jobs() == jobs
+        assert main(["run", "tableX", "--jobs", "2"]) == 1
+        assert configured_jobs() == jobs
         capsys.readouterr()
 
 

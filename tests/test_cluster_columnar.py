@@ -400,8 +400,8 @@ class TestPredictorRequirement:
 
 
 class TestLogPassRecording:
-    """``record_schedule_pass`` is the bulk form of N ``record_schedule``
-    calls: same entries, same series, same None -> NaN storage."""
+    """``record_schedule_pass`` stores each pass's rows as given: the same
+    entries read back, with None stored as NaN in the optional fields."""
 
     #: (time, limit, infeasible, wall) per pass; the last two share an
     #: instant, like a trigger pass landing on a periodic one.
@@ -422,13 +422,12 @@ class TestLogPassRecording:
             for n in range(3) for p in range(2)
         ]
 
-    def test_pass_append_matches_entry_appends(self):
-        bulk, scalar = FvsstLog(), FvsstLog()
+    def test_pass_rows_read_back_with_none_as_nan(self):
+        log, expected = FvsstLog(), []
         for k, (t, limit, infeasible, wall) in enumerate(self.PASSES):
             rows = self._rows(k, t, limit, infeasible, wall)
-            for entry in rows:
-                scalar.record_schedule(entry)
-            bulk.record_schedule_pass(
+            expected += rows
+            log.record_schedule_pass(
                 t, [e.node_id for e in rows], [e.proc_id for e in rows],
                 [e.freq_hz for e in rows], [e.eps_freq_hz for e in rows],
                 [e.voltage for e in rows], [e.power_w for e in rows],
@@ -436,42 +435,31 @@ class TestLogPassRecording:
                 predicted_ipcs=[e.predicted_ipc for e in rows],
                 power_limit_w=limit, infeasible=infeasible,
                 pass_wall_s=wall)
-        assert bulk.schedule_entries == scalar.schedule_entries
-        entries = bulk.schedule_entries
+        entries = log.schedule_entries
+        assert entries == expected
         assert sum(e.predicted_ipc is None for e in entries) == 12
         assert sum(e.power_limit_w is None for e in entries) == 6
         assert sum(e.pass_wall_s is None for e in entries) == 12
         for name in ("predicted_ipc", "power_limit_w", "pass_wall_s"):
-            assert np.isnan(bulk._sched.column(name)).tolist() == \
-                np.isnan(scalar._sched.column(name)).tolist()
-        for a, b in zip(bulk.power_series(), scalar.power_series()):
-            assert a.tolist() == b.tolist()
-        for node in range(3):
-            for proc in range(2):
-                for a, b in zip(bulk.frequency_series(node, proc),
-                                scalar.frequency_series(node, proc)):
-                    assert a.tolist() == b.tolist()
+            assert np.isnan(log._sched.column(name)).tolist() == \
+                [getattr(e, name) is None for e in expected]
 
 
 class TestPowerSeriesDedup:
     """Satellite: a trigger pass at the same instant as a periodic pass
     must supersede it in power_series, not add to it."""
 
-    def _entry(self, t, node, proc, power):
-        return ScheduleLogEntry(
-            time_s=t, node_id=node, proc_id=proc, freq_hz=1e9,
-            eps_freq_hz=1e9, voltage=1.1, power_w=power,
-            predicted_loss=0.0, predicted_ipc=None, power_limit_w=None,
-            infeasible=False)
+    def _pass(self, log, t, node_ids, proc_ids, powers):
+        n = len(powers)
+        log.record_schedule_pass(t, node_ids, proc_ids, [1e9] * n,
+                                 [1e9] * n, [1.1] * n, powers, [0.0] * n)
 
     def test_same_instant_pass_supersedes(self):
         log = FvsstLog()
         # Periodic pass at t=1.0 ...
-        log.record_schedule(self._entry(1.0, 0, 0, 20.0))
-        log.record_schedule(self._entry(1.0, 0, 1, 22.0))
+        self._pass(log, 1.0, [0, 0], [0, 1], [20.0, 22.0])
         # ... then a set_power_limit trigger pass at the same instant.
-        log.record_schedule(self._entry(1.0, 0, 0, 10.0))
-        log.record_schedule(self._entry(1.0, 0, 1, 11.0))
+        self._pass(log, 1.0, [0, 0], [0, 1], [10.0, 11.0])
         times, power = log.power_series()
         assert times.tolist() == [1.0]
         # Pre-fix this summed both passes to 63 W.
@@ -479,9 +467,8 @@ class TestPowerSeriesDedup:
 
     def test_distinct_procs_still_sum(self):
         log = FvsstLog()
-        log.record_schedule(self._entry(1.0, 0, 0, 20.0))
-        log.record_schedule(self._entry(1.0, 1, 0, 30.0))
-        log.record_schedule(self._entry(2.0, 0, 0, 25.0))
+        self._pass(log, 1.0, [0, 1], [0, 0], [20.0, 30.0])
+        self._pass(log, 2.0, [0], [0], [25.0])
         times, power = log.power_series()
         assert times.tolist() == [1.0, 2.0]
         assert power.tolist() == [50.0, 25.0]

@@ -8,6 +8,8 @@ That per-core agent is kept below as :class:`ReferenceAgent` and shadows
 the real agents sample by sample.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,11 @@ from repro.errors import CounterError
 from repro.model.ipc import MemoryCounts
 from repro.sim import Cluster, CoreConfig, MachineConfig, SMPMachine, Simulation
 from repro.sim.counters import CounterBank, CounterBlock, CounterReader
-from repro.sim.fleet import reset_fleet, set_fleet_enabled
+from repro.sim.fleet import reset_fleet
 from repro.sim.node import ClusterNode
 from repro.sim.rng import spawn_rngs, spawn_seeds
 from repro.workloads.tiers import tiered_cluster_assignment
+from tests.conftest import scalar_reference
 
 _COUNTER_FIELDS = REPORT_FIELDS[:-1]
 
@@ -246,8 +249,7 @@ def _run_case(case, sigma, *, fleet=True, advance_before_attach=False,
                                faults=faults and faults(), seed=31)
     pairs = shadow(coord, 31)
     sim = Simulation(cluster.machines)
-    set_fleet_enabled(fleet)
-    try:
+    with nullcontext() if fleet else scalar_reference():
         if advance_before_attach:
             sim.run_for(0.037)
         coord.attach(sim)
@@ -263,8 +265,6 @@ def _run_case(case, sigma, *, fleet=True, advance_before_attach=False,
             agent.confirm_report()
             agent.make_report(sim.now_s)
         sim.run_for(0.2)
-    finally:
-        set_fleet_enabled(True)
     return pairs, coord
 
 

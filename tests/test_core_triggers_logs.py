@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.logs import CounterLogEntry, FvsstLog, ScheduleLogEntry
+from repro.core.logs import CounterLogEntry, FvsstLog
 from repro.core.triggers import IdleTransition, PowerLimitChange, TriggerBus
 from repro.errors import ExperimentError, SchedulingError
 from repro.sim.counters import CounterSample
@@ -47,13 +47,11 @@ def sample(instr=1e6, cycles=1e6, t=0.0, interval=0.01) -> CounterSample:
                          l1_stall_cycles=0, halted_cycles=0)
 
 
-def sched_entry(t, freq, eps=None, predicted_ipc=1.0, proc=0):
-    return ScheduleLogEntry(
-        time_s=t, node_id=0, proc_id=proc, freq_hz=freq,
-        eps_freq_hz=eps if eps is not None else freq, voltage=1.3,
-        power_w=100.0, predicted_loss=0.0, predicted_ipc=predicted_ipc,
-        power_limit_w=None, infeasible=False,
-    )
+def record(log, t, freq, eps=None, predicted_ipc=1.0, proc=0):
+    """Record a one-processor scheduling pass on node 0."""
+    log.record_schedule_pass(
+        t, [0], [proc], [freq], [eps if eps is not None else freq], [1.3],
+        [100.0], [0.0], predicted_ipcs=[predicted_ipc])
 
 
 class TestFvsstLogSeries:
@@ -70,8 +68,8 @@ class TestFvsstLogSeries:
 
     def test_frequency_series_actual_vs_desired(self):
         log = FvsstLog()
-        log.record_schedule(sched_entry(0.1, mhz(750), eps=mhz(900)))
-        log.record_schedule(sched_entry(0.2, mhz(750), eps=mhz(850)))
+        record(log, 0.1, mhz(750), eps=mhz(900))
+        record(log, 0.2, mhz(750), eps=mhz(850))
         _, actual = log.frequency_series(0, 0)
         _, desired = log.frequency_series(0, 0, desired=True)
         np.testing.assert_allclose(actual, [mhz(750), mhz(750)])
@@ -79,16 +77,16 @@ class TestFvsstLogSeries:
 
     def test_power_series_sums_processors(self):
         log = FvsstLog()
-        log.record_schedule(sched_entry(0.1, ghz(1.0), proc=0))
-        log.record_schedule(sched_entry(0.1, ghz(1.0), proc=1))
+        record(log, 0.1, ghz(1.0), proc=0)
+        record(log, 0.1, ghz(1.0), proc=1)
         t, p = log.power_series()
         assert list(t) == [0.1]
         assert p[0] == pytest.approx(200.0)
 
     def test_per_processor_filtering(self):
         log = FvsstLog()
-        log.record_schedule(sched_entry(0.1, ghz(1.0), proc=0))
-        log.record_schedule(sched_entry(0.1, mhz(650), proc=1))
+        record(log, 0.1, ghz(1.0), proc=0)
+        record(log, 0.1, mhz(650), proc=1)
         assert len(log.schedules_of(0, 0)) == 1
         assert log.schedules_of(0, 1)[0].freq_hz == mhz(650)
 
@@ -98,7 +96,7 @@ class TestResidency:
         log = FvsstLog()
         for t, f in [(0.1, mhz(650)), (0.2, mhz(650)), (0.3, ghz(1.0)),
                      (0.4, mhz(650))]:
-            log.record_schedule(sched_entry(t, f))
+            record(log, t, f)
         res = log.frequency_residency(0, 0)
         assert sum(res.values()) == pytest.approx(1.0)
         assert res[mhz(650)] == pytest.approx(0.75)
@@ -112,11 +110,11 @@ class TestPredictionScoring:
     def _log_with_pairs(self):
         log = FvsstLog()
         # Decision at t=0.1 predicting IPC 1.0; window samples measure 0.8.
-        log.record_schedule(sched_entry(0.1, ghz(1.0), predicted_ipc=1.0))
+        record(log, 0.1, ghz(1.0), predicted_ipc=1.0)
         log.record_sample(CounterLogEntry(
             time_s=0.15, node_id=0, proc_id=0,
             sample=sample(instr=8e5, cycles=1e6)))
-        log.record_schedule(sched_entry(0.2, ghz(1.0), predicted_ipc=0.5))
+        record(log, 0.2, ghz(1.0), predicted_ipc=0.5)
         log.record_sample(CounterLogEntry(
             time_s=0.25, node_id=0, proc_id=0,
             sample=sample(instr=5e5, cycles=1e6)))
@@ -143,7 +141,7 @@ class TestPredictionScoring:
 
     def test_none_predictions_excluded(self):
         log = FvsstLog()
-        log.record_schedule(sched_entry(0.1, ghz(1.0), predicted_ipc=None))
+        record(log, 0.1, ghz(1.0), predicted_ipc=None)
         log.record_sample(CounterLogEntry(
             time_s=0.15, node_id=0, proc_id=0, sample=sample()))
         assert log.prediction_pairs(0, 0) == []

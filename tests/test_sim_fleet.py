@@ -1,11 +1,12 @@
 """The fleet-wide columnar kernel reproduces the scalar path bit-for-bit.
 
-:func:`repro.sim.fleet.advance_fleet` advances every eligible core in the
-cluster through shared numpy columns; this file replays identical scenarios
-through two paths — the fleet columns and the scalar ``machine.advance``
-reference (``SimulatedCore._advance_slice`` per slice, which is also what
-``set_fleet_enabled(False)`` routes to) — and asserts *exact* float
-equality of every piece of machine state.  No tolerances anywhere: one
+:func:`repro.sim.fleet.advance_machines` advances every eligible core in
+the cluster through shared numpy columns; this file replays identical
+scenarios through two paths — the fleet columns and the scalar
+``machine.advance`` reference (``SimulatedCore._advance_slice`` per slice;
+whole runs reach it through the ``scalar_reference()`` seam at the
+driver's call site) — and asserts *exact* float equality of every piece
+of machine state.  No tolerances anywhere: one
 reordered IEEE operation fails the suite.
 
 Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
@@ -18,7 +19,9 @@ staying resident with identical event streams, subclassed-hook machines
 forcing the counted fallback, invalidation through every mutator between
 spans, lazy-flush snapshots mid-run, the ``lossy`` / ``crash`` / ``chaos``
 fault scenarios run end-to-end through the cluster coordinator, and whole
-experiments exported byte-identically with the fleet on and off.
+experiments exported byte-identically through the columns and the scalar
+reference.  Each span's residency tally comes back from
+``advance_machines``, and each ``Simulation`` keeps its own run's.
 
 Serving residency: open-loop request fleets (every request a ONCE job)
 replay against the scalar path too — arrivals and completions mid-span,
@@ -41,9 +44,7 @@ from repro.power.supply import SupplyBank
 from repro.power.table import POWER4_TABLE
 from repro.sim import Cluster, CoreConfig, MachineConfig, SMPMachine, Simulation
 from repro.sim.driver import Simulation as Driver
-from repro.sim.fleet import (advance_fleet, advance_machines,
-                             fallback_breakdown, fleet_enabled, fleet_stats,
-                             flush_machines, reset_fleet, set_fleet_enabled)
+from repro.sim.fleet import advance_machines, flush_machines, reset_fleet
 from repro.sim.idle import IdleStyle
 from repro.errors import CascadeFailureError
 from repro.telemetry import EVENT_PHASE_TRANSITION, Telemetry, use_telemetry
@@ -51,14 +52,7 @@ from repro.workloads.job import Job, LoopMode
 from repro.workloads.server import RequestSpec
 from repro.workloads.serving import FleetTrafficSource
 from repro.workloads.synthetic import synthetic_phase
-
-
-@pytest.fixture(autouse=True)
-def _fleet_on():
-    """Each test starts with the fleet kernel enabled and leaves it so."""
-    set_fleet_enabled(True)
-    yield
-    set_fleet_enabled(True)
+from tests.conftest import scalar_reference
 
 
 # -- state capture ----------------------------------------------------------------
@@ -108,12 +102,24 @@ def looping_job(name, ratios, *, duration_s=0.05):
     return Job(name=name, phases=phases, loop=LoopMode.LOOP)
 
 
+def add_tally(tally, span):
+    """Add one span's ``advance_machines`` result into ``tally``, a
+    ``[advances, {reason: fallbacks}]`` pair."""
+    advances, fallbacks = span
+    tally[0] += advances
+    for reason, k in (fallbacks or {}).items():
+        tally[1][reason] = tally[1].get(reason, 0) + k
+
+
 def run_two_ways(build, script):
     """Replay ``script(machines, advance)`` through the fleet columns and
     the scalar ``machine.advance`` reference; exact state equality.
-    ``build()`` must be deterministic."""
+    ``build()`` must be deterministic.  Returns the fleet replay's
+    machines and its summed residency tally ``(advances, {reason:
+    fallbacks})``."""
     cols = build()
-    script(cols, lambda dt: advance_machines(cols, dt))
+    tally = [0, {}]
+    script(cols, lambda dt: add_tally(tally, advance_machines(cols, dt)))
     flush_machines(cols)
 
     scal = build()
@@ -124,7 +130,7 @@ def run_two_ways(build, script):
     script(scal, scalar)
 
     assert fleet_state(cols) == fleet_state(scal)
-    return cols
+    return cols, tuple(tally)
 
 
 def hetero_fleet(seed, n=5):
@@ -221,12 +227,10 @@ def test_cascade_mid_span_matches():
         ms[0].supply_bank.fail_supply(0, now_s=ms[0].now_s)
         advance(1.2)     # overload episode runs past the cascade deadline
 
-    before = dict(fleet_stats)
-    ms = run_two_ways(build, script)
+    ms, tally = run_two_ways(build, script)
     assert ms[0].supply_bank.cascade_count > 0
     # Both machines went through columns on both spans: no fallbacks.
-    assert fleet_stats["advances"] == before["advances"] + 4
-    assert fleet_stats["fallbacks"] == before["fallbacks"]
+    assert tally == (4, {})
 
 
 def test_jitter_lanes_match_both_references():
@@ -258,10 +262,8 @@ def test_jitter_lanes_match_both_references():
         advance(0.0004)   # short span: at most one draw per busy lane
         advance(0.42)
 
-    before = dict(fleet_stats)
-    run_two_ways(build, script)
-    assert fleet_stats["fallbacks"] == before["fallbacks"]
-    assert fleet_stats["advances"] == before["advances"] + 15
+    _, tally = run_two_ways(build, script)
+    assert tally == (15, {})
 
 
 def test_randomized_jitter_fleets_match():
@@ -375,13 +377,11 @@ def test_once_job_machine_stays_resident_through_completion():
         assert jobs[-1].done
         assert jobs[-1].completed_at_s is not None
 
-    before = dict(fleet_stats)
-    ms = run_two_ways(build, script)
+    ms, tally = run_two_ways(build, script)
     # Only the fleet replay is counted: 8 spans x 2 machines,
     # every one resident, none delegated.
-    assert fleet_stats["advances"] == before["advances"] + 16
-    assert fleet_stats["fallbacks"] == before["fallbacks"]
-    advance_fleet(ms, 0.01)
+    assert tally == (16, {})
+    advance_machines(ms, 0.01)
     fl = ms[0].__dict__["_fleet_cache"][1]
     assert ms[0] in fl.resident
 
@@ -483,7 +483,7 @@ def test_once_job_full_advance_matches_reference():
         advance(0.3)             # the ONCE job completes inside this span
         advance(0.1)
 
-    ms = run_two_ways(build, script)
+    ms, _ = run_two_ways(build, script)
     assert ms[0].cores[0].is_idle
 
 
@@ -500,7 +500,7 @@ def test_overload_cascade_counting_matches_reference():
         advance(0.735)           # overload episode running
         advance(1.5)             # crosses the 1 s deadline: cascade, dark
 
-    ms = run_two_ways(build, script)
+    ms, _ = run_two_ways(build, script)
     assert ms[0].supply_bank.cascade_count == 1
     assert ms[0].supply_bank.all_failed
 
@@ -621,7 +621,7 @@ def test_cluster_advance_matches_reference():
 
     fast = build()
     slow = build()
-    fast.advance(0.5)
+    assert advance_machines(fast.machines, 0.5) == (2, None)
     for m in slow.machines:
         m.advance(0.5)
     assert fleet_state(fast.machines) == fleet_state(slow.machines)
@@ -668,8 +668,7 @@ def serving_snapshot(machines, traffic, horizon_s):
 
 def run_serving_two_ways(build, script, horizon_s):
     """Replay ``script(sim, traffic)`` through the fleet columns and the
-    scalar slice loop (``set_fleet_enabled(False)``); exact snapshot
-    equality."""
+    scalar slice loop (``scalar_reference()``); exact snapshot equality."""
     def run():
         machines, sim, traffic = build()
         script(sim, traffic)
@@ -677,11 +676,8 @@ def run_serving_two_ways(build, script, horizon_s):
         return serving_snapshot(machines, traffic, horizon_s)
 
     cols = run()
-    set_fleet_enabled(False)
-    try:
+    with scalar_reference():
         scal = run()
-    finally:
-        set_fleet_enabled(True)
     assert cols == scal
     return cols
 
@@ -747,15 +743,11 @@ def test_stock_serving_fleet_takes_no_fallbacks():
     machines, sim, traffic = serving_build(nodes=2, procs=2, rate=500.0,
                                            seed=13, traffic_seed=23)
     traffic.attach(sim)
-    before = dict(fleet_stats)
-    reasons_before = fallback_breakdown()
     sim.run_for(0.5)
     assert traffic.issued > 0
     assert sum(s.completed for s in traffic.sources) > 0
-    assert fleet_stats["advances"] > before["advances"]
-    assert fleet_stats["fallbacks"] == before["fallbacks"]
-    assert fallback_breakdown().get("transient", 0) == \
-        reasons_before.get("transient", 0)
+    assert sim.fleet_advances > 0
+    assert sim.fleet_fallbacks == {}
 
 
 # -- fallback accounting -----------------------------------------------------------
@@ -766,22 +758,21 @@ class HookedMachine(SMPMachine):
         super()._advance_to(t_end)
 
 
-def test_subclassed_machine_falls_back_and_is_counted():
-    hooked = HookedMachine(
-        MachineConfig(num_cores=2,
-                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
-        seed=4)
-    hooked.assign(0, looping_job("hooked", (0.8,)))
-    plain = SMPMachine(
-        MachineConfig(num_cores=2,
-                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
-        seed=4)
-    plain.assign(0, looping_job("hooked", (0.8,)))
+def hooked_pair(seed=4):
+    """A subclassed machine (always delegated) and a stock twin."""
+    ms = []
+    for cls in (HookedMachine, SMPMachine):
+        m = cls(MachineConfig(num_cores=2,
+                              core_config=CoreConfig(latency_jitter_sigma=0.0)),
+                seed=seed)
+        m.assign(0, looping_job("hooked", (0.8,)))
+        ms.append(m)
+    return ms
 
-    before = dict(fleet_stats)
-    advance_fleet([hooked, plain], 0.05)
-    assert fleet_stats["fallbacks"] == before["fallbacks"] + 1
-    assert fleet_stats["advances"] == before["advances"] + 1
+
+def test_subclassed_machine_falls_back_and_is_counted():
+    hooked, plain = hooked_pair()
+    assert advance_machines([hooked, plain], 0.05) == (1, {"subclass": 1})
     # The delegate advanced through machine.advance: same result as the
     # identically-seeded plain machine that went through columns.
     assert machine_state(hooked) == machine_state(plain)
@@ -811,13 +802,8 @@ def test_enabled_telemetry_stays_resident():
     tel_cols = Telemetry()
     with use_telemetry(tel_cols):
         cols = build()
-        before = dict(fleet_stats)
         for _ in range(6):
-            advance_fleet(cols, 0.017)
-        assert fleet_stats["fallbacks"] == before["fallbacks"]
-        assert fleet_stats["advances"] == before["advances"] + 12
-        adv = tel_cols.metrics.counter("sim_fleet_advances_total")
-        assert adv.value == 12.0
+            assert advance_machines(cols, 0.017) == (2, None)
 
     tel_scal = Telemetry()
     with use_telemetry(tel_scal):
@@ -831,31 +817,80 @@ def test_enabled_telemetry_stays_resident():
     assert events(tel_cols) == events(tel_scal)
 
 
-def test_fallback_reason_breakdown_and_labels():
-    """Counted fallbacks carry a reason: the module breakdown and the
-    ``reason``-labelled registry series both move."""
-    hooked = HookedMachine(
-        MachineConfig(num_cores=2,
-                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
-        seed=4)
-    hooked.assign(0, looping_job("hooked", (0.8,)))
-    plain = SMPMachine(
-        MachineConfig(num_cores=2,
-                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
-        seed=4)
-    plain.assign(0, looping_job("hooked", (0.8,)))
+def fleet_series(telemetry):
+    """Every ``sim_fleet_*`` series in ``telemetry``'s registry."""
+    return {(name, tuple(sorted(series["labels"].items()))): series["value"]
+            for name, metric in telemetry.snapshot()["metrics"].items()
+            if name.startswith("sim_fleet_")
+            for series in metric["series"]}
 
+
+def test_fallback_reason_breakdown_and_labels():
+    """Counted fallbacks carry a reason: the Simulation's own tally and
+    the ``reason``-labelled series in *its* backend both move, and the
+    process-default backend gains nothing."""
+    telemetry, default = Telemetry(), Telemetry()
+    with use_telemetry(default):
+        sim = Simulation(hooked_pair(), telemetry=telemetry)
+        for _ in range(5):
+            sim.run_for(0.01)
+    assert sim.fleet_advances == 5
+    assert sim.fleet_fallbacks == {"subclass": 5}
+    assert fleet_series(telemetry) == {
+        ("sim_fleet_advances_total", ()): 5.0,
+        ("sim_fleet_fallbacks_total", ()): 5.0,
+        ("sim_fleet_fallbacks_total", (("reason", "subclass"),)): 5.0,
+    }
+    assert fleet_series(default) == {}
+
+
+def test_simulations_keep_independent_tallies():
+    """Two runs advanced alternately in one process each count only their
+    own machine-spans."""
+    a = Simulation(hooked_pair(seed=4))
+    b = Simulation(hetero_fleet(12, n=2))
+    for _ in range(3):
+        a.run_for(0.02)
+        b.run_for(0.05)
+    assert (a.fleet_advances, a.fleet_fallbacks) == (3, {"subclass": 3})
+    assert (b.fleet_advances, b.fleet_fallbacks) == (9, {})
+
+
+def test_zero_fallback_run_registers_both_fleet_counters():
+    """A live backend exports both unlabelled ``sim_fleet_*`` counters
+    even when no machine-span was delegated."""
     telemetry = Telemetry()
-    before = fallback_breakdown()
     with use_telemetry(telemetry):
-        advance_fleet([hooked, plain], 0.05)
-        total = telemetry.metrics.counter("sim_fleet_fallbacks_total")
-        sub = telemetry.metrics.counter("sim_fleet_fallbacks_total",
-                                        labels={"reason": "subclass"})
-        assert total.value == 1.0
-        assert sub.value == 1.0
-    after = fallback_breakdown()
-    assert after.get("subclass", 0) == before.get("subclass", 0) + 1
+        Simulation(hetero_fleet(5, n=2)).run_for(0.1)
+    assert fleet_series(telemetry) == {
+        ("sim_fleet_advances_total", ()): 3.0,
+        ("sim_fleet_fallbacks_total", ()): 0.0,
+    }
+
+
+def test_advance_machines_returns_span_tally():
+    """The span's tally is the return value: every machine resident, one
+    delegated machine, and a whole-span ``bank`` fallback where a raising
+    cascade would cut the span short."""
+    assert advance_machines(hetero_fleet(8, n=3), 0.02) == (4, None)
+    assert advance_machines(hooked_pair(), 0.02) == (1, {"subclass": 1})
+    assert advance_machines(hooked_pair(), 0.0) == (0, None)
+
+    banked = SMPMachine(
+        MachineConfig(num_cores=4,
+                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
+        supply_bank=SupplyBank.example_p630(raise_on_cascade=True), seed=5)
+    for c in range(4):
+        banked.assign(c, looping_job(f"hot{c}", (1.0,)))
+    peer = hetero_fleet(9, n=1)[0]
+    assert advance_machines([banked, peer], 0.3) == (2, None)
+    banked.supply_bank.fail_supply(0, now_s=banked.now_s)
+    # Record the delegations instead of raising, so the span returns.
+    delegated = []
+    for m in (banked, peer):
+        m.advance = lambda dt, m=m: delegated.append((m, dt))
+    assert advance_machines([banked, peer], 1.2) == (0, {"bank": 2})
+    assert delegated == [(banked, 1.2), (peer, 1.2)]
 
 
 def test_raising_cascade_falls_back_whole_span():
@@ -880,10 +915,8 @@ def test_raising_cascade_falls_back_whole_span():
             advance(1.2)
 
     cols = build()
-    before = fallback_breakdown()
     run(cols, lambda dt: advance_machines(cols, dt))
     flush_machines(cols)
-    assert fallback_breakdown().get("bank", 0) == before.get("bank", 0) + 1
 
     scal = build()
     run(scal, lambda dt: scal[0].advance(dt))
@@ -918,33 +951,8 @@ def test_shared_bank_machines_stay_delegates():
         advance(0.12)
         advance(0.05)
 
-    stats_before = dict(fleet_stats)
-    reasons_before = fallback_breakdown()
-    run_two_ways(build, script)
-    assert fleet_stats["advances"] == stats_before["advances"] + 2
-    assert fleet_stats["fallbacks"] == stats_before["fallbacks"] + 4
-    assert fallback_breakdown().get("bank", 0) == \
-        reasons_before.get("bank", 0) + 4
-
-
-def test_escape_hatch_toggles_routing():
-    assert fleet_enabled()
-    set_fleet_enabled(False)
-    assert not fleet_enabled()
-    m = SMPMachine(MachineConfig(
-        num_cores=1, core_config=CoreConfig(latency_jitter_sigma=0.0)), seed=0)
-    before = dict(fleet_stats)
-    advance_machines([m], 0.01)
-    assert fleet_stats == before           # fleet module never consulted
-    assert m.__dict__.get("_fleet_cache") is None
-
-
-def test_cli_no_fleet_kernel_flag():
-    from repro.cli import build_parser
-    args = build_parser().parse_args(["run", "table3", "--no-fleet-kernel"])
-    assert args.no_fleet_kernel
-    args = build_parser().parse_args(["run", "table3"])
-    assert not args.no_fleet_kernel
+    _, tally = run_two_ways(build, script)
+    assert tally == (2, {"bank": 4})
 
 
 # -- lazy flush / view synchronisation ---------------------------------------------
@@ -962,16 +970,12 @@ def test_snapshot_mid_run_sees_exact_counters():
 
     cols = build()
     for _ in range(7):
-        advance_fleet(cols, 0.013, flush=False)
+        advance_machines(cols, 0.013, flush=False)
     snap_cols = cols[0].cores[0].counters.snapshot()
 
-    set_fleet_enabled(False)
-    try:
-        ref = build()
-        for _ in range(7):
-            advance_machines(ref, 0.013)
-    finally:
-        set_fleet_enabled(True)
+    ref = build()
+    for _ in range(7):
+        ref[0].advance(0.013)
     snap_ref = ref[0].cores[0].counters.snapshot()
     assert snap_cols.as_tuple() == snap_ref.as_tuple()
 
@@ -993,20 +997,17 @@ def test_driver_flushes_on_run_until_return():
     sim.every(0.01, lambda t: None)   # event-dense run, all through columns
     sim.run_for(0.5)
 
-    set_fleet_enabled(False)
-    try:
+    with scalar_reference():
         ref = build()
         sim2 = Simulation(ref)
         sim2.every(0.01, lambda t: None)
         sim2.run_for(0.5)
-    finally:
-        set_fleet_enabled(True)
     assert machine_state(m) == machine_state(ref)
 
 
 def test_reset_fleet_dissolves_columns():
     ms = hetero_fleet(55, n=3)
-    advance_fleet(ms, 0.02, flush=False)
+    advance_machines(ms, 0.02, flush=False)
     fl = ms[0].__dict__["_fleet_cache"][1]
     assert fl._valid
     reset_fleet(ms)
@@ -1016,7 +1017,7 @@ def test_reset_fleet_dissolves_columns():
     # A structural mutation the hooks cannot see is now safe; the rebuilt
     # fleet runs the newly banked machine as a *resident* lane group.
     ms[0].supply_bank = SupplyBank.example_p630(raise_on_cascade=False)
-    advance_fleet(ms, 0.02)
+    advance_machines(ms, 0.02)
     assert ms[0] in ms[0].__dict__["_fleet_cache"][1].resident
 
 
@@ -1024,9 +1025,9 @@ def test_overlapping_fleets_steal_cleanly():
     """A machine moving between two machine lists detaches from the stale
     fleet (flushing it) before joining the new one."""
     ms = hetero_fleet(81, n=3)
-    advance_fleet(ms, 0.02, flush=False)
+    advance_machines(ms, 0.02, flush=False)
     sub = [ms[0], ms[1]]
-    advance_fleet(sub, 0.02, flush=False)    # steals lanes from the first
+    advance_machines(sub, 0.02, flush=False)  # steals lanes from the first
     flush_machines(sub)
     assert ms[0]._now_s == pytest.approx(0.04)
     # The machine left behind was flushed when its fleet dissolved.
@@ -1043,8 +1044,9 @@ def test_overlapping_fleets_steal_cleanly():
     for scenario in ("lossy", "crash", "chaos") for sigma in (0.0, 0.005)])
 def test_fault_scenarios_end_to_end(scenario, sigma):
     """A faulted coordinator run over a small cluster is bit-identical
-    with the fleet kernel on and off — loss, crash windows, partitions,
-    degraded scheduling, and read noise drawn under crashes."""
+    through the fleet columns and the scalar reference — loss, crash
+    windows, partitions, degraded scheduling, and read noise drawn under
+    crashes."""
     def run():
         cluster = Cluster.homogeneous(
             4,
@@ -1071,11 +1073,8 @@ def test_fault_scenarios_end_to_end(scenario, sigma):
         return fleet_state(cluster.machines), log
 
     state_on, log_on = run()
-    set_fleet_enabled(False)
-    try:
+    with scalar_reference():
         state_off, log_off = run()
-    finally:
-        set_fleet_enabled(True)
     assert log_on == log_off
     assert state_on == state_off
 
@@ -1088,16 +1087,13 @@ def test_fault_scenarios_end_to_end(scenario, sigma):
                                            "curtailment", "cluster_cap"])
 def test_experiment_exports_match_scalar_path(experiment_id):
     """Whole experiments, not just hand-built fixtures: the exported
-    result is byte-identical with the fleet on and with every machine on
-    the scalar path."""
+    result is byte-identical through the fleet columns and with every
+    machine on the scalar path."""
     def exported():
         result = run_experiment(experiment_id, seed=2005, fast=True)
         return json.dumps(result_to_dict(result), sort_keys=True)
 
     on = exported()
-    set_fleet_enabled(False)
-    try:
+    with scalar_reference():
         off = exported()
-    finally:
-        set_fleet_enabled(True)
     assert on == off

@@ -280,11 +280,11 @@ class TestMetricCatalog:
 
     @staticmethod
     def _registered(tmp_path) -> dict:
-        """Every metric the control plane, the daemons, the driver, the
-        fleet advance (one delegated machine included, for the ``reason``
-        series) and the experiment runner register.  Built under
-        use_telemetry: the sim_fleet_* counters resolve the process
-        default backend, not a constructor argument."""
+        """Every metric the control plane, the daemons, the driver with
+        its fleet residency (one delegated machine included, for the
+        ``reason`` series) and the experiment runner register.  Built
+        under use_telemetry, so every component, the Simulation included,
+        registers into the one backend."""
         class Delegated(SMPMachine):
             pass
 
