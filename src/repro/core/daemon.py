@@ -288,16 +288,22 @@ class FvsstDaemon(Governor):
         window = self._windows[proc]
         if not window:
             return None
+        # Plain left-to-right adds from 0, as ``sum`` did up to Python
+        # 3.11; 3.12's ``sum`` compensates, which would move the outputs.
+        interval = instr = cycles = l2 = l3 = mem = l1 = halted = 0
+        for s in window:
+            interval += s.interval_s
+            instr += s.instructions
+            cycles += s.cycles
+            l2 += s.n_l2
+            l3 += s.n_l3
+            mem += s.n_mem
+            l1 += s.l1_stall_cycles
+            halted += s.halted_cycles
         return CounterSample(
-            time_s=now_s,
-            interval_s=sum(s.interval_s for s in window),
-            instructions=sum(s.instructions for s in window),
-            cycles=sum(s.cycles for s in window),
-            n_l2=sum(s.n_l2 for s in window),
-            n_l3=sum(s.n_l3 for s in window),
-            n_mem=sum(s.n_mem for s in window),
-            l1_stall_cycles=sum(s.l1_stall_cycles for s in window),
-            halted_cycles=sum(s.halted_cycles for s in window),
+            time_s=now_s, interval_s=interval, instructions=instr,
+            cycles=cycles, n_l2=l2, n_l3=l3, n_mem=mem,
+            l1_stall_cycles=l1, halted_cycles=halted,
         )
 
     def _build_views(self, now_s: float) -> list[ProcessorView]:

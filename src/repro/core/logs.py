@@ -397,10 +397,13 @@ class FvsstLog:
         for i, dec in enumerate(schedules):
             t_end = (schedules[i + 1].time_s if i + 1 < len(schedules)
                      else float("inf"))
-            window = [s.sample for s in samples
-                      if dec.time_s < s.time_s <= t_end]
-            instr = sum(s.instructions for s in window)
-            cycles = sum(s.cycles for s in window)
+            # Left-to-right adds from 0, as in the daemon's window
+            # aggregate (Python 3.12's ``sum`` compensates).
+            instr = cycles = 0
+            for s in samples:
+                if dec.time_s < s.time_s <= t_end:
+                    instr += s.sample.instructions
+                    cycles += s.sample.cycles
             if cycles > 0 and instr > 0:
                 pairs.append((dec.time_s, dec.predicted_ipc, instr / cycles))
         return pairs

@@ -51,22 +51,27 @@ Residency matrix (what lives in columns):
   Per-machine event order and every counter value match the scalar path
   bit-for-bit; only the interleaving of events *across* machines within
   one span is unspecified.
-* **ONCE jobs (serving requests)** are resident on unbanked machines: job
-  completion is just another columnar crossing.  The vector predicate that
-  finds phase boundaries also finds the last phase's end; the crossing
-  replay completes the job, pops the dispatch queue, and runs the rest of
-  the span as the scalar's hot-idle (or halted) loop — ``started_at_s`` /
-  ``completed_at_s`` stamps, event payloads, counters, and RNG draw order
-  all identical to the scalar path.  The drained lane re-derives at the
-  next span start (idle columns, fresh power), exactly when the scalar
-  re-reads ``core_power_w``.
+* **Run queues** are resident on unbanked machines, whatever their length
+  and loop modes (serving requests are ONCE jobs): the lane runs the job
+  at the head of the queue, and the dispatcher's quantum runs down in one
+  more column.  A request's completion and the quantum's expiry are
+  columnar crossings.  The vector predicate that finds phase boundaries
+  also finds the last phase's end and ``Dispatcher.account_run``'s
+  expiry threshold; the crossing replay completes the job (or rotates the
+  queue), writes the lane back to its objects, and hands the rest of the
+  span to the scalar slice loop, which runs the next job or the idle loop.
+  ``started_at_s`` / ``completed_at_s`` stamps, event payloads, counters,
+  and RNG draw order are all identical to the scalar path.  The lane
+  re-derives at the next span start (the new head's columns, fresh
+  power), exactly when the scalar re-reads ``core_power_w``.
 * **Pending frequency settling** stays resident on unbanked machines as a
   *volatile* chunked lane: ``core.advance`` cuts the settle boundary each
-  span and the lane re-derives (power included) every span start.  Queues
-  mixing a ONCE job with other work ride the same volatile-chunked path
-  until they drain back into columns.
+  span and the lane re-derives (power included) every span start.
 
-What still cannot live in columns — subclassed machine/core/component
+Daemon-time debt, a replaced counter bank, a non-plain head job, and a
+banked machine's multi-job queue are *chunked* lanes: ``core.advance``
+runs them against their objects every span.  What still cannot live in
+columns — subclassed machine/core/component
 hooks, desynchronised machine clocks, active idle listeners,
 negative-power meters, a supply bank *shared* between machines, and
 banked machines mid-settle or holding ONCE work (their chunk walk prices
@@ -118,7 +123,7 @@ __all__ = ["FleetState", "advance_machines", "flush_machines",
 # Per-core execution modes over one event-free span.
 _OFFLINE = 0    # closed form: residency only
 _IDLE = 1       # closed form: one stationary idle slice per chunk
-_BUSY = 2       # column lane: single plain-phase job, constant frequency
+_BUSY = 2       # column lane: plain-phase head job, constant frequency
 _CHUNKED = 3    # object-authoritative: scalar core.advance each span/chunk
 
 #: Hooks whose override forces the scalar path.
@@ -179,20 +184,23 @@ def _classify_lane(core: SimulatedCore, t0: float,
 
     Returns ``(mode, volatile)`` or None (the machine must delegate):
 
-    * a single plain-phase :class:`Job` of *any* loop mode is ``_BUSY`` —
-      a ONCE job's completion is handled as a columnar crossing by
-      :meth:`FleetState._advance_busy_lane`;
-    * daemon-time debt, a replaced counter bank, and multi-job queues are
+    * on an unbanked machine, a run queue whose head is a plain-phase
+      :class:`Job` is ``_BUSY`` at any length, ONCE and LOOP work alike:
+      the dispatcher's quantum expiry and a request's completion are
+      columnar crossings of :meth:`FleetState._advance_busy_lane`;
+    * daemon-time debt, a replaced counter bank, and a non-plain head are
       ``_CHUNKED``: ``core.advance`` runs each span against the objects;
-    * pending frequency settling, and queues holding a ONCE job next to
-      other work, are *volatile* chunked lanes: ``core.advance`` handles
-      the interior boundary each span, and the lane re-derives (power
-      included) at every span start — exactly when the scalar
-      ``machine._advance_to`` would re-read ``core_power_w``.
+    * pending frequency settling is a *volatile* chunked lane:
+      ``core.advance`` handles the settle boundary each span, and the lane
+      re-derives (power included) at every span start — exactly when the
+      scalar ``machine._advance_to`` would re-read ``core_power_w``.  A
+      chunked lane holding ONCE work is volatile too, since its queue may
+      drain inside ``core.advance``.
 
     Banked machines get the stricter gate: their chunk walk prices the
     whole span's demand up front, which a mid-span completion or settle
-    would invalidate, so a volatile lane makes them delegate until drained.
+    would invalidate, so pending settling or ONCE work makes them delegate
+    until drained, and only a sole job is ``_BUSY``.
     """
     if not _hooks_intact(core):
         return None
@@ -221,7 +229,7 @@ def _classify_lane(core: SimulatedCore, t0: float,
         return _CHUNKED, volatile
     if not queue:
         return _IDLE, False
-    if len(queue) == 1 and _phases_plain(queue[0]):
+    if _phases_plain(queue[0]) and (len(queue) == 1 or not banked):
         return _BUSY, False
     return _CHUNKED, volatile
 
@@ -303,6 +311,9 @@ class FleetState:
         self.retired = np.zeros(n)
         self.cur_res = np.zeros(n)
         self.ft = np.zeros(n)
+        #: Dispatcher quantum left for lanes queueing two or more jobs at
+        #: setup (``_multi``), +inf for every other lane.
+        self.qleft = np.full(n, np.inf)
         self.busy = np.zeros(n, dtype=bool)
         # Counter totals: instructions, cycles, n_l2, n_l3, n_mem,
         # l1_stall_cycles, halted_cycles (CounterBank field order).
@@ -323,6 +334,9 @@ class FleetState:
         #: queue): re-derived at every span start, like the scalar path
         #: re-reads power each span.
         self._volatile: set[int] = set()
+        #: Busy lanes whose queue held two or more jobs at setup: the
+        #: dispatcher's quantum runs down in ``qleft``.
+        self._multi: set[int] = set()
         self._offline: set[int] = set()
         self._halt: set[int] = set()
         #: Unbanked busy lanes with latency_jitter_sigma > 0: one RNG draw
@@ -465,6 +479,9 @@ class FleetState:
         self._chunked.discard(i)
         self._offline.discard(i)
         self._jitter.discard(i)
+        if i in self._multi:
+            self._multi.discard(i)
+            self.qleft[i] = np.inf
         if i in self._halt:
             self._halt.discard(i)
             self.hfreq[i] = 0.0
@@ -519,8 +536,9 @@ class FleetState:
                     self.hfreq[i] = freq
                     self.cur_name[i] = "__halted__"
             else:  # _BUSY
-                job = core.dispatcher._queue[0]
-                core.idle_detector.note_queue_length(1)
+                disp = core.dispatcher
+                job = disp._queue[0]
+                core.idle_detector.note_queue_length(len(disp._queue))
                 job.mark_started(t0)
                 lat = core.latencies
                 pdata = []
@@ -557,6 +575,9 @@ class FleetState:
                 self.cur_name[i] = name
                 if self.pending[i] is None:
                     self.pending[i] = {}
+                if len(disp._queue) > 1:
+                    self._multi.add(i)
+                    self.qleft[i] = disp._quantum_left_s
                 if (core.config.latency_jitter_sigma > 0.0
                         and not self._lane_banked[i]):
                     self._jitter.add(i)
@@ -598,7 +619,8 @@ class FleetState:
         b.halted_cycles = float(cnt[6, i])
 
     def _flush_lane(self, i: int) -> None:
-        if self.kind[i] == _CHUNKED:
+        kind = self.kind[i]
+        if kind == _CHUNKED:
             return
         self._flush_counters(i)
         core = self.cores[i]
@@ -607,26 +629,30 @@ class FleetState:
         if pend:
             pt.update(pend)
             pend.clear()
+        # A residency key exists once a slice ran in it, exactly like the
+        # scalar path: a busy lane's current phase may be one a crossing
+        # just entered, and an idle lane's one no span has reached yet.
         name = self.cur_name[i]
         cur = float(self.cur_res[i])
+        if cur != 0.0 or name in pt:
+            pt[name] = cur
         key = self.ft_key[i]
         ftd = core.freq_time_s
         ftv = float(self.ft[i])
-        if self.kind[i] == _BUSY:
-            # The scalar loop's commit always writes the current phase and
-            # frequency keys, even at 0.0 right after a crossing.
-            pt[name] = cur
+        if ftv != 0.0 or key in ftd:
             ftd[key] = ftv
+        if kind == _BUSY:
             job = self.jobs[i]
             job.phase_progress = float(self.prog[i])
             job.instructions_retired = float(self.retired[i])
-        else:
-            # Idle/offline lanes only create their residency keys once a
-            # real span ran, exactly like the scalar path.
-            if name in pt or cur != 0.0:
-                pt[name] = cur
-            if key in ftd or ftv != 0.0:
-                ftd[key] = ftv
+            if i in self._multi:
+                # A lane that set up with a sole job leaves the quantum to
+                # the dispatcher, even if an arrival has grown the queue
+                # since; this one writes it back only while its job still
+                # heads the queue, since removing the head resets it.
+                disp = core.dispatcher
+                if disp._queue and disp._queue[0] is job:
+                    disp._quantum_left_s = float(self.qleft[i])
 
     def flush(self) -> None:
         """Write every lane back to its objects (idempotent; the columns
@@ -663,17 +689,18 @@ class FleetState:
             self._dirty.update(cores[i] for i in self._volatile)
         if self._dirty:
             t0 = self.now
-            dirty = self._dirty
+            lanes = [i for i in map(self._lane_of.get, self._dirty)
+                     if i is not None]
             self._dirty = set()
-            for core in dirty:
-                i = self._lane_of.get(core)
-                if i is None:
-                    continue
+            # Flush every stale lane before deriving any: a job migrated
+            # off one lane's head is read by the lane it joined.
+            for i in lanes:
                 self._flush_lane(i)
-                try:
+            try:
+                for i in lanes:
                     self._setup_lane(i, t0)
-                except _Evict:
-                    return False
+            except _Evict:
+                return False
         if self._recheck:
             for m in self._recheck:
                 if self._residency_blocker(m, self.now) is None:
@@ -745,6 +772,11 @@ class FleetState:
         bad = ttpe <= eff
         bad |= prog2 >= self.ptol
         bad |= (instr <= 0.0) & self.busy
+        multi = self._multi
+        if multi:
+            # Dispatcher.account_run's own subtraction and threshold.
+            q2 = self.qleft - eff
+            bad |= q2 <= 1e-12
         nbad = np.count_nonzero(bad)
         if nbad:
             keep = ~bad
@@ -754,6 +786,8 @@ class FleetState:
         else:
             add = eff
             self.prog = prog2
+        if multi:
+            self.qleft = np.where(keep, q2, self.qleft) if nbad else q2
         cnt = self.cnt
         cnt[0] += instr
         cnt[1] += self.freq * add
@@ -787,6 +821,11 @@ class FleetState:
         bad = ttpe <= eff
         bad |= prog2 >= self.ptol[ub]
         bad |= (instr <= 0.0) & self.busy[ub]
+        multi = self._multi
+        if multi:
+            qleft = self.qleft[ub]
+            q2 = qleft - eff
+            bad |= q2 <= 1e-12
         nbad = np.count_nonzero(bad)
         if nbad:
             keep = ~bad
@@ -796,6 +835,8 @@ class FleetState:
         else:
             add = eff
             self.prog[ub] = prog2
+        if multi:
+            self.qleft[ub] = np.where(keep, q2, qleft) if nbad else q2
         cnt = self.cnt
         cnt[0, ub] += instr
         cnt[1, ub] += self.freq[ub] * add
@@ -956,16 +997,21 @@ class FleetState:
     def _advance_busy_lane(self, i: int, chunks, *,
                            first_thr: float | None = None) -> None:
         """``_advance_slice`` with the span-stable conditions hoisted out
-        (constant frequency, no settling boundary, no overhead debt, an
-        infinite dispatcher slice limit for the sole job) against this
-        lane's columns, jitter draws and phase-transition events included.
-        Every float operation matches the scalar slice loop in kind and
-        order.
+        (constant frequency, no settling boundary, no overhead debt)
+        against this lane's columns, jitter draws, the dispatcher's quantum
+        and phase-transition events included.  Every float operation
+        matches the scalar slice loop in kind and order.
 
         ``first_thr`` carries the throughput the span pre-pass already
         drew for this lane (one draw per span); the first slice consumes
         it and every later slice draws fresh, so the RNG stream matches
         the scalar loop exactly.
+
+        A completion or a quantum expiry changes the job at the head of
+        the queue: the replay does ``Dispatcher.account_run``'s pop or
+        rotation and hands the rest of the span to :meth:`_handoff`.  Only
+        unbanked lanes complete or rotate, so ``chunks`` is then the whole
+        span.
         """
         core = self.cores[i]
         job = self.jobs[i]
@@ -990,6 +1036,10 @@ class FleetState:
         cur_res = float(self.cur_res[i])
         ft = float(self.ft[i])
         min_slice = _MIN_SLICE_S
+        multi = i in self._multi
+        qleft = float(self.qleft[i]) if multi else np.inf
+        disp = core.dispatcher
+        handoff = False
 
         sigma = core.config.latency_jitter_sigma
         jits: list[float] = []
@@ -1032,6 +1082,8 @@ class FleetState:
                     ttpe = rem / throughput
                     limit = end - t
                     chunk = limit if limit < ttpe else ttpe
+                    if qleft < chunk:
+                        chunk = qleft
                     if chunk < min_slice:
                         chunk = min_slice
                     if chunk >= ttpe:
@@ -1053,62 +1105,28 @@ class FleetState:
                     ft += chunk
                     prog += instr
                     retired += instr
+                    t = t + chunk
+                    throughput = None
                     if prog >= pinstr * (1.0 - 1e-12):
                         prog = 0.0
                         if once and pidx + 1 >= nph:
                             # Completion crossing: Job._advance_phase and
                             # Dispatcher.account_run's done path, in the
-                            # scalar slice's exact order.  Only unbanked
-                            # single-job lanes classify busy with a ONCE
-                            # job, so `chunks` is the whole span.
+                            # scalar slice's exact order.
                             res[name] = cur_res
-                            t = t + chunk
                             job.state = JobState.COMPLETED
                             job.completed_at_s = t
                             if emit:
                                 tel.emit(EVENT_PHASE_TRANSITION,
                                          sim_time_s=t, job=jname,
                                          from_phase=name, to_phase=None)
-                            disp = core.dispatcher
                             disp._queue.popleft()
                             disp.finished.append(job)
                             disp._quantum_left_s = disp.quantum_s
-                            core.idle_detector.note_queue_length(0)
-                            # Drained: the rest of the span is the
-                            # scalar's idle loop — no jitter draws, the
-                            # same frequency key, one residue-safe slice
-                            # per `_advance_idle` call.
-                            hot = (core.config.idle_style
-                                   is IdleStyle.HOT_LOOP)
-                            name = "__idle__" if hot else "__halted__"
-                            nxt = res.get(name)
-                            if nxt is None:
-                                nxt = pt.get(name, 0.0)
-                            cur_res = nxt
-                            if hot:
-                                ithr = HOT_IDLE_PHASE.throughput(
-                                    core.latencies, freq)
-                                while end - t > min_slice:
-                                    chunk = end - t
-                                    ci += ithr * chunk
-                                    cc += freq * chunk
-                                    cur_res += chunk
-                                    ft += chunk
-                                    t = t + chunk
-                            else:
-                                halted = float(cnt[6, i])
-                                while end - t > min_slice:
-                                    chunk = end - t
-                                    halted += freq * chunk
-                                    cur_res += chunk
-                                    ft += chunk
-                                    t = t + chunk
-                                cnt[6, i] = halted
-                            # Power may have flipped (is_idle): re-derive
-                            # the lane at the next span start, exactly
-                            # when the scalar re-reads core_power_w.
-                            self._dirty.add(core)
-                            return
+                            core.idle_detector.note_queue_length(
+                                len(disp._queue))
+                            handoff = True
+                            break
                         if pidx + 1 < nph:
                             pidx += 1
                         else:
@@ -1125,10 +1143,16 @@ class FleetState:
                             # Same payload/order as Job.retire's
                             # _advance_phase (a looping job is never done).
                             tel.emit(EVENT_PHASE_TRANSITION,
-                                     sim_time_s=t + chunk, job=jname,
+                                     sim_time_s=t, job=jname,
                                      from_phase=prev_name, to_phase=name)
-                    throughput = None
-                    t = t + chunk
+                    if multi:
+                        # Dispatcher.account_run's quantum accounting.
+                        qleft -= chunk
+                        if qleft <= 1e-12:
+                            disp._queue.rotate(-1)
+                            disp._quantum_left_s = disp.quantum_s
+                            handoff = True
+                            break
         finally:
             if sigma > 0.0:
                 core._jitter_pos = pos
@@ -1151,8 +1175,33 @@ class FleetState:
             self.r3[i] = r3
             self.rm[i] = rm
             self.rl1[i] = rl1
+            if multi:
+                self.qleft[i] = qleft
             job.phase_index = pidx
             job.iterations = iters
+        if handoff:
+            self._handoff(i, t, end)
+
+    def _handoff(self, i: int, t: float, end: float) -> None:
+        """Finish a span the scalar way after a crossing changed the head
+        of lane ``i``'s queue (a completion or a rotation).
+
+        The lane's columns are written back to its objects, and the lane
+        turns object-authoritative for the rest of the span: flushes skip
+        it, :func:`gather_counters` reads its bank, and it re-derives at
+        the next span start — exactly when the scalar re-reads
+        ``core_power_w``.  ``_advance_slice`` then runs the next job, the
+        drained core's idle loop, or further crossings up to ``end``, the
+        replay's own span end.
+        """
+        self._flush_lane(i)
+        self.kind[i] = _CHUNKED
+        self._chunked.add(i)
+        self._remove_bank_hook(i)
+        core = self.cores[i]
+        self._dirty.add(core)
+        while end - t > _MIN_SLICE_S:
+            t = core._advance_slice(t, end)
 
 
 # -- module-level dispatch ---------------------------------------------------------

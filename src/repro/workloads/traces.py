@@ -16,6 +16,7 @@ and diff.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -134,6 +135,12 @@ class RateTrace:
             raise WorkloadError("rate trace has no points")
         if len(self.times_s) != len(self.rates_per_s):
             raise WorkloadError("rate trace times/rates length mismatch")
+        # NaN passes every ordering check below: a NaN time would make its
+        # step unreachable, and a NaN rate would thin to no arrivals.
+        if not all(math.isfinite(t) for t in self.times_s):
+            raise WorkloadError("rate trace times must be finite")
+        if not all(math.isfinite(r) for r in self.rates_per_s):
+            raise WorkloadError("rate trace rates must be finite")
         if self.times_s[0] != 0.0:
             raise WorkloadError("rate trace must start at t = 0")
         if any(t2 <= t1 for t1, t2 in zip(self.times_s, self.times_s[1:])):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.errors import SchedulingError
 from repro.sim.core import CoreConfig
+from repro.sim.counters import CounterSample
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig, SMPMachine
 from repro.units import ghz, mhz
@@ -316,3 +317,17 @@ class TestMeasuredFeedback:
             DaemonConfig(feedback_gain=0.0)
         with pytest.raises(SchedulingError):
             DaemonConfig(feedback_relax=1.5)
+
+
+class TestWindowAggregate:
+    def test_window_adds_left_to_right(self):
+        """The sampling window aggregates with plain left-to-right adds on
+        every Python: a compensated ``sum`` (3.12) would return 1.0."""
+        d = quiet_daemon(quiet_machine())
+        fields = ("interval_s", "instructions", "cycles", "n_l2", "n_l3",
+                  "n_mem", "l1_stall_cycles", "halted_cycles")
+        d._windows[0] = [
+            CounterSample(time_s=0.01 * (k + 1), **dict.fromkeys(fields, v))
+            for k, v in enumerate([1e16, 1.0, -1e16])]
+        aggregate = d._aggregate_window(0, 0.03)
+        assert [getattr(aggregate, f) for f in fields] == [0.0] * len(fields)

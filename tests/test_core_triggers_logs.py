@@ -139,6 +139,17 @@ class TestPredictionScoring:
         with pytest.raises(ExperimentError):
             self._log_with_pairs().ipc_deviation(0, 0, skip_head=5)
 
+    def test_window_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so plain adds measure 4 / 4; a
+        # compensated sum (Python 3.12's) would measure 5 / 4.
+        log = FvsstLog()
+        record(log, 0.1, ghz(1.0), predicted_ipc=1.0)
+        for k, instr in enumerate([1e16, 1.0, -1e16, 4.0]):
+            log.record_sample(CounterLogEntry(
+                time_s=0.11 + 0.01 * k, node_id=0, proc_id=0,
+                sample=sample(instr=instr, cycles=1.0)))
+        assert log.prediction_pairs(0, 0) == [(0.1, 1.0, 1.0)]
+
     def test_none_predictions_excluded(self):
         log = FvsstLog()
         record(log, 0.1, ghz(1.0), predicted_ipc=None)

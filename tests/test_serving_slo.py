@@ -110,6 +110,34 @@ class TestRateTrace:
         with pytest.raises(WorkloadError):
             RateTrace(times_s=(0.0, 1.0), rates_per_s=(1.0,))
 
+    def test_rejects_non_finite_times(self):
+        # A NaN time passes the ordering checks and its step is never
+        # reached; an infinite one is unreachable too.
+        for t in (math.nan, math.inf):
+            with pytest.raises(WorkloadError, match="times must be finite"):
+                RateTrace.from_points([(0.0, 1.0), (t, 2.0)])
+        with pytest.raises(WorkloadError, match="times must be finite"):
+            RateTrace(times_s=(math.nan,), rates_per_s=(1.0,))
+
+    def test_rejects_non_finite_rates(self):
+        # A NaN rate after the first step used to thin to no arrivals.
+        for r in (math.nan, math.inf):
+            with pytest.raises(WorkloadError, match="rates must be finite"):
+                RateTrace.from_points([(0.0, 2000.0), (0.1, r), (0.2, 2000.0)])
+            with pytest.raises(WorkloadError, match="rates must be finite"):
+                RateTrace.from_points([(0.0, r)])
+
+    def test_load_rejects_nan_and_infinity_tokens(self, tmp_path):
+        header = '{"version": 1, "kind": "rate-trace"}\n'
+        for body in ('{"t": 0.0, "rate_per_s": 1.0}\n{"t": NaN, "rate_per_s": 2.0}\n',
+                     '{"t": 0.0, "rate_per_s": NaN}\n',
+                     '{"t": 0.0, "rate_per_s": Infinity}\n',
+                     '{"t": 0.0, "rate_per_s": 1.0}\n{"t": Infinity, "rate_per_s": 2.0}\n'):
+            path = tmp_path / "rates.jsonl"
+            path.write_text(header + body)
+            with pytest.raises(WorkloadError, match="must be finite"):
+                RateTrace.load_jsonl(path)
+
     def test_load_rejects_junk(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")

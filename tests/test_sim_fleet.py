@@ -10,7 +10,7 @@ of machine state.  No tolerances anywhere: one
 reordered IEEE operation fails the suite.
 
 Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
-offline / chunked multi-job cores, with and without latency jitter),
+offline / multi-job cores, with and without latency jitter),
 single banked machines of every core kind chunk-walked through the
 columns, cascades firing mid-span, raising cascades and shared banks
 forcing counted fallbacks, jitter-lane draw-order equivalence including
@@ -22,6 +22,13 @@ fault scenarios run end-to-end through the cluster coordinator, and whole
 experiments exported byte-identically through the columns and the scalar
 reference.  Each span's residency tally comes back from
 ``advance_machines``, and each ``Simulation`` keeps its own run's.
+
+Run queues: cores queueing several jobs stay resident busy lanes, with
+the dispatcher's quantum in a column.  Randomized fleets rotate LOOP
+queues, chain ONCE requests and drain a ONCE head into a LOOP job; exact
+quantum ties, head and non-head migrations (through the driver too) and
+arrivals between spans replay bit-equal, and a serving fleet re-derives a
+lane per arrival or completion, not per span.
 
 Serving residency: open-loop request fleets (every request a ONCE job)
 replay against the scalar path too — arrivals and completions mid-span,
@@ -44,8 +51,10 @@ from repro.power.supply import SupplyBank
 from repro.power.table import POWER4_TABLE
 from repro.sim import Cluster, CoreConfig, MachineConfig, SMPMachine, Simulation
 from repro.sim.driver import Simulation as Driver
-from repro.sim.fleet import advance_machines, flush_machines, reset_fleet
+from repro.sim.fleet import (_BUSY, FleetState, advance_machines,
+                             flush_machines, reset_fleet)
 from repro.sim.idle import IdleStyle
+from repro.sim.os_sched import DEFAULT_QUANTUM_S
 from repro.errors import CascadeFailureError
 from repro.telemetry import EVENT_PHASE_TRANSITION, Telemetry, use_telemetry
 from repro.workloads.job import Job, LoopMode
@@ -67,10 +76,12 @@ def job_state(job):
 def core_state(core):
     # vars() on a resident bank carries the private flush hook; compare
     # only the counter fields themselves.
+    disp = core.dispatcher
     return (core.counters.snapshot().as_tuple(), dict(core.phase_time_s),
             dict(core.freq_time_s), core._overhead_debt_s,
             core.overhead_executed_s,
-            [job_state(j) for j in core.dispatcher._queue])
+            [job_state(j) for j in disp._queue], disp._quantum_left_s,
+            [job_state(j) for j in disp.finished])
 
 
 def machine_state(m):
@@ -146,7 +157,7 @@ def hetero_fleet(seed, n=5):
             seed=seed + i)
         m.assign(0, looping_job(f"solo{i}", (1.0, 0.4, 0.15)))
         if i % 3 == 0:
-            # Two LOOP jobs: a chunked lane (scalar core.advance per span).
+            # Two LOOP jobs: a busy lane the dispatcher's quantum rotates.
             m.assign(1, looping_job(f"pair{i}a", (0.8,)))
             m.assign(1, looping_job(f"pair{i}b", (0.95, 0.3)))
         if i % 2 == 0:
@@ -384,6 +395,233 @@ def test_once_job_machine_stays_resident_through_completion():
     advance_machines(ms, 0.01)
     fl = ms[0].__dict__["_fleet_cache"][1]
     assert ms[0] in fl.resident
+
+
+# -- run queues: quantum expiry and completion chaining are crossings -------------
+
+
+def once_request(name, ratio, duration_s, *, phases=1):
+    """A ONCE job of ``phases`` equal synthetic phases."""
+    return Job(name=name, phases=tuple(
+        synthetic_phase(ratio, duration_s=duration_s / phases,
+                        name=f"{name}_p{k}")
+        for k in range(phases)))
+
+
+def queue_fleet(seed, sigma):
+    """Unbanked machines whose cores queue several jobs — three LOOP jobs
+    (the dispatcher rotates them), a burst of ONCE requests (each
+    completion chains to the next) and a ONCE request ahead of a LOOP job
+    — plus a banked peer whose two-job core stays a chunked lane."""
+    rng = np.random.default_rng(seed)
+    ms = []
+    for i in range(3):
+        style = IdleStyle.HALT if i == 1 else IdleStyle.HOT_LOOP
+        m = SMPMachine(
+            MachineConfig(num_cores=3,
+                          core_config=CoreConfig(latency_jitter_sigma=sigma,
+                                                 idle_style=style)),
+            seed=seed + i)
+        for k in range(3):
+            m.assign(0, looping_job(
+                f"rr{i}{k}", tuple(rng.uniform(0.1, 1.0, size=1 + k % 2)),
+                duration_s=float(rng.uniform(0.003, 0.02))))
+        for k in range(int(rng.integers(4, 7))):
+            m.assign(1, once_request(
+                f"req{i}{k}", float(rng.uniform(0.2, 1.0)),
+                float(rng.uniform(0.002, 0.015)), phases=1 + k % 2))
+        m.assign(2, once_request(f"head{i}", 0.7,
+                                 float(rng.uniform(0.005, 0.03))))
+        m.assign(2, looping_job(f"tail{i}", (0.5, 0.9), duration_s=0.01))
+        ms.append(m)
+    banked = SMPMachine(
+        MachineConfig(num_cores=2,
+                      core_config=CoreConfig(latency_jitter_sigma=sigma)),
+        supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+        seed=seed + 50)
+    banked.assign(0, looping_job("bk_a", (0.8,)))
+    banked.assign(0, looping_job("bk_b", (0.6, 0.3)))
+    ms.append(banked)
+    return ms
+
+
+def assert_queues_resident(ms):
+    """Every unbanked core queueing two or more jobs is a resident busy
+    lane once its fleet re-derives at the next span start."""
+    fleet = ms[0].__dict__["_fleet_cache"][1]
+    assert fleet.prepare()
+    queued = 0
+    for m in ms:
+        if m.supply_bank is not None:
+            continue
+        for core in m.cores:
+            if core.dispatcher.runnable >= 2:
+                assert fleet.kind[fleet._lane_of[core]] == _BUSY
+                queued += 1
+    assert queued
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02])
+def test_randomized_run_queues_match(sigma):
+    """Rotation, completion chaining and a ONCE head draining into a LOOP
+    job replay bit-equal through the columns, with frequency commands
+    between spans, and no machine-span delegates."""
+    for seed in (5, 41, 77):
+        rng = np.random.default_rng(seed)
+        spans = [float(d) for d in rng.uniform(1e-4, 0.03, size=30)]
+        picks = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)),
+                  int(rng.integers(8, len(POWER4_TABLE.freqs_hz))))
+                 for _ in range(4)]
+
+        def script(ms, advance, spans=spans, picks=picks):
+            it = iter(picks)
+            for k, dt in enumerate(spans):
+                advance(dt)
+                if k % 7 == 6:
+                    mi, ci, fi = next(it)
+                    ms[mi].core(ci).set_frequency(
+                        POWER4_TABLE.freqs_hz[fi], ms[mi].now_s)
+
+        ms, tally = run_two_ways(
+            lambda seed=seed: queue_fleet(seed, sigma), script)
+        assert tally == (len(spans) * len(ms), {})
+        for m in ms[:3]:
+            rr = m.cores[0].dispatcher.jobs
+            assert all(j.instructions_retired > 0 for j in rr)
+            assert len(m.cores[1].dispatcher.finished) >= 2
+        assert_queues_resident(ms)
+
+
+def quantum_pair(quantum_s=0.010, style=IdleStyle.HOT_LOOP):
+    """A fresh queue of two LOOP jobs whose 10 ms phases end exactly on
+    the quantum at f_max, beside a lone LOOP job."""
+    m = SMPMachine(
+        MachineConfig(num_cores=2,
+                      core_config=CoreConfig(latency_jitter_sigma=0.0,
+                                             idle_style=style,
+                                             quantum_s=quantum_s)),
+        seed=21)
+    m.assign(0, looping_job("qa", (0.8, 0.4), duration_s=0.010))
+    m.assign(0, looping_job("qb", (1.0,), duration_s=0.010))
+    m.assign(1, looping_job("solo", (0.6,)))
+    return [m]
+
+
+@pytest.mark.parametrize("spans", [
+    (0.010,),
+    (0.005, 0.005),
+    (0.010 - 4e-13,),
+    (0.010 + 4e-13,),
+    (0.010 + 3e-12, 0.010 - 3e-12),
+], ids=["one-quantum", "two-halves", "tie-below", "tie-above",
+        "tie-above-then-rest"])
+def test_quantum_ties_from_fresh_queue_match(spans):
+    """A span that ends exactly on the quantum, or within the 1e-12
+    threshold of it, rotates the queue at its end exactly like
+    ``Dispatcher.account_run`` — compared right there, where the rotated
+    job has just entered a phase it never ran — and later spans keep the
+    phase-end ties."""
+    def script(ms, advance, more=()):
+        for dt in spans + more:
+            advance(dt)
+
+    run_two_ways(quantum_pair, script)
+    ms, tally = run_two_ways(
+        quantum_pair,
+        lambda ms, advance: script(ms, advance,
+                                   more=(0.0123, 0.010, 0.0077, 0.031)))
+    assert tally == (len(spans) + 4, {})
+    assert_queues_resident(ms)
+
+
+def test_migration_of_queued_jobs_matches():
+    """Migrating a queue's head resets the quantum; migrating a job
+    behind it leaves the quantum running."""
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=3,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=33)
+        for k in range(4):
+            m.assign(0, looping_job(f"mg{k}", (0.9, 0.3), duration_s=0.007))
+        m.assign(1, looping_job("dst", (0.5,)))
+        return [m]
+
+    def script(ms, advance):
+        m = ms[0]
+        disp = m.core(0).dispatcher
+        advance(0.0037)       # no crossing: the quantum runs down in columns
+        assert disp._quantum_left_s < disp.quantum_s
+        m.migrate(disp.jobs[0], 0, 1)           # head: quantum resets
+        assert disp._quantum_left_s == disp.quantum_s
+        advance(0.0042)
+        m.migrate(disp.jobs[2], 0, 2, cost_s=0.001)   # not the head
+        advance(0.0161)
+        m.migrate(disp.jobs[1], 0, 1)
+        advance(0.027)
+
+    ms, _ = run_two_ways(build, script)
+    assert_queues_resident(ms)
+
+
+def test_driver_migration_of_a_queue_head_matches():
+    """Through the driver the columns stay authoritative between spans,
+    so a head migrated onto an idle core must be read after its source
+    lane flushed, whatever order the two stale lanes re-derive in."""
+    def run(seed, n_jobs, src, dst):
+        m = SMPMachine(
+            MachineConfig(num_cores=4,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=seed)
+        for k in range(n_jobs):
+            m.assign(src, looping_job(f"mg{k}", (0.9, 0.3), duration_s=0.007))
+        sim = Simulation(m)
+        sim.at(0.0037, lambda t: m.migrate(
+            m.core(src).dispatcher.jobs[0], src, dst))
+        sim.at(0.0091, lambda t: m.migrate(
+            m.core(src).dispatcher.jobs[-1], src, dst))
+        sim.run_for(0.05)
+        return machine_state(m)
+
+    for seed in (3, 5):
+        for n_jobs in (2, 3):
+            for src, dst in ((0, 1), (1, 0), (2, 3), (3, 2)):
+                cols = run(seed, n_jobs, src, dst)
+                with scalar_reference():
+                    assert run(seed, n_jobs, src, dst) == cols
+
+
+def test_arrivals_and_commands_between_spans_match():
+    """Arrivals grow running queues, a sole job's and an idle core's too,
+    and frequency commands retune them between spans."""
+    def build():
+        ms = queue_fleet(9, 0.02)[:1]
+        m = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0)),
+            seed=19)
+        m.assign(0, looping_job("sole", (0.9, 0.2), duration_s=0.008))
+        ms.append(m)
+        return ms
+
+    def script(ms, advance):
+        advance(0.0043)
+        for k in range(3):
+            ms[0].core(1).add_job(once_request(f"late{k}", 0.6, 0.004))
+        ms[1].core(0).add_job(once_request("joins", 0.9, 0.003))
+        ms[1].core(1).add_job(once_request("wakes", 0.5, 0.002))
+        advance(0.0091)
+        ms[0].core(0).set_frequency(POWER4_TABLE.freqs_hz[9], ms[0].now_s)
+        ms[1].core(0).set_frequency(POWER4_TABLE.freqs_hz[12], ms[1].now_s)
+        advance(0.0173)
+        ms[1].core(0).add_job(looping_job("second", (0.7,), duration_s=0.004))
+        ms[1].core(1).add_job(looping_job("third", (0.4,)))
+        ms[1].core(1).add_job(looping_job("fourth", (0.8,)))
+        advance(0.05)
+
+    ms, tally = run_two_ways(build, script)
+    assert tally == (8, {})
+    assert_queues_resident(ms)
 
 
 # -- single machines: every core kind, supply banks, cascades -----------------------
@@ -632,14 +870,14 @@ def test_cluster_advance_matches_reference():
 
 def serving_build(*, nodes, procs, rate, sigma=0.02,
                   style=IdleStyle.HOT_LOOP, seed=11, traffic_seed=29,
-                  spec=None):
+                  spec=None, quantum_s=DEFAULT_QUANTUM_S):
     """A homogeneous serving fleet under constant open-loop traffic."""
     cluster = Cluster.homogeneous(
         nodes,
         machine_config=MachineConfig(
             num_cores=procs,
             core_config=CoreConfig(latency_jitter_sigma=sigma,
-                                   idle_style=style)),
+                                   idle_style=style, quantum_s=quantum_s)),
         seed=seed)
     sim = Driver(cluster.machines)
     traffic = FleetTrafficSource(
@@ -701,21 +939,24 @@ def test_serving_open_loop_three_way_equality():
 
 
 def test_serving_overload_censoring_three_way():
-    """An overloaded halt-idle fleet: queues build (volatile chunked
-    lanes), and the censored digest's in-flight lower bounds match the
-    scalar reference exactly."""
-    def build():
-        return serving_build(nodes=2, procs=1, rate=3000.0, sigma=0.0,
-                             style=IdleStyle.HALT, seed=4, traffic_seed=31)
-
+    """An overloaded halt-idle fleet: queues build (resident busy lanes
+    whose completions chain to the next request, and which a 2 ms quantum
+    also rotates), and the censored digest's in-flight lower bounds match
+    the scalar reference exactly."""
     def script(sim, traffic):
         traffic.attach(sim)
         sim.run_for(0.25)
 
-    snap = run_serving_two_ways(build, script, 0.25)
-    _, _, issued, completed, in_flight, _, _ = snap
-    assert completed > 0
-    assert in_flight > 0    # genuinely overloaded: censoring matters
+    for quantum_s in (DEFAULT_QUANTUM_S, 0.002):
+        def build(quantum_s=quantum_s):
+            return serving_build(nodes=2, procs=1, rate=3000.0, sigma=0.0,
+                                 style=IdleStyle.HALT, seed=4,
+                                 traffic_seed=31, quantum_s=quantum_s)
+
+        snap = run_serving_two_ways(build, script, 0.25)
+        _, _, issued, completed, in_flight, _, _ = snap
+        assert completed > 0
+        assert in_flight > 0    # genuinely overloaded: censoring matters
 
 
 def test_serving_detach_reattach_three_way():
@@ -748,6 +989,28 @@ def test_stock_serving_fleet_takes_no_fallbacks():
     assert sum(s.completed for s in traffic.sources) > 0
     assert sim.fleet_advances > 0
     assert sim.fleet_fallbacks == {}
+
+
+def test_lane_rederivations_follow_events_not_spans(monkeypatch):
+    """A serving fleet re-derives a lane for its first setup, an arrival or
+    a completion — not at every span a queue is running."""
+    setups = []
+    setup_lane = FleetState._setup_lane
+
+    def counted(self, i, t0):
+        setups.append(i)
+        setup_lane(self, i, t0)
+
+    monkeypatch.setattr(FleetState, "_setup_lane", counted)
+    machines, sim, traffic = serving_build(nodes=2, procs=2, rate=1600.0,
+                                           seed=13, traffic_seed=23)
+    traffic.attach(sim)
+    sim.run_for(0.5)
+    lanes = sum(len(m.cores) for m in machines)
+    completed = sum(s.completed for s in traffic.sources)
+    assert sim.fleet_fallbacks == {}
+    assert completed > 0 and traffic.in_flight > 0
+    assert len(setups) <= lanes + traffic.issued + completed
 
 
 # -- fallback accounting -----------------------------------------------------------

@@ -1,6 +1,12 @@
 """Workload generator, traces, and cluster tiers."""
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.model.latency import POWER4_LATENCIES
@@ -14,7 +20,8 @@ from repro.workloads.tiers import (
     tier_job,
     tiered_cluster_assignment,
 )
-from repro.workloads.traces import PhaseTrace, record_trace, replay_trace
+from repro.workloads.traces import (PhaseTrace, RateTrace, record_trace,
+                                    replay_trace)
 
 
 class TestWorkloadGenerator:
@@ -92,6 +99,32 @@ class TestTraces:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(WorkloadError):
             PhaseTrace.load(tmp_path / "missing.json")
+
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 1e6), st.sampled_from(
+                [math.nan, math.inf, -math.inf, -1.0, 0.0])),
+            st.one_of(st.floats(0.0, 1e6), st.sampled_from(
+                [math.nan, math.inf, -math.inf, -1.0]))),
+        min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_rate_traces_round_trip_with_finite_rates(self, steps):
+        # Steps are (gap, rate) pairs; the gaps are summed into times from
+        # 0, so valid traces are common and every kind of bad value shows
+        # up.
+        times = [0.0]
+        for gap, _ in steps[1:]:
+            times.append(times[-1] + gap)
+        points = [(t, r) for t, (_, r) in zip(times, steps)]
+        try:
+            trace = RateTrace.from_points(points)
+        except WorkloadError:
+            return
+        assert all(math.isfinite(r) for r in trace.rates_per_s)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rates.jsonl"
+            trace.dump_jsonl(path)
+            assert RateTrace.load_jsonl(path) == trace
 
 
 class TestTiers:
