@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.analysis import bar_chart
 from repro.core import ConsolidationGovernor
-from repro.experiments.common import make_governor
+from repro.scenario import make_governor
 from repro.sim import CoreConfig
 
 BUDGET_W = 294.0

@@ -9,16 +9,18 @@ against, and one experiment per published table and figure.
 
 Quick start::
 
-    from repro import (SMPMachine, MachineConfig, Simulation,
-                       FvsstDaemon, DaemonConfig, profile_by_name)
+    from repro import Scenario, profile_by_name
 
-    machine = SMPMachine(MachineConfig(num_cores=4), seed=1)
-    machine.assign(3, profile_by_name("mcf").job())
-    daemon = FvsstDaemon(machine, DaemonConfig(power_limit_w=294.0), seed=2)
-    sim = Simulation(machine)
-    daemon.attach(sim)
-    sim.run_for(10.0)
-    print([f / 1e6 for f in machine.frequency_vector_hz()])
+    result = (Scenario(num_cores=4, seed=1)
+              .with_job(3, profile_by_name("mcf").job())
+              .with_governor("fvsst", power_limit_w=294.0)
+              .run(10.0))
+    print([f / 1e6 for f in result.machine.frequency_vector_hz()])
+
+:class:`Scenario` seeds the machine with ``seed`` and the governor with
+``seed + 1``; ``run_to_completion()`` runs ONCE jobs to their end.  Wire
+``SMPMachine``, a governor and ``Simulation`` by hand when a run needs
+more than one machine, a periodic callback or a custom governor.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.

@@ -27,11 +27,11 @@ from ..exec.pool import parallel_map
 from ..model.bounds import LatencyBounds, predict_ipc_bounds
 from ..model.ipc import MemoryCounts
 from ..model.latency import POWER4_LATENCIES
+from ..scenario import Scenario, make_governor
 from ..sim.rng import spawn_seeds
 from ..units import ghz
 from ..workloads.profiles import mcf_profile
 from ..workloads.synthetic import SyntheticBenchmark, synthetic_phase
-from .common import run_job_under_governor
 
 __all__ = [
     "run_epsilon_sweep",
@@ -45,14 +45,13 @@ __all__ = [
 def _epsilon_point(task: tuple[float | None, int, int]) -> dict[str, float]:
     """One epsilon sweep point (picklable; ``eps=None`` is the baseline)."""
     eps, s, reps = task
-    run_ = run_job_under_governor(
-        mcf_profile().job(body_repeats=reps),
-        "none" if eps is None else "fvsst",
-        power_limit_w=None,
-        daemon_config=None if eps is None else DaemonConfig(epsilon=eps),
-        seed=s,
-    )
-    return {"throughput": run_.throughput, "energy": run_.core_energy_j}
+    scenario = Scenario(num_cores=1, seed=s).with_job(
+        0, mcf_profile().job(body_repeats=reps))
+    if eps is not None:
+        scenario.with_governor("fvsst",
+                               daemon_config=DaemonConfig(epsilon=eps))
+    run_ = scenario.run_to_completion()
+    return {"throughput": run_.throughput, "energy": run_.core_energy_j(0)}
 
 
 def run_epsilon_sweep(seed: int = 2005, fast: bool = False,
@@ -100,21 +99,20 @@ def run_period_sweep(seed: int = 2005, fast: bool = False,
     bench = SyntheticBenchmark(intensity_a=1.0, intensity_b=0.2,
                                duration_a_s=phase_s, duration_b_s=phase_s,
                                include_init_exit=False)
-    baseline = run_job_under_governor(
-        bench.job(repeats=reps), "none", power_limit_w=None, seed=seeds[0],
-    )
+    baseline = Scenario(num_cores=1, seed=seeds[0]).with_job(
+        0, bench.job(repeats=reps)).run_to_completion()
     rows = []
     for n, s in zip(multipliers, seeds[1:]):
-        run_ = run_job_under_governor(
-            bench.job(repeats=reps), "fvsst", power_limit_w=None,
-            daemon_config=DaemonConfig(schedule_every=n, daemon_core=0),
-            seed=s,
-        )
+        run_ = (Scenario(num_cores=1, seed=s)
+                .with_job(0, bench.job(repeats=reps))
+                .with_governor("fvsst", daemon_config=DaemonConfig(
+                    schedule_every=n, daemon_core=0))
+                .run_to_completion())
         rows.append((
             n,
             round(n * 0.010, 3),
             round(run_.throughput / baseline.throughput, 3),
-            round(run_.core_energy_j / baseline.core_energy_j, 3),
+            round(run_.core_energy_j(0) / baseline.core_energy_j(0), 3),
             round(run_.machine.core(0).overhead_executed_s
                   / run_.elapsed_s, 4),
         ))
@@ -228,7 +226,6 @@ def _build_policy_machine(seed_: int):
 def _policy_point(task: tuple[str, int, bool, float]) -> dict[str, float]:
     """One governor x budget sweep point (picklable for the pool)."""
     from ..sim.driver import Simulation
-    from .common import make_governor
 
     policy, seed_, fast, budget_w = task
     duration = 4.0 if fast else 10.0
@@ -240,7 +237,7 @@ def _policy_point(task: tuple[str, int, bool, float]) -> dict[str, float]:
         return {"instructions": sum(c.counters.instructions
                                     for c in machine.cores)}
     make_governor(policy, machine, power_limit_w=budget_w,
-                  seed=seed_).attach(sim)
+                  seed=seed_ + 1).attach(sim)
     powers = []
     sim.every(0.05, lambda t, m=machine, p=powers: p.append(m.cpu_power_w()))
     sim.run_for(duration)
@@ -307,38 +304,29 @@ def run_daemon_design(seed: int = 2005, fast: bool = False
     sampled core).  Scored on benchmark throughput impact and total stolen
     time.
     """
-    from ..core.daemon import PER_CORE_OVERHEAD, DaemonConfig, FvsstDaemon
+    from ..core.daemon import PER_CORE_OVERHEAD
     from ..sim.core import CoreConfig
-    from ..sim.driver import Simulation
-    from ..sim.machine import MachineConfig, SMPMachine
 
     seeds = spawn_seeds(seed, 3)
     duration = 4.0 if fast else 10.0
     bench_core = 0
 
-    def build(seed_: int):
-        machine = SMPMachine(MachineConfig(
-            num_cores=4,
-            core_config=CoreConfig(latency_jitter_sigma=0.0),
-        ), seed=seed_)
-        machine.assign(bench_core, SyntheticBenchmark(
+    def measure(variant: str, seed_: int) -> dict[str, float]:
+        scenario = Scenario(num_cores=4, seed=seed_,
+                            core_config=CoreConfig(latency_jitter_sigma=0.0))
+        scenario.with_job(bench_core, SyntheticBenchmark(
             intensity_a=1.0, intensity_b=1.0,
             duration_a_s=1.0, duration_b_s=1.0,
             include_init_exit=False,
         ).job(loop=True))
-        return machine
-
-    def measure(variant: str, seed_: int) -> dict[str, float]:
-        machine = build(seed_)
-        sim = Simulation(machine)
         config = DaemonConfig(counter_noise_sigma=0.0,
                               daemon_core=bench_core)
         if variant == "single":
-            FvsstDaemon(machine, config, seed=seed_ + 1).attach(sim)
+            scenario.with_governor("fvsst", daemon_config=config)
         elif variant == "multi":
-            FvsstDaemon(machine, replace(config, overhead=PER_CORE_OVERHEAD),
-                        seed=seed_ + 1).attach(sim)
-        sim.run_for(duration)
+            scenario.with_governor("fvsst", daemon_config=replace(
+                config, overhead=PER_CORE_OVERHEAD))
+        machine = scenario.run(duration).machine
         stolen = sum(c.overhead_executed_s for c in machine.cores)
         return {
             "instructions": machine.core(bench_core).counters.instructions,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, SeriesResult
 from ..core.daemon import DaemonConfig
+from ..scenario import Scenario
 from ..sim.rng import spawn_seeds
 from ..workloads.synthetic import SyntheticBenchmark
-from .common import run_job_under_governor
 
 __all__ = ["run", "INTENSITIES"]
 
@@ -35,15 +35,15 @@ def run(seed: int = 2005, fast: bool = False) -> ExperimentResult:
             intensity_a=intensity, intensity_b=intensity,
             duration_a_s=duration, duration_b_s=duration,
         )
-        without = run_job_under_governor(
-            bench.job(repeats=repeats, name=f"synthetic-{intensity:.0%}-off"),
-            "none", power_limit_w=None, seed=seeds[2 * i],
-        )
-        with_fvsst = run_job_under_governor(
-            bench.job(repeats=repeats, name=f"synthetic-{intensity:.0%}-on"),
-            "fvsst", power_limit_w=None,
-            daemon_config=DaemonConfig(daemon_core=0),
-            seed=seeds[2 * i + 1],
+        without = Scenario(num_cores=1, seed=seeds[2 * i]).with_job(
+            0, bench.job(repeats=repeats, name=f"synthetic-{intensity:.0%}-off"),
+        ).run_to_completion()
+        with_fvsst = (
+            Scenario(num_cores=1, seed=seeds[2 * i + 1])
+            .with_job(0, bench.job(repeats=repeats,
+                                   name=f"synthetic-{intensity:.0%}-on"))
+            .with_governor("fvsst", daemon_config=DaemonConfig(daemon_core=0))
+            .run_to_completion()
         )
         impacts.append(1.0 - with_fvsst.throughput / without.throughput)
 

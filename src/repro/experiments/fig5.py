@@ -13,9 +13,8 @@ import numpy as np
 
 from ..analysis.report import ExperimentResult, SeriesResult
 from ..analysis.timeseries import StepSeries
-from ..core.daemon import DaemonConfig, FvsstDaemon
-from ..sim.driver import Simulation
-from ..sim.machine import MachineConfig, SMPMachine
+from ..core.daemon import DaemonConfig
+from ..scenario import Scenario
 from ..units import to_mhz
 from ..workloads.synthetic import SyntheticBenchmark
 
@@ -30,16 +29,14 @@ def run(seed: int = 2005, fast: bool = False) -> ExperimentResult:
         duration_a_s=phase_s, duration_b_s=phase_s,
         include_init_exit=False,
     )
-    job = bench.job(loop=True)
-    machine = SMPMachine(MachineConfig(num_cores=1), seed=seed)
-    machine.assign(0, job)
-    daemon = FvsstDaemon(machine, DaemonConfig(daemon_core=0), seed=seed + 1)
-    sim = Simulation(machine)
-    daemon.attach(sim)
-    sim.run_for(4 * phase_s if fast else 6 * phase_s)
+    result = (Scenario(num_cores=1, seed=seed)
+              .with_job(0, bench.job(loop=True))
+              .with_governor("fvsst", daemon_config=DaemonConfig(daemon_core=0))
+              .run(4 * phase_s if fast else 6 * phase_s))
+    machine = result.machine
 
-    t_ipc, ipc = daemon.log.ipc_series(0, 0)
-    t_f, freq = daemon.log.frequency_series(0, 0)
+    t_ipc, ipc = result.log.ipc_series(0, 0)
+    t_f, freq = result.log.frequency_series(0, 0)
     freq_series = StepSeries(t_f, freq)
     power = np.array([
         machine.table.power_at(machine.table.nearest(freq_series.at(t)))

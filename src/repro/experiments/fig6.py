@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, SeriesResult
 from ..errors import ExperimentError
+from ..scenario import Scenario
 from ..sim.rng import spawn_seeds
 from ..workloads.synthetic import SyntheticBenchmark
-from .common import run_job_under_governor
 
 __all__ = ["run", "CAPS_W", "phase_throughputs"]
 
@@ -33,8 +33,10 @@ def phase_throughputs(intensity_a: float, intensity_b: float, cap_w: float, *,
         duration_a_s=duration, duration_b_s=duration,
         include_init_exit=False,
     )
-    job = bench.job(repeats=repeats)
-    run = run_job_under_governor(job, "fvsst", power_limit_w=cap_w, seed=seed)
+    run = (Scenario(num_cores=1, seed=seed)
+           .with_job(0, bench.job(repeats=repeats))
+           .with_governor("fvsst", power_limit_w=cap_w)
+           .run_to_completion())
     phase_a, phase_b = bench.main_phases()
     core = run.machine.core(0)
     out = {}

@@ -10,9 +10,8 @@ power-constrained frequency.
 from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, SeriesResult, TableResult
-from ..core.daemon import DaemonConfig, FvsstDaemon
-from ..sim.driver import Simulation
-from ..sim.machine import MachineConfig, SMPMachine
+from ..core.daemon import DaemonConfig
+from ..scenario import Scenario
 from ..sim.rng import spawn_seeds
 from ..units import to_mhz
 from ..workloads.synthetic import SyntheticBenchmark
@@ -33,18 +32,16 @@ def _residency_modes(cap_w: float, *, seed: int, fast: bool
         duration_a_s=phase_s, duration_b_s=phase_s,
         include_init_exit=False,
     )
-    machine = SMPMachine(MachineConfig(num_cores=1), seed=seed)
-    machine.assign(0, bench.job(loop=True))
-    daemon = FvsstDaemon(machine, DaemonConfig(power_limit_w=cap_w,
-                                               daemon_core=0), seed=seed + 1)
-    sim = Simulation(machine)
-    daemon.attach(sim)
-    sim.run_for(6 * phase_s)
+    log = (Scenario(num_cores=1, seed=seed)
+           .with_job(0, bench.job(loop=True))
+           .with_governor("fvsst", power_limit_w=cap_w,
+                          daemon_config=DaemonConfig(daemon_core=0))
+           .run(6 * phase_s)).log
 
     # Split scheduling decisions by measured IPC level: the 100% phase has
     # higher IPC than the 75% phase.
-    pairs = daemon.log.prediction_pairs(0, 0)
-    t_f, freqs = daemon.log.frequency_series(0, 0)
+    pairs = log.prediction_pairs(0, 0)
+    t_f, freqs = log.frequency_series(0, 0)
     measured = {t: m for t, _p, m in pairs}
     per_decision = [(t, f, measured.get(t)) for t, f in zip(t_f, freqs)]
     scored = [(f, m) for _t, f, m in per_decision if m is not None]

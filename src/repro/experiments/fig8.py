@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, TableResult
 from ..power.table import POWER4_TABLE
+from ..scenario import Scenario
 from ..sim.rng import spawn_seeds
 from ..units import mhz, to_mhz
 from ..workloads.profiles import ALL_PROFILES
-from .common import run_job_under_governor
 
 __all__ = ["run", "CAP_FREQS_MHZ", "residency_for"]
 
@@ -30,13 +30,11 @@ def _cap_to_power(cap_mhz: int) -> float:
 def residency_for(app: str, cap_mhz: int, *, seed: int,
                   fast: bool) -> dict[int, float]:
     """Scheduled-frequency residency (MHz -> fraction) for one run."""
-    profile = ALL_PROFILES[app]
-    run = run_job_under_governor(
-        profile.job(body_repeats=1 if fast else 2), "fvsst",
-        power_limit_w=_cap_to_power(cap_mhz), seed=seed,
-    )
-    assert run.log is not None
-    res = run.log.frequency_residency(0, 0)
+    log = (Scenario(num_cores=1, seed=seed)
+           .with_job(0, ALL_PROFILES[app].job(body_repeats=1 if fast else 2))
+           .with_governor("fvsst", power_limit_w=_cap_to_power(cap_mhz))
+           .run_to_completion()).log
+    res = log.frequency_residency(0, 0)
     return {int(to_mhz(f)): share for f, share in res.items()}
 
 

@@ -12,10 +12,10 @@ import numpy as np
 
 from ..analysis.report import ExperimentResult, SeriesResult
 from ..errors import ExperimentError
+from ..scenario import Scenario
 from ..units import to_mhz
 from ..sim.rng import spawn_seeds
 from ..workloads.profiles import gap_profile
-from .common import run_job_under_governor
 
 __all__ = ["run", "run_zoom", "CAP_W"]
 
@@ -24,14 +24,12 @@ CAP_W = 75.0
 
 def _series(seed: int, fast: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     seeds = spawn_seeds(seed, 1)
-    run_ = run_job_under_governor(
-        gap_profile().job(body_repeats=1 if fast else 3), "fvsst",
-        power_limit_w=CAP_W, seed=seeds[0],
-    )
-    if run_.log is None:
-        raise ExperimentError("fvsst run produced no log")
-    t, actual = run_.log.frequency_series(0, 0)
-    _t2, desired = run_.log.frequency_series(0, 0, desired=True)
+    log = (Scenario(num_cores=1, seed=seeds[0])
+           .with_job(0, gap_profile().job(body_repeats=1 if fast else 3))
+           .with_governor("fvsst", power_limit_w=CAP_W)
+           .run_to_completion()).log
+    t, actual = log.frequency_series(0, 0)
+    _t2, desired = log.frequency_series(0, 0, desired=True)
     return t, actual, desired
 
 

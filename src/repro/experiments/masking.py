@@ -15,11 +15,10 @@ epsilon while the *aggregate* loss stays near the prediction — the paper's
 from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, TableResult
-from ..core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
+from ..core.daemon import DaemonConfig, OverheadModel
 from ..errors import ExperimentError
+from ..scenario import Scenario
 from ..sim.core import CoreConfig
-from ..sim.driver import Simulation
-from ..sim.machine import MachineConfig, SMPMachine
 from ..sim.rng import spawn_seeds
 from ..units import to_mhz
 from ..workloads.job import Job, LoopMode
@@ -46,27 +45,22 @@ def _one_mix(companions: int, *, seed: int, fast: bool) -> dict[str, float]:
     duration = 3.0 if fast else 8.0
 
     def measure(managed: bool, seed_: int) -> tuple[float, float, float]:
-        machine = SMPMachine(MachineConfig(
-            num_cores=1,
-            core_config=CoreConfig(latency_jitter_sigma=0.0),
-        ), seed=seed_)
+        scenario = Scenario(num_cores=1, seed=seed_,
+                            core_config=CoreConfig(latency_jitter_sigma=0.0))
         victim = _cpu_job("victim")
-        machine.assign(0, victim)
+        scenario.with_job(0, victim)
         for i in range(companions):
-            machine.assign(0, _mem_job(f"mem-{i}"))
-        sim = Simulation(machine)
-        daemon = None
+            scenario.with_job(0, _mem_job(f"mem-{i}"))
         if managed:
-            daemon = FvsstDaemon(machine, DaemonConfig(
+            scenario.with_governor("fvsst", daemon_config=DaemonConfig(
                 counter_noise_sigma=0.0,
-                overhead=OverheadModel(enabled=False)), seed=seed_ + 1)
-            daemon.attach(sim)
-        sim.run_for(duration)
+                overhead=OverheadModel(enabled=False)))
+        result = scenario.run(duration)
         modal = 0.0
-        if daemon is not None:
-            res = daemon.log.frequency_residency(0, 0)
+        if managed:
+            res = result.log.frequency_residency(0, 0)
             modal = max(res, key=res.get)
-        total = machine.core(0).counters.instructions
+        total = result.machine.core(0).counters.instructions
         return victim.instructions_retired, total, modal
 
     base_victim, base_total, _ = measure(False, seed)

@@ -12,10 +12,7 @@ benchmark's initialisation and termination windows.
 from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, TableResult
-from ..core.daemon import DaemonConfig, FvsstDaemon
-from ..errors import ExperimentError
-from ..sim.driver import Simulation
-from ..sim.machine import MachineConfig, SMPMachine
+from ..scenario import Scenario
 from ..sim.rng import spawn_seeds
 from ..workloads.synthetic import SyntheticBenchmark
 
@@ -37,20 +34,13 @@ def _one_intensity(intensity: float, *, seed: int, fast: bool
         duration_a_s=0.5 if fast else 1.0,
         duration_b_s=0.5 if fast else 1.0,
     )
-    job = bench.job(repeats=repeats)
-    machine = SMPMachine(MachineConfig(num_cores=4), seed=seed)
-    machine.assign(3, job)
-    daemon = FvsstDaemon(machine, DaemonConfig(), seed=seed + 1)
-    sim = Simulation(machine)
-    daemon.attach(sim)
-    limit_s = 120.0
-    while not job.done:
-        if sim.now_s > limit_s:
-            raise ExperimentError("synthetic benchmark did not finish")
-        sim.run_for(0.5)
+    log = (Scenario(num_cores=4, seed=seed)
+           .with_job(3, bench.job(repeats=repeats))
+           .with_governor("fvsst")
+           .run_to_completion(max_duration_s=120.0)).log
 
-    deviations = [daemon.log.ipc_deviation(0, cpu) for cpu in range(4)]
-    starred = daemon.log.ipc_deviation(
+    deviations = [log.ipc_deviation(0, cpu) for cpu in range(4)]
+    starred = log.ipc_deviation(
         0, 3, skip_head=_EDGE_DECISIONS, skip_tail=_EDGE_DECISIONS
     )
     return deviations, starred

@@ -10,9 +10,9 @@ the same application.
 from __future__ import annotations
 
 from ..analysis.report import ExperimentResult, TableResult
+from ..scenario import Scenario
 from ..sim.rng import spawn_seeds
 from ..workloads.profiles import ALL_PROFILES
-from .common import run_job_under_governor
 
 __all__ = ["run", "CAPS_W", "APPS"]
 
@@ -27,20 +27,18 @@ def _runs_for_app(app: str, *, seed: int, fast: bool) -> dict[str, float]:
     seeds = spawn_seeds(seed, len(CAPS_W) + 1)
     out: dict[str, float] = {}
 
-    baseline = run_job_under_governor(
-        profile.job(body_repeats=repeats), "none",
-        power_limit_w=None, seed=seeds[0],
-    )
-    out["baseline_energy_j"] = baseline.core_energy_j
+    baseline = Scenario(num_cores=1, seed=seeds[0]).with_job(
+        0, profile.job(body_repeats=repeats)).run_to_completion()
+    out["baseline_energy_j"] = baseline.core_energy_j(0)
     out["baseline_throughput"] = baseline.throughput
 
     for cap, s in zip(CAPS_W, seeds[1:]):
-        run = run_job_under_governor(
-            profile.job(body_repeats=repeats), "fvsst",
-            power_limit_w=cap, seed=s,
-        )
+        run = (Scenario(num_cores=1, seed=s)
+               .with_job(0, profile.job(body_repeats=repeats))
+               .with_governor("fvsst", power_limit_w=cap)
+               .run_to_completion())
         out[f"throughput@{int(cap)}"] = run.throughput
-        out[f"energy@{int(cap)}"] = run.core_energy_j
+        out[f"energy@{int(cap)}"] = run.core_energy_j(0)
     return out
 
 

@@ -100,7 +100,7 @@ def run(seed: int = 2005, fast: bool = False) -> ExperimentResult:
     )
     return ExperimentResult(
         experiment_id="variation",
-        description="process variation: per-processor power tables",
+        description="process variation: per-part power scales",
         tables=[table],
         scalars={
             "homogeneous_violation_fraction":

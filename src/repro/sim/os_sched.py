@@ -106,18 +106,3 @@ class Dispatcher:
             if self._quantum_left_s <= 1e-12:
                 self._queue.rotate(-1)
                 self._quantum_left_s = self.quantum_s
-
-
-def balance_initial(jobs: list[Job], cores: int) -> list[list[Job]]:
-    """Static initial load balancing: round-robin jobs over cores.
-
-    "Clusters ... try to balance the load through clever initial assignments
-    of work" (Section 5); this is the simple version used by experiments
-    that need multiprogrammed cores.
-    """
-    if cores < 1:
-        raise SimulationError("need at least one core")
-    assignment: list[list[Job]] = [[] for _ in range(cores)]
-    for i, job in enumerate(jobs):
-        assignment[i % cores].append(job)
-    return assignment

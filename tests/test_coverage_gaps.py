@@ -8,9 +8,8 @@ from repro.errors import (
     SchedulingError,
     SimulationError,
 )
-from repro.experiments.common import make_governor, run_job_under_governor
 from repro.power.supply import SupplyBank
-from repro.scenario import Scenario
+from repro.scenario import Scenario, make_governor
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig, SMPMachine
 from repro.units import mhz
@@ -42,29 +41,34 @@ class TestGovernorBase:
 
 
 class TestExperimentCommon:
+    """The one-machine protocol the experiments share: a named governor
+    and :meth:`Scenario.run_to_completion`."""
+
     def test_unknown_governor_rejected(self):
         with pytest.raises(ExperimentError, match="unknown governor"):
             make_governor("ondemand", make_machine(1), power_limit_w=None)
 
     def test_completed_job_rejected(self):
         job = profile_by_name("gzip").job(body_repeats=1)
-        run_job_under_governor(job, "none", power_limit_w=None, seed=0)
+        Scenario(num_cores=1, seed=0).with_job(0, job).run_to_completion()
         with pytest.raises(ExperimentError, match="already completed"):
-            run_job_under_governor(job, "none", power_limit_w=None, seed=0)
+            Scenario(num_cores=1, seed=0).with_job(0, job).run_to_completion()
 
     def test_timeout_guard(self):
         job = profile_by_name("health").job(body_repeats=2)
         with pytest.raises(ExperimentError, match="did not finish"):
-            run_job_under_governor(job, "none", power_limit_w=None,
-                                   max_duration_s=0.5, seed=0)
+            Scenario(num_cores=1, seed=0).with_job(0, job).run_to_completion(
+                max_duration_s=0.5)
 
     def test_settle_runs_governor_before_job(self):
-        run = run_job_under_governor(
-            profile_by_name("gzip").job(body_repeats=1), "fvsst",
-            power_limit_w=None, settle_s=0.3, seed=1,
-        )
-        assert run.job.started_at_s >= 0.3
-        assert run.average_core_power_w > 0
+        run = (Scenario(num_cores=1, seed=1)
+               .with_job(0, profile_by_name("gzip").job(body_repeats=1))
+               .with_governor("fvsst")
+               .settle(0.3)
+               .run_to_completion())
+        assert run.jobs[0][1].started_at_s >= 0.3
+        assert run.start_s == pytest.approx(0.3)
+        assert run.core_energy_j(0) / run.elapsed_s > 0
 
 
 class TestScenarioWithSupplyBank:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.os_sched import Dispatcher, balance_initial
+from repro.sim.os_sched import Dispatcher
 from repro.workloads.job import Job
 from repro.workloads.phase import Phase
 
@@ -92,15 +92,3 @@ class TestRotation:
         d.add_job(a)
         with pytest.raises(SimulationError):
             d.account_run(a, -0.001, 0.0)
-
-
-class TestBalanceInitial:
-    def test_round_robin_assignment(self):
-        jobs = [job(f"j{i}") for i in range(5)]
-        assignment = balance_initial(jobs, 2)
-        assert [j.name for j in assignment[0]] == ["j0", "j2", "j4"]
-        assert [j.name for j in assignment[1]] == ["j1", "j3"]
-
-    def test_zero_cores_rejected(self):
-        with pytest.raises(SimulationError):
-            balance_initial([job()], 0)
