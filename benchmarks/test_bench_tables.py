@@ -1,7 +1,5 @@
 """Benches regenerating the paper's three tables."""
 
-import pytest
-
 from repro.experiments import run_experiment
 
 

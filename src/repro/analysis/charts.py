@@ -84,7 +84,7 @@ def bar_chart(labels: Sequence[str], values: Sequence[float], *,
     if np.any(vals < 0):
         raise ExperimentError("bar_chart takes non-negative values")
     vmax = float(vals.max()) or 1.0
-    label_w = max(len(str(l)) for l in labels)
+    label_w = max(len(str(label)) for label in labels)
     lines = [title] if title else []
     for label, value in zip(labels, vals):
         filled = int(round(width * value / vmax))

@@ -9,8 +9,6 @@ where the reproduction diverges and why.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 from ..errors import ExperimentError
 from .tables import render_series, render_table
 

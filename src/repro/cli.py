@@ -184,11 +184,18 @@ def _run_with_telemetry(ids: Sequence[str], args) -> int:
     return 0
 
 
+def _check_precision(precision: int) -> None:
+    """Reject a ``--precision`` the table renderer cannot format."""
+    if precision < 0:
+        raise ConfigError("--precision must be non-negative")
+
+
 def _run_command(args) -> int:
     """``fvsst run``: validate the flags, then run the selected
     experiments."""
     from .experiments import REGISTRY
 
+    _check_precision(args.precision)
     ids = sorted(REGISTRY) if args.experiment == "all" else [args.experiment]
     if args.jobs != 1:
         if args.telemetry is not None:
@@ -231,6 +238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         if args.command == "show":
             from .analysis.export import load_result
+            _check_precision(args.precision)
             result = load_result(args.path)
             print(result.render(precision=args.precision))
             if args.chart and result.series:

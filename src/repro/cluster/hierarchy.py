@@ -477,7 +477,7 @@ class FleetAllocator:
         budget = self.power_limit_w
         infeasible = False
         if budget is not None and usable:
-            if len({len(l) for l in ladders}) != 1:
+            if len({len(ladder) for ladder in ladders}) != 1:
                 raise ClusterError("shard demand ladders differ in length")
             # A lost shard may still be drawing its committed budget;
             # carve it out before filling the reachable shards.
@@ -594,7 +594,7 @@ class FleetAllocator:
                 self._m_leases_dropped.inc()
             return
         self.sim.at(now_s + delay,
-                    lambda t, s=shard, l=lease: s.apply_lease(l, t),
+                    lambda t, s=shard, lease=lease: s.apply_lease(lease, t),
                     name=f"apply-lease-s{shard.shard_id}")
 
     # -- health ------------------------------------------------------------------

@@ -50,7 +50,10 @@ def _residency_modes(cap_w: float, *, seed: int, fast: bool
     median_ipc = sorted(m for _f, m in scored)[len(scored) // 2]
     hi = [f for f, m in scored if m >= median_ipc]
     lo = [f for f, m in scored if m < median_ipc]
-    mode = lambda xs: max(set(xs), key=xs.count) if xs else float("nan")
+
+    def mode(xs):
+        return max(set(xs), key=xs.count) if xs else float("nan")
+
     return to_mhz(mode(hi)), to_mhz(mode(lo))
 
 

@@ -122,7 +122,7 @@ def run(seed: int = 2005, fast: bool = False) -> ExperimentResult:
     for multiplier, s in zip(TIMER_MULTIPLIERS, seeds[1:]):
         response = _timer_only(multiplier, s)
         rows.append((
-            f"timer-only", f"T={multiplier * 10} ms", round(response, 4),
+            "timer-only", f"T={multiplier * 10} ms", round(response, 4),
         ))
     cluster = _cluster(seeds[-1])
     rows.append(("cluster trigger", "2 nodes", round(cluster, 4)))

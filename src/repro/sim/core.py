@@ -149,7 +149,9 @@ class SimulatedCore:
 
     @power_scale.setter
     def power_scale(self, value: float) -> None:
-        self._power_scale = value
+        # The rule the energy ledger applies to the power it integrates,
+        # checked here so NaN and inf fail on the columns as on the scalar.
+        self._power_scale = check_non_negative(value, "power_scale")
         self._fleet_invalidate()
 
     def set_frequency(self, freq_hz: float, now_s: float) -> None:

@@ -44,7 +44,8 @@ Residency matrix (what lives in columns):
   :meth:`SupplyBank.observe` at the boundaries where the bank's state
   changes.  A span a *raising* cascade would cut delegates the whole fleet
   for that span, preserving the scalar loop's partial advance and
-  exception order.
+  exception order.  A request or a pending settle parks the machine
+  until it drains (below).
 * **Enabled telemetry** is resident: per-lane ``sim_*`` counters accumulate
   in columns and flush to the registry at flush/snapshot boundaries, and
   phase-transition events are emitted at crossings with the scalar payload.
@@ -70,16 +71,25 @@ Residency matrix (what lives in columns):
 
 Daemon-time debt, a replaced counter bank, a non-plain head job, and a
 banked machine's multi-job queue are *chunked* lanes: ``core.advance``
-runs them against their objects every span.  What still cannot live in
-columns — subclassed machine/core/component
-hooks, desynchronised machine clocks, active idle listeners,
-negative-power meters, a supply bank *shared* between machines, and
-banked machines mid-settle or holding ONCE work (their chunk walk prices
-the whole span's demand up front) — delegates that machine to
-``machine.advance`` (the bit-equal reference).  :func:`advance_machines`
-returns each span's residency tally, delegations broken down per reason
-label; the :class:`~repro.sim.driver.Simulation` sums it over its run and
-exports it as ``sim_fleet_advances_total`` / ``sim_fleet_fallbacks_total``.
+runs them against their objects every span.
+
+The fleet holds lanes and ledger accounts for every machine it can: all
+but subclassed machines or components, desynchronised clocks and supply
+banks *shared* between machines, which are delegates for the fleet's
+lifetime.  A held machine with a core the columns cannot run — a banked
+machine mid-settle or holding ONCE work (its chunk walk prices the whole
+span's demand up front), a subclassed core hook, active idle listeners, a
+negative power draw — is *parked* alone: its lanes and accounts flush to
+its objects and carry no-op columns, and it advances through
+``machine.advance`` (the bit-equal reference) until a span start finds
+the blocker cleared, when only its lanes re-derive and only its accounts
+reload.  No other machine's lanes move, and the fleet is built once per
+run unless a span falls back whole (a float corner, a raising cascade),
+:func:`reset_fleet` runs, or a parked machine's structure changed by the
+time it is admitted.  :func:`advance_machines` returns each span's
+residency tally, delegations broken down per reason label; the
+:class:`~repro.sim.driver.Simulation` sums it over its run and exports it
+as ``sim_fleet_advances_total`` / ``sim_fleet_fallbacks_total``.
 
 View synchronisation: while resident, a core's running totals live in
 columns and the underlying objects lag.  Mutators routed through the core
@@ -95,7 +105,8 @@ banks and energy ledgers are synchronised by :func:`flush_machines` (the
 driver does this when ``run_until`` returns) or by any
 ``advance_machines(..., flush=True)`` call.  Structural mutations with no
 hook (attaching a supply bank mid-run, swapping a meter/ledger/dispatcher
-instance) require :func:`reset_fleet` first.
+instance) require :func:`reset_fleet` first on a resident machine; a
+parked machine's are found when it is admitted.
 """
 
 from __future__ import annotations
@@ -125,29 +136,12 @@ _OFFLINE = 0    # closed form: residency only
 _IDLE = 1       # closed form: one stationary idle slice per chunk
 _BUSY = 2       # column lane: plain-phase head job, constant frequency
 _CHUNKED = 3    # object-authoritative: scalar core.advance each span/chunk
+_PARKED = 4     # object-authoritative: its machine advances scalar
+# Flushes skip the object-authoritative kinds, _CHUNKED and up.
 
 #: Hooks whose override forces the scalar path.
 _CORE_HOOKS = ("advance", "_advance_slice", "_advance_idle",
                "_advance_overhead", "_jitter_scale", "_record_residency")
-
-#: Eligibility blockers mapped to the fallback-reason label they report
-#: under.  Overridden methods/components collapse into "subclass".
-_REASON_LABEL = {
-    "type": "subclass",
-    "hooks": "subclass",
-    "component": "subclass",
-    "actuator": "subclass",
-    "detector": "subclass",
-    "dispatcher": "subclass",
-    "bank": "bank",
-    "desync": "desync",
-    "power": "power",
-    "transient": "transient",
-}
-
-
-class _Evict(Exception):
-    """A lane can no longer be represented in columns; rebuild the fleet."""
 
 
 def _hooks_intact(core: SimulatedCore) -> bool:
@@ -179,10 +173,13 @@ def _acc(initial: float, increments: np.ndarray) -> float:
 
 
 def _classify_lane(core: SimulatedCore, t0: float,
-                   banked: bool) -> tuple[int, bool] | None:
+                   banked: bool) -> tuple[int, bool] | str:
     """Execution mode of one core over an event-free span.
 
-    Returns ``(mode, volatile)`` or None (the machine must delegate):
+    Returns ``(mode, volatile)``, or the fallback label its machine parks
+    under: "subclass" for an overridden hook or component, "transient"
+    for work that drains away (a ``Job`` subclass in the queue, or the
+    banked gate below):
 
     * on an unbanked machine, a run queue whose head is a plain-phase
       :class:`Job` is ``_BUSY`` at any length, ONCE and LOOP work alike:
@@ -199,26 +196,26 @@ def _classify_lane(core: SimulatedCore, t0: float,
 
     Banked machines get the stricter gate: their chunk walk prices the
     whole span's demand up front, which a mid-span completion or settle
-    would invalidate, so pending settling or ONCE work makes them delegate
-    until drained, and only a sole job is ``_BUSY``.
+    would invalidate, so pending settling or ONCE work parks them until
+    drained, and only a sole job is ``_BUSY``.
     """
     if not _hooks_intact(core):
-        return None
+        return "subclass"
     if core.offline:
         return _OFFLINE, False
     act = core.actuator
     if (type(act) is not ThrottleActuator
             or not _detector_passive(core.idle_detector)
             or type(core.dispatcher) is not Dispatcher):
-        return None
+        return "subclass"
     queue = core.dispatcher._queue
     if any(type(job) is not Job for job in queue):
-        return None
+        return "transient"
     volatile = act.pending or any(job.loop is not LoopMode.LOOP
                                   for job in queue)
     if volatile:
         if banked:
-            return None
+            return "transient"
         # Observe (and passively settle) through the public actuator API —
         # the same call the scalar path's first slice makes at span start.
         act.effective_hz(t0)
@@ -235,22 +232,30 @@ def _classify_lane(core: SimulatedCore, t0: float,
 
 
 class FleetState:
-    """Structure-of-arrays state for every resident core across machines.
+    """Structure-of-arrays state for every core of the machines it holds.
 
     Lanes are float64 columns indexed by core; per-lane Python metadata
     (kind, job, phase table, pending residency) lives in parallel lists.
-    Machines that fail eligibility are *delegates*: they advance through
-    ``machine.advance`` each span, bit-equal by construction.
+    Each held machine owns a contiguous run of lanes and of ledger
+    accounts, and is either *resident* (advanced through the columns) or
+    *parked* (its objects are authoritative and it advances through
+    ``machine.advance`` until its blocker clears).  Machines the columns
+    cannot hold at all are *delegates*: they advance through
+    ``machine.advance`` for the fleet's lifetime.  Both are bit-equal by
+    construction.
     """
 
     def __init__(self, machines: list) -> None:
         self.machines = machines
         self._valid = True
         self._dirty: set[SimulatedCore] = set()
+        #: Held machines advancing through the columns, in machine order.
         self.resident: list[SMPMachine] = []
         self.delegates: list = []
         self.delegate_reasons: dict[str, int] = {}
-        self._recheck: list[SMPMachine] = []
+        #: Held machines advancing through ``machine.advance``, in machine
+        #: order, each with the fallback label that keeps it parked.
+        self._parked: dict[SMPMachine, str] = {}
         #: Why the last ``advance`` returned False ("corner" or "bank").
         self._span_blocker = "corner"
 
@@ -272,29 +277,42 @@ class FleetState:
                 seen[id(b)] = seen.get(id(b), 0) + 1
         self._shared_banks = {bid for bid, k in seen.items() if k > 1}
 
+        # One lane per core and one energy account per ledger account of
+        # every held machine, contiguous per machine.  Accounts materialise
+        # in the order the scalar first chunk would create them.
+        self.cores: list[SimulatedCore] = []
+        self.e_accs: list[EnergyAccumulator] = []
+        self.elane: list[int] = []
+        #: Per held machine: (machine, lane_lo, lane_hi, account_lo,
+        #: account_hi).
+        self._slots: list[tuple[SMPMachine, int, int, int, int]] = []
+        self._slot_of: dict[SMPMachine, tuple] = {}
+        self._lane_slot: list[tuple] = []
         now = None
         for m in machines:
-            blocker = self._residency_blocker(m, now)
-            if blocker is None:
-                if now is None:
-                    now = m._now_s
-                self.resident.append(m)
-            else:
+            label = self._hold_blocker(m, now)
+            if label is not None:
                 self.delegates.append(m)
-                label = _REASON_LABEL.get(blocker, blocker)
                 self.delegate_reasons[label] = \
                     self.delegate_reasons.get(label, 0) + 1
-                if blocker == "transient":
-                    self._recheck.append(m)
-        self.now = now if now is not None else machines[0]._now_s
-
-        n = sum(len(m.cores) for m in self.resident)
-        self.n = n
-        self.cores: list[SimulatedCore] = []
-        self.meters: list[PowerMeter] = []
-        for m in self.resident:
+                continue
+            if now is None:
+                now = m._now_s
+            lo, e_lo = len(self.cores), len(self.e_accs)
+            ledger = m.ledger
+            for c in m.cores:
+                ledger.account(f"core{c.core_id}")
+            ledger.account("non_cpu")
+            index = {name: k for k, name in enumerate(ledger.accounts, e_lo)}
+            self.e_accs.extend(ledger.accounts.values())
             self.cores.extend(m.cores)
-            self.meters.extend([m.meter] * len(m.cores))
+            self.elane.extend(index[f"core{c.core_id}"] for c in m.cores)
+            slot = (m, lo, len(self.cores), e_lo, len(self.e_accs))
+            self._slots.append(slot)
+            self._slot_of[m] = slot
+            self._lane_slot.extend([slot] * len(m.cores))
+        self.now = now if now is not None else machines[0]._now_s
+        n = self.n = len(self.cores)
         self._lane_of = {c: i for i, c in enumerate(self.cores)}
         #: :func:`gather_counters` lane indexes, by id of the core list.
         self._gathers: dict[int, tuple] = {}
@@ -305,8 +323,8 @@ class FleetState:
         self.r3 = np.zeros(n)
         self.rm = np.zeros(n)
         self.rl1 = np.zeros(n)
-        self.pinstr = np.zeros(n)
-        self.ptol = np.zeros(n)
+        self.pinstr = np.full(n, np.inf)
+        self.ptol = np.full(n, np.inf)
         self.prog = np.zeros(n)
         self.retired = np.zeros(n)
         self.cur_res = np.zeros(n)
@@ -319,8 +337,12 @@ class FleetState:
         # l1_stall_cycles, halted_cycles (CounterBank field order).
         self.cnt = np.zeros((7, n))
         self.hfreq: np.ndarray | None = None
+        k = len(self.e_accs)
+        self.e_pow = np.zeros(k)
+        self.e_last = np.zeros(k)
+        self.e_energy = np.zeros(k)
 
-        self.kind = [0] * n
+        self.kind = [_PARKED] * n
         self.jobs: list = [None] * n
         self.pdata: list = [None] * n
         self.pidx = [0] * n
@@ -342,103 +364,128 @@ class FleetState:
         #: Unbanked busy lanes with latency_jitter_sigma > 0: one RNG draw
         #: per span through the core's stream-aligned buffer.
         self._jitter: set[int] = set()
-        self._lane_banked = np.zeros(n, dtype=bool)
-        #: Per banked resident machine: (machine, lane_lo, lane_hi,
-        #: account_lo, account_hi) — lanes and ledger accounts are
-        #: contiguous per machine by construction.
-        self._banked: list[tuple[SMPMachine, int, int, int, int]] = []
 
-        # Energy lanes: one per ledger account across resident machines,
-        # materialised exactly the way the scalar first chunk would.
-        e_accs: list[EnergyAccumulator] = []
-        e_pow: list[float] = []
-        e_last: list[float] = []
-        e_energy: list[float] = []
-        self.elane = [-1] * n
-        lane = 0
-        for m in self.resident:
-            lane_lo = lane
-            e_lo = len(e_accs)
-            meter = m.meter
-            powers = {f"core{c.core_id}": meter.core_power_w(c, self.now)
-                      for c in m.cores}
-            powers["non_cpu"] = meter.non_cpu_power_w
-            ledger = m.ledger
-            for name in powers:
-                ledger.account(name)
-            by_name = {}
-            for name, acc in ledger.accounts.items():
-                by_name[name] = len(e_accs)
-                e_accs.append(acc)
-                e_pow.append(powers.get(name, 0.0))
-                e_last.append(acc.last_time_s)
-                e_energy.append(acc.energy_j)
-            for c in m.cores:
-                self.elane[lane] = by_name[f"core{c.core_id}"]
-                lane += 1
+        # The whole-span vector pass and energy update run over the lanes
+        # and accounts of unbanked held machines; banked ones chunk-walk.
+        self._lane_banked = np.zeros(n, dtype=bool)
+        emask = np.ones(k, dtype=bool)
+        for m, lo, hi, e_lo, e_hi in self._slots:
             if m.supply_bank is not None:
-                self._banked.append((m, lane_lo, lane, e_lo, len(e_accs)))
-                self._lane_banked[lane_lo:lane] = True
-        self.e_accs = e_accs
-        self.e_pow = np.array(e_pow) if e_accs else np.zeros(0)
-        self.e_last = np.array(e_last) if e_accs else np.zeros(0)
-        self.e_energy = np.array(e_energy) if e_accs else np.zeros(0)
-        if self._banked:
-            self._ub_idx = np.nonzero(~self._lane_banked)[0]
-            emask = np.ones(len(e_accs), dtype=bool)
-            for _, _, _, e_lo, e_hi in self._banked:
+                self._lane_banked[lo:hi] = True
                 emask[e_lo:e_hi] = False
-            self._ub_eidx = np.nonzero(emask)[0]
+        if self._lane_banked.any():
+            self._ub_idx = np.flatnonzero(~self._lane_banked)
+            self._ub_eidx = np.flatnonzero(emask)
         else:
             self._ub_idx = None
             self._ub_eidx = None
 
-        for i in range(n):
-            self._setup_lane(i, self.now)
-        for m in self.resident:
-            m._fleet_ref = self
+        for slot in self._slots:
+            slot[0]._fleet_ref = self
+            label = self._machine_blocker(slot[0]) or self._admit(slot)
+            if label is not None:
+                self._parked[slot[0]] = label
+        self._relist()
 
     # -- eligibility ---------------------------------------------------------------
 
-    def _residency_blocker(self, m, now_ref) -> str | None:
-        """None when ``m`` can live in columns, else why not.  "transient"
-        blockers (a banked machine with pending settling or ONCE work that
-        will drain, a Job subclass in a queue) are rechecked each span;
-        anything structural stays delegated until the fleet is rebuilt."""
+    def _hold_blocker(self, m, now) -> str | None:
+        """None when the columns can hold ``m`` (give it lanes and
+        accounts), else the fallback label it delegates under.  ``now`` is
+        the fleet clock (None before the first held machine sets it)."""
         if type(m) is not SMPMachine:
-            return "type"
+            return "subclass"
         bank = m.supply_bank
-        banked = bank is not None
-        if banked:
-            if type(bank) is not SupplyBank or id(bank) in self._shared_banks:
-                return "bank"
-        if type(m.ledger) is not EnergyLedger or type(m.meter) is not PowerMeter:
-            return "component"
-        if any(type(a) is not EnergyAccumulator
-               for a in m.ledger.accounts.values()):
-            return "component"
-        if now_ref is not None and m._now_s != now_ref:
+        if bank is not None and (type(bank) is not SupplyBank
+                                 or id(bank) in self._shared_banks):
+            return "bank"
+        if (type(m.ledger) is not EnergyLedger
+                or type(m.meter) is not PowerMeter
+                or any(type(a) is not EnergyAccumulator
+                       for a in m.ledger.accounts.values())):
+            return "subclass"
+        if now is not None and m._now_s != now:
             return "desync"
-        transient = False
+        return None
+
+    def _machine_blocker(self, m: SMPMachine) -> str | None:
+        """None when every core of held machine ``m`` can live in columns
+        now, else the fallback label that keeps it parked."""
+        banked = m.supply_bank is not None
         for c in m.cores:
-            cls = _classify_lane(c, m._now_s, banked)
-            if cls is None:
-                if not _hooks_intact(c):
-                    return "hooks"
-                act = c.actuator
-                if type(act) is not ThrottleActuator:
-                    return "actuator"
-                if not _detector_passive(c.idle_detector):
-                    return "detector"
-                if type(c.dispatcher) is not Dispatcher:
-                    return "dispatcher"
-                # Remaining causes: a banked machine mid-settle/mid-ONCE,
-                # or a Job subclass — both drain or rebuild away.
-                transient = True
-                continue
-            if m.meter.core_power_w(c, m._now_s) < 0.0:
-                return "power"
-        return "transient" if transient else None
+            cls = _classify_lane(c, self.now, banked)
+            if type(cls) is str:
+                return cls
+        return None
+
+    def _restructured(self, slot) -> bool:
+        """Whether a parked machine changed what its slot was allocated
+        for: a structural blocker, a supply bank attached or removed, or
+        another set of ledger accounts.  Found at admission; the caller
+        then builds a new fleet."""
+        m, lo, _, e_lo, e_hi = slot
+        accs = m.ledger.accounts
+        return (self._hold_blocker(m, self.now) is not None
+                or (m.supply_bank is not None) != self._lane_banked[lo]
+                or len(accs) != e_hi - e_lo
+                or any(a is not b for a, b in
+                       zip(accs.values(), self.e_accs[e_lo:e_hi])))
+
+    # -- parking -----------------------------------------------------------------------
+
+    def _admit(self, slot) -> str | None:
+        """Load a parked machine's accounts and derive its lanes at the
+        fleet clock.  Returns None, or the fallback label of a lane the
+        columns cannot run (the machine is parked again)."""
+        m, lo, hi, e_lo, e_hi = slot
+        non_cpu = m.meter.non_cpu_power_w
+        for k, (name, acc) in enumerate(m.ledger.accounts.items(), e_lo):
+            self.e_energy[k] = acc.energy_j
+            self.e_last[k] = acc.last_time_s
+            self.e_pow[k] = non_cpu if name == "non_cpu" else 0.0
+        for i in range(lo, hi):
+            label = self._setup_lane(i, self.now)
+            if label is not None:
+                self._park(slot)
+                return label
+        return None
+
+    def _park(self, slot) -> None:
+        """Hand one machine back to its objects: flush its lanes and
+        accounts, remove their bank hooks and zero their columns, so the
+        vector pass carries them as no-ops."""
+        _, lo, hi, e_lo, e_hi = slot
+        for i in range(lo, hi):
+            self._flush_lane(i)
+            self._reset_lane(i)
+            self.kind[i] = _PARKED
+            self._remove_bank_hook(i)
+        self._flush_accounts(range(e_lo, e_hi))
+        self.cnt[:, lo:hi] = 0.0
+        self.e_pow[e_lo:e_hi] = 0.0
+
+    def _relist(self) -> None:
+        """Re-derive the per-machine lists after machines parked or were
+        admitted."""
+        parked = self._parked
+        live = [s for s in self._slots if s[0] not in parked]
+        self._parked = {s[0]: parked[s[0]] for s in self._slots
+                        if s[0] in parked}
+        self.resident = [s[0] for s in live]
+        self._banked = [s for s in live if self._lane_banked[s[1]]]
+        # One slot past the last lane absorbs the -1 that
+        # :func:`gather_counters` gives cores outside this fleet.
+        self._parked_mask = np.zeros(self.n + 1, dtype=bool)
+        for s in self._slots:
+            if s[0] in parked:
+                self._parked_mask[s[1]:s[2]] = True
+        self._live_accounts = ([k for s in live for k in range(s[3], s[4])]
+                               if parked else range(len(self.e_accs)))
+        reasons = dict(self.delegate_reasons)
+        for label in parked.values():
+            reasons[label] = reasons.get(label, 0) + 1
+        #: This span's delegations per fallback label (None: none).
+        self.fallbacks = reasons or None
 
     # -- lane lifecycle --------------------------------------------------------------
 
@@ -464,18 +511,9 @@ class FleetState:
         if d is not None and d.get("_fleet_flush") is hook:
             del d["_fleet_flush"]
 
-    def _setup_lane(self, i: int, t0: float) -> None:
-        core = self.cores[i]
-        old = core._fleet
-        if old is not None and old is not self and old._valid:
-            old.detach()
-        cls = _classify_lane(core, t0, bool(self._lane_banked[i]))
-        if cls is None:
-            raise _Evict
-        mode, volatile = cls
+    def _reset_lane(self, i: int) -> None:
+        """Empty lane ``i``: no set memberships, no-op columns."""
         self._volatile.discard(i)
-        if volatile:
-            self._volatile.add(i)
         self._chunked.discard(i)
         self._offline.discard(i)
         self._jitter.discard(i)
@@ -485,7 +523,6 @@ class FleetState:
         if i in self._halt:
             self._halt.discard(i)
             self.hfreq[i] = 0.0
-        self.kind[i] = mode
         self.busy[i] = False
         self.jobs[i] = None
         self.pdata[i] = None
@@ -501,6 +538,23 @@ class FleetState:
         self.retired[i] = 0.0
         self.cur_res[i] = 0.0
         self.ft[i] = 0.0
+
+    def _setup_lane(self, i: int, t0: float) -> str | None:
+        """Derive lane ``i`` from its core's objects at ``t0``.  Returns
+        None, or the fallback label of a core the columns cannot run (the
+        caller parks its machine)."""
+        core = self.cores[i]
+        old = core._fleet
+        if old is not None and old is not self and old._valid:
+            old.detach()
+        cls = _classify_lane(core, t0, bool(self._lane_banked[i]))
+        if type(cls) is str:
+            return cls
+        mode, volatile = cls
+        self._reset_lane(i)
+        if volatile:
+            self._volatile.add(i)
+        self.kind[i] = mode
 
         if mode == _CHUNKED:
             # Object-authoritative lane: core.advance runs each span and
@@ -555,15 +609,14 @@ class FleetState:
                                   p.l1_stall_cycles_per_instr))
                 pidx = job.phase_index
                 name, pinstr, ccpi, mem, r2, r3, rm, rl1 = pdata[pidx]
-                thr = freq / (ccpi + mem * freq)
-                if thr <= 0.0:
-                    raise _Evict  # the scalar path raises; let it
                 self.busy[i] = True
                 self.jobs[i] = job
                 self.pdata[i] = pdata
                 self.pidx[i] = pidx
                 self.freq[i] = freq
-                self.thr[i] = thr
+                # A plain Phase at a positive frequency always has a
+                # positive throughput (Phase validates its rates).
+                self.thr[i] = freq / (ccpi + mem * freq)
                 self.r2[i] = r2
                 self.r3[i] = r3
                 self.rm[i] = rm
@@ -587,14 +640,13 @@ class FleetState:
             self._load_counters(i)
             self._install_bank_hook(i)
 
-        k = self.elane[i]
-        if k >= 0:
-            pw = self.meters[i].core_power_w(core, t0)
-            if pw < 0.0:
-                raise _Evict  # the scalar ledger raises; let it
-            self.e_pow[k] = pw
         core._fleet = self
         core.idle_detector._fleet_invalidate = core._fleet_invalidate
+        pw = self._lane_slot[i][0].meter.core_power_w(core, t0)
+        if pw < 0.0:
+            return "power"  # the scalar ledger raises; let it
+        self.e_pow[self.elane[i]] = pw
+        return None
 
     def _load_counters(self, i: int) -> None:
         b = self.cores[i].counters
@@ -620,7 +672,7 @@ class FleetState:
 
     def _flush_lane(self, i: int) -> None:
         kind = self.kind[i]
-        if kind == _CHUNKED:
+        if kind >= _CHUNKED:
             return
         self._flush_counters(i)
         core = self.cores[i]
@@ -654,16 +706,20 @@ class FleetState:
                 if disp._queue and disp._queue[0] is job:
                     disp._quantum_left_s = float(self.qleft[i])
 
-    def flush(self) -> None:
-        """Write every lane back to its objects (idempotent; the columns
-        stay authoritative until :meth:`detach`)."""
-        for i in range(self.n):
-            self._flush_lane(i)
+    def _flush_accounts(self, accounts) -> None:
         e = self.e_energy
         last = self.e_last
-        for k, acc in enumerate(self.e_accs):
+        for k in accounts:
+            acc = self.e_accs[k]
             acc.energy_j = float(e[k])
             acc.last_time_s = float(last[k])
+
+    def flush(self) -> None:
+        """Write every resident lane and account back to its objects
+        (idempotent; the columns stay authoritative until :meth:`detach`)."""
+        for i in range(self.n):
+            self._flush_lane(i)
+        self._flush_accounts(self._live_accounts)
 
     def detach(self) -> None:
         """Flush and dissolve: objects become authoritative again."""
@@ -676,35 +732,55 @@ class FleetState:
             if core._fleet is self:
                 core._fleet = None
                 core.idle_detector._fleet_invalidate = None
-        for m in self.resident:
+        for m, *_ in self._slots:
             if getattr(m, "_fleet_ref", None) is self:
                 m._fleet_ref = None
 
     # -- per-span processing -----------------------------------------------------------
 
     def prepare(self) -> bool:
-        """Re-derive dirty lanes; False means rebuild the whole fleet."""
+        """Bring the columns to the span start: admit each parked machine
+        whose blocker cleared, re-derive stale lanes, and park each
+        machine with a lane the columns cannot run.  False means a parked
+        machine changed structure: build a new fleet."""
         if self._volatile:
             cores = self.cores
             self._dirty.update(cores[i] for i in self._volatile)
+        lanes = ()
+        kind = self.kind
         if self._dirty:
-            t0 = self.now
             lanes = [i for i in map(self._lane_of.get, self._dirty)
-                     if i is not None]
+                     if i is not None and kind[i] != _PARKED]
             self._dirty = set()
             # Flush every stale lane before deriving any: a job migrated
             # off one lane's head is read by the lane it joined.
             for i in lanes:
                 self._flush_lane(i)
-            try:
-                for i in lanes:
-                    self._setup_lane(i, t0)
-            except _Evict:
-                return False
-        if self._recheck:
-            for m in self._recheck:
-                if self._residency_blocker(m, self.now) is None:
+        changed = False
+        for m in list(self._parked) if self._parked else ():
+            label = self._machine_blocker(m)
+            if label is None:
+                slot = self._slot_of[m]
+                if self._restructured(slot):
                     return False
+                label = self._admit(slot)
+            if label is None:
+                del self._parked[m]
+                changed = True
+            elif label != self._parked[m]:
+                self._parked[m] = label
+                changed = True
+        for i in lanes:
+            if kind[i] == _PARKED:
+                continue  # its machine parked earlier in this loop
+            label = self._setup_lane(i, self.now)
+            if label is not None:
+                slot = self._lane_slot[i]
+                self._park(slot)
+                self._parked[slot[0]] = label
+                changed = True
+        if changed:
+            self._relist()
         return True
 
     def advance(self, dt: float) -> bool:
@@ -716,9 +792,8 @@ class FleetState:
         t0 = self.now
         e2 = t0 + dt
         eff = e2 - t0
-        n = self.n
         plans = None
-        if n:
+        if self.resident:
             se = t0 + eff
             limit = se - t0
             if limit != eff or se - (t0 + limit) > _MIN_SLICE_S:
@@ -1215,8 +1290,8 @@ def gather_counters(cores: list[SimulatedCore]) -> np.ndarray:
     Resident lanes are read straight from the counter columns, through a
     lane index the live fleet caches per core list (keep passing the same
     list), and nothing is flushed.  Every other core reads
-    ``bank.snapshot()``: a delegated machine's, an object-authoritative
-    chunked lane's, and one outside any live fleet.
+    ``bank.snapshot()``: a delegated or parked machine's, an
+    object-authoritative chunked lane's, and one outside any live fleet.
     """
     fleet = None
     for core in cores:
@@ -1238,6 +1313,8 @@ def gather_counters(cores: list[SimulatedCore]) -> np.ndarray:
         fleet._gathers[id(cores)] = index
     _, lanes, others = index
     out = fleet.cnt[:, lanes]
+    if fleet._parked:
+        others = others + np.flatnonzero(fleet._parked_mask[lanes]).tolist()
     if fleet._chunked:
         others = others + np.flatnonzero(
             np.isin(lanes, list(fleet._chunked))).tolist()
@@ -1278,36 +1355,34 @@ def advance_machines(machines, dt: float, *, flush: bool = True
         machines = list(machines)
     if dt == 0.0 or not machines:
         return 0, None
-    fleet = None
-    for _ in range(2):
-        cand = _get_fleet(machines)
-        if cand.prepare():
-            fleet = cand
-            break
-        cand.detach()
-    advanced = False
-    if fleet is not None:
-        try:
-            advanced = fleet.advance(dt)
-        except BaseException:
-            fleet.flush()
-            raise
+    fleet = _get_fleet(machines)
+    if not fleet.prepare():
+        # A parked machine changed structure: a new fleet holds the
+        # machines afresh, admitting or parking each one as it builds.
+        fleet.detach()
+        fleet = _get_fleet(machines)
+    try:
+        advanced = fleet.advance(dt)
+    except BaseException:
+        fleet.flush()
+        raise
     if not advanced:
-        reason = "rebuild" if fleet is None else fleet._span_blocker
-        if fleet is not None:
-            fleet.detach()
+        reason = fleet._span_blocker
+        fleet.detach()
         for m in machines:
             m.advance(dt)
         return 0, {reason: len(machines)}
     try:
         for m in fleet.delegates:
             m.advance(dt)
+        for m in fleet._parked:
+            m.advance(dt)
     except BaseException:
         fleet.flush()
         raise
     if flush:
         fleet.flush()
-    return len(fleet.resident), fleet.delegate_reasons or None
+    return len(fleet.resident), fleet.fallbacks
 
 
 def flush_machines(machines) -> None:

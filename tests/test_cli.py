@@ -106,6 +106,25 @@ class TestShowAndOutput:
         assert main(["show", str(tmp_path / "nope.json")]) == 1
         assert "cannot load" in capsys.readouterr().err
 
+    def test_negative_precision_rejected_before_running(self, monkeypatch,
+                                                        capsys):
+        import repro.experiments
+        ran = []
+        monkeypatch.setattr(repro.experiments, "run_experiment",
+                            lambda *args, **kwargs: ran.append(args))
+        assert main(["run", "fig1", "--fast", "--precision", "-1"]) == 1
+        assert "--precision" in capsys.readouterr().err
+        assert ran == []
+
+    def test_show_rejects_negative_precision(self, tmp_path, capsys):
+        main(["run", "worked_example", "--output", str(tmp_path)])
+        capsys.readouterr()
+        path = str(tmp_path / "worked_example.json")
+        assert main(["show", path, "--precision", "-1"]) == 1
+        assert "--precision" in capsys.readouterr().err
+        assert main(["show", path, "--precision", "0"]) == 0
+        assert "289" in capsys.readouterr().out
+
     def test_chart_flag_renders_series(self, capsys):
         assert main(["run", "fig1", "--chart"]) == 0
         out = capsys.readouterr().out

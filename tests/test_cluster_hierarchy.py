@@ -2,7 +2,6 @@
 fleet allocator, and the single-shard byte-identity with the flat path."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from repro.cluster.faults import FaultSchedule, fault_scenario, fleet_fault_scen
 from repro.cluster.hierarchy import (
     FleetAllocator,
     FleetConfig,
-    ShardCoordinator,
     water_fill_budgets,
 )
 from repro.cluster.protocol import BudgetLease, ShardSummary, message_size_bytes

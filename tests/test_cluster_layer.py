@@ -18,7 +18,6 @@ from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig
-from repro.sim.node import ClusterNode
 from repro.units import ghz, mhz
 from repro.workloads.tiers import tiered_cluster_assignment
 

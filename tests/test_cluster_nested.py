@@ -1,7 +1,7 @@
 """Nested per-node budgets: ``schedule(..., node_limits_w=...)``."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.governor import Governor
-from repro.errors import (
-    ExperimentError,
-    SchedulingError,
-    SimulationError,
-)
+from repro.errors import ExperimentError, SchedulingError
 from repro.power.supply import SupplyBank
 from repro.scenario import Scenario, make_governor
 from repro.sim.driver import Simulation

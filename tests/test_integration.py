@@ -1,7 +1,5 @@
 """End-to-end integration tests across subsystems."""
 
-import pytest
-
 from repro import constants
 from repro.core.baselines import NoManagementGovernor, UniformScalingGovernor
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel

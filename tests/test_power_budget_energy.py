@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BudgetError, SimulationError
+from repro.errors import SimulationError
 from repro.power.budget import ComplianceMonitor, PowerBudget
 from repro.power.energy import EnergyAccumulator, EnergyLedger
 

@@ -1,9 +1,14 @@
 """The simulated core: analytic execution, counters, residency, overhead."""
 
+import math
+
 import pytest
 
+from repro.errors import UnitError
 from repro.model.latency import POWER4_LATENCIES
 from repro.sim.core import CoreConfig, SimulatedCore
+from repro.sim.fleet import advance_machines
+from repro.sim.machine import MachineConfig, SMPMachine
 from repro.sim.idle import IdleStyle
 from repro.units import ghz, mhz
 from repro.workloads.job import Job, LoopMode
@@ -203,3 +208,24 @@ class TestOverheadStealing:
         assert job.instructions_retired == 0
         assert core.counters.cycles == 0
         assert core.phase_time_s.get("__offline__") == pytest.approx(1.0)
+
+
+class TestPowerScale:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_invalid_scale_raises_at_assignment(self, bad):
+        # Resident in fleet columns or not, a scale the energy ledger
+        # would refuse fails where it is set, and the old one stays.
+        machine = SMPMachine(MachineConfig(num_cores=1), seed=0)
+        advance_machines([machine], 0.01)
+        for core in (quiet_core(), machine.cores[0]):
+            with pytest.raises(UnitError):
+                core.power_scale = bad
+            assert core.power_scale == 1.0
+        advance_machines([machine], 0.01)
+        assert math.isfinite(machine.ledger.total_energy_j)
+
+    @pytest.mark.parametrize("good", [0.0, 1.25])
+    def test_valid_scale_accepted(self, good):
+        core = quiet_core()
+        core.power_scale = good
+        assert core.power_scale == good

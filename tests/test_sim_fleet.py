@@ -36,6 +36,10 @@ queue drain to hot idle, ``detach()``/re-attach, censored in-flight
 accounting, and per-request ``elapsed_s`` stamps — and a stock serving
 fleet must take *zero* fallbacks (completion is a columnar crossing, not a
 delegation).
+
+Parking: supply-banked machines serving requests park while they hold ONCE
+work and are admitted back when it drains, within the one fleet a run
+builds, while a coordinator samples the parked machines' counters.
 """
 
 import json
@@ -54,7 +58,9 @@ from repro.sim.driver import Simulation as Driver
 from repro.sim.fleet import (_BUSY, FleetState, advance_machines,
                              flush_machines, reset_fleet)
 from repro.sim.idle import IdleStyle
+from repro.sim.node import ClusterNode
 from repro.sim.os_sched import DEFAULT_QUANTUM_S
+from repro.sim.rng import spawn_seeds
 from repro.errors import CascadeFailureError
 from repro.telemetry import EVENT_PHASE_TRANSITION, Telemetry, use_telemetry
 from repro.workloads.job import Job, LoopMode
@@ -1011,6 +1017,132 @@ def test_lane_rederivations_follow_events_not_spans(monkeypatch):
     assert sim.fleet_fallbacks == {}
     assert completed > 0 and traffic.in_flight > 0
     assert len(setups) <= lanes + traffic.issued + completed
+
+
+# -- parking: banked machines holding ONCE work advance alone ------------------------
+
+
+def count_builds(monkeypatch):
+    """The list of every FleetState built from here on."""
+    builds = []
+    init = FleetState.__init__
+
+    def counted(self, machines):
+        builds.append(self)
+        init(self, machines)
+
+    monkeypatch.setattr(FleetState, "__init__", counted)
+    return builds
+
+
+def test_banked_serving_parks_and_admits_bit_for_bit(monkeypatch):
+    """Supply-banked nodes serve ONCE requests on cores 0-1 beside LOOP
+    jobs on cores 2-3.  A request parks its machine (its objects turn
+    authoritative and it advances through ``machine.advance``) until the
+    queue drains, and the machine is then admitted back, all within the
+    one fleet built at the first span.  The coordinator samples counters
+    while machines are parked, so its logged passes see what the parked
+    banks hold; machine state, request stamps and the passes match the
+    scalar reference exactly."""
+    import repro.cluster.agent as agent_mod
+
+    builds = count_builds(monkeypatch)
+    parked_reads = []
+    gather = agent_mod.gather_counters
+
+    def watched_gather(cores):
+        fleet = cores[0]._fleet
+        if fleet is not None and fleet._valid:
+            parked_reads.append(int(fleet._parked_mask[
+                [fleet._lane_of.get(c, -1) for c in cores]].sum()))
+        return gather(cores)
+
+    def run():
+        nodes = 3
+        config = MachineConfig(
+            num_cores=4, core_config=CoreConfig(latency_jitter_sigma=0.02))
+        seeds = spawn_seeds(77, nodes)
+        cluster = Cluster([
+            ClusterNode(i, SMPMachine(
+                config, seed=seeds[i],
+                supply_bank=SupplyBank.example_p630(raise_on_cascade=False)))
+            for i in range(nodes)])
+        for node in cluster.nodes:
+            for core in (2, 3):
+                node.assign(core, looping_job(f"loop{node.node_id}{core}",
+                                              (1.0, 0.5, 0.2)))
+        table = cluster.nodes[0].machine.table
+        sim = Driver(cluster.machines)
+        rate = 60.0 * nodes * 2
+        traffic = FleetTrafficSource(
+            cluster, rate_per_s=lambda t: rate, max_rate_per_s=rate,
+            cores_per_node=2, keep_records=True, seed=78)
+        coord = ClusterCoordinator(
+            cluster, CoordinatorConfig(
+                power_limit_w=0.6 * nodes * 4 * table.max_power_w),
+            seed=79)
+        coord.attach(sim)
+        traffic.attach(sim)
+        for _ in range(12):
+            sim.run_for(0.03)   # a flush at every return, parked or not
+        passes = [(e.time_s, e.node_id, e.proc_id, e.freq_hz, e.eps_freq_hz,
+                   e.predicted_ipc, e.predicted_loss)
+                  for e in coord.log.schedule_entries]
+        return (serving_snapshot(cluster.machines, traffic, sim.now_s),
+                passes, dict(sim.fleet_fallbacks))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(agent_mod, "gather_counters", watched_gather)
+        cols, cols_passes, fallbacks = run()
+    with scalar_reference():
+        scal, scal_passes, _ = run()
+    assert cols_passes == scal_passes
+    assert cols == scal
+    assert len(builds) == 1
+    assert fallbacks.get("transient", 0) > 0
+    assert set(fallbacks) == {"transient"}
+    assert sum(parked_reads) > 0
+
+
+class TaggedJob(Job):
+    """A Job subclass: the columns cannot run it, so its machine parks."""
+
+
+def test_structure_changed_while_parked_is_found_at_admission(monkeypatch):
+    """A supply bank attached to a parked machine without ``reset_fleet``
+    is found when the machine is admitted: a new fleet holds it as a
+    banked machine, and the run still matches the scalar reference."""
+    builds = count_builds(monkeypatch)
+
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0)),
+            seed=14)
+        m.assign(0, TaggedJob(name="tagged", phases=(
+            synthetic_phase(0.7, duration_s=0.03, name="t"),)))
+        m.assign(1, looping_job("bg", (0.75,)))
+        peer = SMPMachine(
+            MachineConfig(num_cores=1,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0)),
+            seed=15)
+        peer.assign(0, looping_job("peer", (0.6,)))
+        return [m, peer]
+
+    def script(ms, advance):
+        advance(0.01)
+        ms[0].supply_bank = SupplyBank.example_p630(raise_on_cascade=False)
+        for _ in range(5):
+            # The tagged job completes around t = 0.03; later spans cross
+            # observation boundaries only a banked walk cuts at.
+            advance(0.025)
+
+    ms, (_, fallbacks) = run_two_ways(build, script)
+    assert len(builds) == 2
+    assert set(fallbacks) == {"transient"}
+    fleet = ms[0].__dict__["_fleet_cache"][1]
+    assert fleet is builds[-1]
+    assert ms[0] in fleet.resident and fleet._banked
 
 
 # -- fallback accounting -----------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import constants
 from repro.errors import SimulationError
 from repro.power.supply import SupplyBank
 from repro.sim.core import CoreConfig

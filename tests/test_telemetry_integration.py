@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main as cli_main
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.hierarchy import FleetAllocator, FleetConfig
