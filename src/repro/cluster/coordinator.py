@@ -115,14 +115,6 @@ class CoordinatorConfig:
     #: With a fault plan: how long to wait for a command ack before
     #: resending.
     retry_timeout_s: float = 0.005
-    #: Opt-in signature-stability fast path: a pass whose signatures all
-    #: lie within this relative tolerance of the batch that produced the
-    #: last schedule — same processors, same idle flags, same limits —
-    #: reuses that schedule without rescheduling or re-dispatching.  None
-    #: (the default) disables the fast path, leaving every output
-    #: byte-identical.  Ignored with a fault plan installed: a lossy
-    #: network may have eaten the commands a reused pass would not resend.
-    reschedule_tolerance: float | None = None
     #: SLO mode: a request-latency target (seconds at ``slo_percentile``).
     #: Each pass translates the bound serving traffic's per-node demand
     #: into per-node frequency *floors* (via the M/M/1 latency model) and
@@ -167,9 +159,6 @@ class CoordinatorConfig:
                 f"command_retries must be a non-negative int, got "
                 f"{self.command_retries!r}")
         check_positive(self.retry_timeout_s, "retry_timeout_s")
-        if self.reschedule_tolerance is not None:
-            check_non_negative(self.reschedule_tolerance,
-                               "reschedule_tolerance")
         if self.slo_p99_target_s is not None:
             check_positive(self.slo_p99_target_s, "slo_p99_target_s")
         if not 0.0 < self.slo_percentile < 100.0:
@@ -266,13 +255,6 @@ class ClusterCoordinator:
         self.slo_floor_violations = 0
         #: Passes whose floors alone made the power budget infeasible.
         self.slo_infeasible_passes = 0
-        #: Passes served from the last schedule by the signature-stability
-        #: fast path (``reschedule_tolerance``).
-        self.passes_skipped = 0
-        #: The view batch and limits that produced ``last_schedule`` (only
-        #: tracked when the fast path is armed).
-        self._last_sched_batch: ViewBatch | None = None
-        self._last_sched_limits: tuple | None = None
         self._sim: Simulation | None = None
         m = self.telemetry.metrics
         self._m_passes = m.counter(
@@ -319,10 +301,6 @@ class ClusterCoordinator:
             "cluster_stale_passes_total",
             "Global passes that scheduled at least one node from cached "
             "or floor views")
-        self._m_passes_skipped = m.counter(
-            "cluster_passes_skipped_total",
-            "Global passes that reused the last schedule because every "
-            "signature stayed within reschedule_tolerance")
         self._m_health = {
             state: m.gauge(
                 f"cluster_nodes_{state}",
@@ -456,20 +434,7 @@ class ClusterCoordinator:
         fresh, collect_delay = self._collect_reports(now_s)
         batch, lost_nodes = self._assemble_batch(fresh, now_s)
         floors = self._slo_floors(now_s)
-        # A reused pass re-dispatches nothing: only safe when the last
-        # commands cannot have been lost.
-        track = (self.config.reschedule_tolerance is not None
-                 and self.faults is None)
-        if track:
-            reused = self._try_reuse_schedule(batch)
-            if reused is not None:
-                return reused, collect_delay
         schedule = self._schedule(batch, lost_nodes, floors)
-        if track:
-            self._last_sched_batch = batch
-            self._last_sched_limits = (self.power_limit_w,
-                                       dict(self.node_limits_w),
-                                       dict(self.slo_floors_hz))
         self._dispatch(schedule, now_s + collect_delay)
         return schedule, collect_delay
 
@@ -609,42 +574,6 @@ class ClusterCoordinator:
                                 for b, lo, hi in segments])
                 for column in _BATCH_COLUMNS))
         return batch, lost_nodes
-
-    def _try_reuse_schedule(self, batch: ViewBatch | None
-                            ) -> Schedule | None:
-        """The signature-stability fast path: reuse the last schedule when
-        nothing that could change the decision has moved.
-
-        The anchor is the batch that *produced* the last schedule (not the
-        previous tick's batch), so slow drift cannot creep arbitrarily far
-        from the last scheduled operating point."""
-        last = self._last_sched_batch
-        schedule = self.last_schedule
-        if last is None or schedule is None or batch is None:
-            return None
-        if self._last_sched_limits != (self.power_limit_w,
-                                       self.node_limits_w,
-                                       self.slo_floors_hz):
-            return None
-        tol = self.config.reschedule_tolerance
-        if (len(batch) != len(last)
-                or not np.array_equal(batch.node_ids, last.node_ids)
-                or not np.array_equal(batch.proc_ids, last.proc_ids)
-                or not np.array_equal(batch.has_signature,
-                                      last.has_signature)
-                or not np.array_equal(batch.idle_signaled,
-                                      last.idle_signaled)):
-            return None
-        if not (np.allclose(batch.core_cpi, last.core_cpi,
-                            rtol=tol, atol=0.0)
-                and np.allclose(batch.mem_time_per_instr_s,
-                                last.mem_time_per_instr_s,
-                                rtol=tol, atol=0.0)):
-            return None
-        self.passes_skipped += 1
-        if self.telemetry.enabled:
-            self._m_passes_skipped.inc()
-        return schedule
 
     def _schedule(self, batch: ViewBatch | None, lost_nodes: list[int],
                   floors: dict[int, float]) -> Schedule:

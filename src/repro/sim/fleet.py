@@ -44,8 +44,10 @@ Residency matrix (what lives in columns):
   :meth:`SupplyBank.observe` at the boundaries where the bank's state
   changes.  A span a *raising* cascade would cut delegates the whole fleet
   for that span, preserving the scalar loop's partial advance and
-  exception order.  A request or a pending settle parks the machine
-  until it drains (below).
+  exception order; so does a span with a raising bank on a parked or
+  delegated machine, whenever the list holds another machine.  A request,
+  a pending settle or a second queued job parks the machine until it
+  drains (below).
 * **Enabled telemetry** is resident: per-lane ``sim_*`` counters accumulate
   in columns and flush to the registry at flush/snapshot boundaries, and
   phase-transition events are emitted at crossings with the scalar payload.
@@ -65,29 +67,25 @@ Residency matrix (what lives in columns):
   and RNG draw order are all identical to the scalar path.  The lane
   re-derives at the next span start (the new head's columns, fresh
   power), exactly when the scalar re-reads ``core_power_w``.
-* **Pending frequency settling** stays resident on unbanked machines as a
-  *volatile* chunked lane: ``core.advance`` cuts the settle boundary each
-  span and the lane re-derives (power included) every span start.
-
-Daemon-time debt, a replaced counter bank, a non-plain head job, and a
-banked machine's multi-job queue are *chunked* lanes: ``core.advance``
-runs them against their objects every span.
 
 The fleet holds lanes and ledger accounts for every machine it can: all
 but subclassed machines or components, desynchronised clocks and supply
 banks *shared* between machines, which are delegates for the fleet's
-lifetime.  A held machine with a core the columns cannot run — a banked
-machine mid-settle or holding ONCE work (its chunk walk prices the whole
-span's demand up front), a subclassed core hook, active idle listeners, a
-negative power draw — is *parked* alone: its lanes and accounts flush to
-its objects and carry no-op columns, and it advances through
-``machine.advance`` (the bit-equal reference) until a span start finds
-the blocker cleared, when only its lanes re-derive and only its accounts
-reload.  No other machine's lanes move, and the fleet is built once per
-run unless a span falls back whole (a float corner, a raising cascade),
-:func:`reset_fleet` runs, or a parked machine's structure changed by the
-time it is admitted.  :func:`advance_machines` returns each span's
-residency tally, delegations broken down per reason label; the
+lifetime.  A held machine with a core the columns cannot run is *parked*
+alone.  The causes are daemon-time debt, a pending frequency settle, a
+``Job`` subclass or a non-plain head phase, a banked machine holding ONCE
+work or two or more jobs on a core (its chunk walk prices the whole
+span's demand up front), a subclassed core hook or component (a replaced
+counter bank included), active idle listeners, and a negative power
+draw.  Its lanes and accounts flush to its objects and carry no-op
+columns, and it advances through ``machine.advance`` (the bit-equal
+reference) until a span start finds the blocker cleared, when only its
+lanes re-derive and only its accounts reload.  No other machine's lanes
+move, and the fleet is built once per run unless a span falls back whole
+(a float corner, a raising cascade), :func:`reset_fleet` runs, or a
+parked machine's structure changed by the time it is admitted.
+:func:`advance_machines` returns each span's residency tally,
+delegations broken down per reason label; the
 :class:`~repro.sim.driver.Simulation` sums it over its run and exports it
 as ``sim_fleet_advances_total`` / ``sim_fleet_fallbacks_total``.
 
@@ -135,9 +133,9 @@ __all__ = ["FleetState", "advance_machines", "flush_machines",
 _OFFLINE = 0    # closed form: residency only
 _IDLE = 1       # closed form: one stationary idle slice per chunk
 _BUSY = 2       # column lane: plain-phase head job, constant frequency
-_CHUNKED = 3    # object-authoritative: scalar core.advance each span/chunk
+_HANDOFF = 3    # object-authoritative for the rest of a span (``_handoff``)
 _PARKED = 4     # object-authoritative: its machine advances scalar
-# Flushes skip the object-authoritative kinds, _CHUNKED and up.
+# Flushes skip the object-authoritative kinds, _HANDOFF and up.
 
 #: Hooks whose override forces the scalar path.
 _CORE_HOOKS = ("advance", "_advance_slice", "_advance_idle",
@@ -172,37 +170,34 @@ def _acc(initial: float, increments: np.ndarray) -> float:
     return float(buf.cumsum()[-1])
 
 
-def _classify_lane(core: SimulatedCore, t0: float,
-                   banked: bool) -> tuple[int, bool] | str:
+def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
     """Execution mode of one core over an event-free span.
 
-    Returns ``(mode, volatile)``, or the fallback label its machine parks
-    under: "subclass" for an overridden hook or component, "transient"
-    for work that drains away (a ``Job`` subclass in the queue, or the
-    banked gate below):
+    Returns ``_OFFLINE``, ``_IDLE`` or ``_BUSY``, or the fallback label its
+    machine parks under: "subclass" for an overridden hook or component
+    (a replaced counter bank included), "transient" for a state that
+    drains away:
 
-    * on an unbanked machine, a run queue whose head is a plain-phase
-      :class:`Job` is ``_BUSY`` at any length, ONCE and LOOP work alike:
-      the dispatcher's quantum expiry and a request's completion are
-      columnar crossings of :meth:`FleetState._advance_busy_lane`;
-    * daemon-time debt, a replaced counter bank, and a non-plain head are
-      ``_CHUNKED``: ``core.advance`` runs each span against the objects;
-    * pending frequency settling is a *volatile* chunked lane:
-      ``core.advance`` handles the settle boundary each span, and the lane
-      re-derives (power included) at every span start — exactly when the
-      scalar ``machine._advance_to`` would re-read ``core_power_w``.  A
-      chunked lane holding ONCE work is volatile too, since its queue may
-      drain inside ``core.advance``.
+    * a ``Job`` subclass in the queue, or a head job with a non-plain
+      phase (a ``Phase`` subclass);
+    * daemon-time debt (Figure 4's overhead, drained at the front of the
+      next ``core.advance``);
+    * pending frequency settling, observed (and passively settled) at
+      ``t0`` first, exactly as the scalar path's first slice observes it.
 
-    Banked machines get the stricter gate: their chunk walk prices the
-    whole span's demand up front, which a mid-span completion or settle
-    would invalidate, so pending settling or ONCE work parks them until
-    drained, and only a sole job is ``_BUSY``.
+    On an unbanked machine, a run queue whose head is a plain-phase
+    :class:`Job` is ``_BUSY`` at any length, ONCE and LOOP work alike: the
+    dispatcher's quantum expiry and a request's completion are columnar
+    crossings of :meth:`FleetState._advance_busy_lane`.  Banked machines
+    get a stricter gate: their chunk walk prices the whole span's demand
+    up front, which a mid-span completion or settle would invalidate, so
+    ONCE work or a queue of two or more jobs parks them too, and only a
+    sole LOOP job is ``_BUSY``.
     """
     if not _hooks_intact(core):
         return "subclass"
     if core.offline:
-        return _OFFLINE, False
+        return _OFFLINE
     act = core.actuator
     if (type(act) is not ThrottleActuator
             or not _detector_passive(core.idle_detector)
@@ -211,24 +206,19 @@ def _classify_lane(core: SimulatedCore, t0: float,
     queue = core.dispatcher._queue
     if any(type(job) is not Job for job in queue):
         return "transient"
-    volatile = act.pending or any(job.loop is not LoopMode.LOOP
-                                  for job in queue)
-    if volatile:
-        if banked:
-            return "transient"
-        # Observe (and passively settle) through the public actuator API —
-        # the same call the scalar path's first slice makes at span start.
+    if act.pending and not banked:
         act.effective_hz(t0)
-        if act.pending:
-            return _CHUNKED, True
-    if (core._overhead_debt_s > _MIN_SLICE_S
-            or type(core.counters) is not CounterBank):
-        return _CHUNKED, volatile
+    if (act.pending or core._overhead_debt_s > _MIN_SLICE_S
+            or (banked and any(job.loop is not LoopMode.LOOP
+                               for job in queue))):
+        return "transient"
+    if type(core.counters) is not CounterBank:
+        return "subclass"
     if not queue:
-        return _IDLE, False
+        return _IDLE
     if _phases_plain(queue[0]) and (len(queue) == 1 or not banked):
-        return _BUSY, False
-    return _CHUNKED, volatile
+        return _BUSY
+    return "transient"
 
 
 class FleetState:
@@ -350,12 +340,9 @@ class FleetState:
         self.ft_key = [0.0] * n
         self.pending: list[dict | None] = [None] * n
         self._bank_hooks: list = [None] * n
-        self._chunked: set[int] = set()
-        #: Chunked lanes whose classification/power can change without an
-        #: invalidation hook firing (pending settling, a draining ONCE
-        #: queue): re-derived at every span start, like the scalar path
-        #: re-reads power each span.
-        self._volatile: set[int] = set()
+        #: Lanes a crossing handed to their objects for the rest of the
+        #: span (:meth:`_handoff`); each re-derives at the next span start.
+        self._handed_off: set[int] = set()
         #: Busy lanes whose queue held two or more jobs at setup: the
         #: dispatcher's quantum runs down in ``qleft``.
         self._multi: set[int] = set()
@@ -513,8 +500,7 @@ class FleetState:
 
     def _reset_lane(self, i: int) -> None:
         """Empty lane ``i``: no set memberships, no-op columns."""
-        self._volatile.discard(i)
-        self._chunked.discard(i)
+        self._handed_off.discard(i)
         self._offline.discard(i)
         self._jitter.discard(i)
         if i in self._multi:
@@ -547,22 +533,13 @@ class FleetState:
         old = core._fleet
         if old is not None and old is not self and old._valid:
             old.detach()
-        cls = _classify_lane(core, t0, bool(self._lane_banked[i]))
-        if type(cls) is str:
-            return cls
-        mode, volatile = cls
+        mode = _classify_lane(core, t0, bool(self._lane_banked[i]))
+        if type(mode) is str:
+            return mode
         self._reset_lane(i)
-        if volatile:
-            self._volatile.add(i)
         self.kind[i] = mode
 
-        if mode == _CHUNKED:
-            # Object-authoritative lane: core.advance runs each span and
-            # keeps its own counters/residency; its columns stay unused.
-            self._chunked.add(i)
-            self.cur_name[i] = None
-            self._remove_bank_hook(i)
-        elif mode == _OFFLINE:
+        if mode == _OFFLINE:
             self._offline.add(i)
             self.cur_name[i] = "__offline__"
             self.ft_key[i] = 0.0
@@ -672,7 +649,7 @@ class FleetState:
 
     def _flush_lane(self, i: int) -> None:
         kind = self.kind[i]
-        if kind >= _CHUNKED:
+        if kind >= _HANDOFF:
             return
         self._flush_counters(i)
         core = self.cores[i]
@@ -743,9 +720,6 @@ class FleetState:
         whose blocker cleared, re-derive stale lanes, and park each
         machine with a lane the columns cannot run.  False means a parked
         machine changed structure: build a new fleet."""
-        if self._volatile:
-            cores = self.cores
-            self._dirty.update(cores[i] for i in self._volatile)
         lanes = ()
         kind = self.kind
         if self._dirty:
@@ -787,8 +761,16 @@ class FleetState:
         """One event-free span over all resident lanes.  Returns False
         (caller takes the scalar path) on the float corners where the
         scalar loop's span arithmetic would not collapse to one slice, or
-        when a raising supply-bank cascade would cut a banked machine's
-        span short (``_span_blocker`` says which)."""
+        when a supply-bank cascade could raise where the columns would
+        not stop at it: inside a banked machine's span, or on a parked or
+        delegated machine (``_span_blocker`` says which)."""
+        if len(self.machines) > 1 and any(
+                getattr(getattr(m, "supply_bank", None), "raise_on_cascade",
+                        False) for m in (*self.delegates, *self._parked)):
+            # Such a machine advances after the columns, but the scalar
+            # loop stops at its raise before the machines listed after it.
+            self._span_blocker = "bank"
+            return False
         t0 = self.now
         e2 = t0 + dt
         eff = e2 - t0
@@ -803,10 +785,6 @@ class FleetState:
                 plans = self._plan_banked(t0, e2, dt)
                 if plans is None:
                     return False  # _span_blocker set by _plan_banked
-            banked = self._lane_banked
-            for i in self._chunked:
-                if not banked[i]:
-                    self.cores[i].advance(t0, eff)
             if eff > _MIN_SLICE_S:
                 if self._jitter:
                     self._draw_jitter()
@@ -816,6 +794,7 @@ class FleetState:
                 elif ub.size:
                     self._advance_span_sub(t0, eff, ub)
             elif self._offline:
+                banked = self._lane_banked
                 idx = [i for i in self._offline if not banked[i]]
                 if idx:
                     self.cur_res[idx] += eff
@@ -1008,10 +987,8 @@ class FleetState:
         ``SMPMachine.advance``'s per-chunk walk against columns: cores in
         order, then the ledger's 2-D cumsum, then the planned observes."""
         kind = self.kind
-        cores = self.cores
         for m, lo, hi, e_lo, e_hi, bounds, barr, starts, dts, demand, \
                 actions in plans:
-            t0 = float(starts[0])
             for i in range(lo, hi):
                 k = kind[i]
                 if k == _BUSY:
@@ -1019,15 +996,9 @@ class FleetState:
                         i, list(zip(starts.tolist(), dts.tolist())))
                 elif k == _IDLE:
                     self._advance_idle_lane(i, dts)
-                elif k == _OFFLINE:
+                else:  # _OFFLINE
                     self.cur_res[i] = _acc(float(self.cur_res[i]), dts)
                     self.ft[i] = _acc(float(self.ft[i]), dts)
-                else:  # _CHUNKED: object-authoritative, per chunk
-                    core = cores[i]
-                    prev = t0
-                    for t_end in bounds:
-                        core.advance(prev, t_end - prev)
-                        prev = t_end
             # One ledger.advance_to per chunk, as a 2-D cumsum over this
             # machine's contiguous account slice: each row accumulates
             # left-to-right, bit-equal to the per-chunk loop.
@@ -1270,8 +1241,8 @@ class FleetState:
         replay's own span end.
         """
         self._flush_lane(i)
-        self.kind[i] = _CHUNKED
-        self._chunked.add(i)
+        self.kind[i] = _HANDOFF
+        self._handed_off.add(i)
         self._remove_bank_hook(i)
         core = self.cores[i]
         self._dirty.add(core)
@@ -1290,8 +1261,8 @@ def gather_counters(cores: list[SimulatedCore]) -> np.ndarray:
     Resident lanes are read straight from the counter columns, through a
     lane index the live fleet caches per core list (keep passing the same
     list), and nothing is flushed.  Every other core reads
-    ``bank.snapshot()``: a delegated or parked machine's, an
-    object-authoritative chunked lane's, and one outside any live fleet.
+    ``bank.snapshot()``: a delegated or parked machine's, a lane handed
+    to its objects for the rest of a span, and one outside any live fleet.
     """
     fleet = None
     for core in cores:
@@ -1315,9 +1286,9 @@ def gather_counters(cores: list[SimulatedCore]) -> np.ndarray:
     out = fleet.cnt[:, lanes]
     if fleet._parked:
         others = others + np.flatnonzero(fleet._parked_mask[lanes]).tolist()
-    if fleet._chunked:
+    if fleet._handed_off:
         others = others + np.flatnonzero(
-            np.isin(lanes, list(fleet._chunked))).tolist()
+            np.isin(lanes, list(fleet._handed_off))).tolist()
     for j in others:
         out[:, j] = cores[j].counters.snapshot().as_tuple()
     return out

@@ -1,7 +1,7 @@
 """The columnar control plane: batched predictors, ViewBatch, the
-columnar log, the reschedule fast path — and committed golden digests of
-whole coordinator runs, recorded while the per-object pipeline still
-existed and gave the same values as the columnar one.
+columnar log — and committed golden digests of whole coordinator runs,
+recorded while the per-object pipeline still existed and gave the same
+values as the columnar one.
 """
 
 import hashlib
@@ -267,14 +267,17 @@ def run_coordinator_scenario(scenario):
 #: were re-recorded once, when node-limited passes started counting in
 #: the ``scheduler_*`` metrics: the hashed payloads differed from the
 #: earlier ones in the four ``scheduler_{passes,step1_evaluations,
-#: step2_iterations,loss_evaluations}_total`` series alone.
+#: step2_iterations,loss_evaluations}_total`` series alone.  All five were
+#: re-recorded when the opt-in ``reschedule_tolerance`` fast path was
+#: removed: each hashed payload lost its ``cluster_passes_skipped_total``
+#: series (value 0) and nothing else.
 GOLDEN_DIGESTS = {
-    "none": "fb7682d725ac3bd3c2980ee6e4710626d1e86a1fbf8c81746f4c89dbddc27221",
-    "lossy": "9dcc3bca782286c5009cb075e6303fbc422a7e7b96e7f9f3c3a64e558ba99af2",
-    "crash": "994faf442993f2c829b5edc3006c4a73ff01f8ed3988b7d5a42f77d283acbd22",
-    "alpha": "17b6c334ac056c327a57d09533b8d8f21d9cc157ff13fc9a324d4d5cb5f2fc3e",
+    "none": "31d760f64ff262f46fd89002553d55da610ce3c6a81951514425badcc4cf453f",
+    "lossy": "1e95e7fb03d8fc174bcf40e04045118dda24eae630d03e3cf4e7509a02f2c139",
+    "crash": "1deb3ab7d08631c8692dac33c864c04f39d898d300c8b4903cb602a259f6a7f5",
+    "alpha": "46afe3bd21634230b66eea340df2042f4cfd59e76e27d22ea1fabe34f880dc14",
     "fleet-chaos":
-        "f4d50b8e60c4b7e8927025f95177b63fa976425fc518f1ad6aba3a1e84e586c2",
+        "231723d011b568d9eafbbe8670538b9efcd5e8e4f6ba4a145cc6ee753789780d",
 }
 
 
@@ -295,8 +298,8 @@ class TestCoordinatorColumnarEquivalence:
 
     @pytest.mark.parametrize("scenario", ["none", "lossy", "crash"])
     def test_every_pass_counts_in_scheduler_metrics(self, scenario):
-        # Node-limited passes included: each pass the coordinator did not
-        # skip is one Figure 3 pass in the scheduler's own counters.
+        # Node-limited passes included: each coordinator pass is one
+        # Figure 3 pass in the scheduler's own counters.
         _cluster, _coord, telemetry = run_coordinator_scenario(scenario)
         snap = telemetry.snapshot()
 
@@ -305,8 +308,7 @@ class TestCoordinatorColumnarEquivalence:
                        for pt in snap["metrics"][name]["series"])
 
         assert total("scheduler_passes_total") == \
-            total("cluster_global_passes_total") \
-            - total("cluster_passes_skipped_total")
+            total("cluster_global_passes_total")
 
     def test_alpha_predictor_paths_identical(self):
         # AlphaPredictor ignores interval_s, so the coordinator must mask
@@ -487,100 +489,6 @@ class TestPowerSeriesDedup:
         at_now = power[np.flatnonzero(times == now)]
         limited = coord.last_schedule.total_power_w
         assert at_now.tolist() == [limited]
-
-
-class TestRescheduleTolerance:
-    def test_validation(self):
-        with pytest.raises(Exception):
-            CoordinatorConfig(reschedule_tolerance=-0.1)
-
-    def test_ignored_with_a_fault_plan(self):
-        # A reused pass re-dispatches nothing, and a lossy network may
-        # have eaten the last commands: degraded coordinators never skip.
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(counter_noise_sigma=0.0,
-                              reschedule_tolerance=10.0),
-            faults=fault_scenario("crash", seed=3), seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.45)
-        assert coord.passes_skipped == 0
-
-    def test_default_off(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        coord = ClusterCoordinator(
-            cluster, CoordinatorConfig(counter_noise_sigma=0.0), seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.45)
-        assert coord.passes_skipped == 0
-
-    def test_stable_signatures_skip_and_reuse(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        telemetry = Telemetry()
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(counter_noise_sigma=0.0,
-                              reschedule_tolerance=10.0),
-            telemetry=telemetry, seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.15)           # first real pass: schedules + anchors
-        first = coord.last_schedule
-        assert coord.passes_skipped == 0
-
-        def commands_sent():
-            snap = telemetry.snapshot()["metrics"]
-            series = snap["cluster_commands_sent_total"]["series"]
-            return sum(pt["value"] for pt in series)
-
-        sent_before = commands_sent()
-        sim.run_for(0.3)            # steady workload: passes skip
-        assert coord.passes_skipped >= 1
-        assert coord.last_schedule is first
-        # Skipped passes dispatch nothing...
-        assert commands_sent() == sent_before
-        # ...but still record, so the log stays gap-free.
-        passes = {e.time_s for e in coord.log.schedule_entries}
-        assert len(passes) >= 3
-        snap = telemetry.snapshot()["metrics"]
-        skipped_series = snap["cluster_passes_skipped_total"]["series"]
-        assert sum(pt["value"] for pt in skipped_series) == \
-            coord.passes_skipped
-
-    def test_limit_change_invalidates_reuse(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(counter_noise_sigma=0.0,
-                              reschedule_tolerance=10.0),
-            seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.45)
-        skipped = coord.passes_skipped
-        assert skipped >= 1
-        before = coord.last_schedule
-        coord.set_power_limit(260.0, sim.now_s)
-        assert coord.passes_skipped == skipped   # trigger pass ran for real
-        assert coord.last_schedule is not before
-        assert coord.last_schedule.power_limit_w == 260.0
-
-    def test_zero_tolerance_never_skips_under_noise(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        cluster.assign_all(tiered_cluster_assignment(2, 2, web_nodes=1,
-                                                     app_nodes=1))
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(counter_noise_sigma=0.01,
-                              reschedule_tolerance=0.0),
-            seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.45)
-        assert coord.passes_skipped == 0
 
 
 class TestDispatchGrouping:

@@ -20,7 +20,7 @@ from repro.errors import CounterError
 from repro.model.ipc import MemoryCounts
 from repro.sim import Cluster, CoreConfig, MachineConfig, SMPMachine, Simulation
 from repro.sim.counters import CounterBank, CounterBlock, CounterReader
-from repro.sim.fleet import reset_fleet
+from repro.sim.fleet import gather_counters, reset_fleet
 from repro.sim.node import ClusterNode
 from repro.sim.rng import spawn_rngs, spawn_seeds
 from repro.workloads.tiers import tiered_cluster_assignment
@@ -306,17 +306,30 @@ def test_built_then_advanced_then_attached(sigma):
     _assert_pairs_equal(pairs)
 
 
-def test_debt_makes_a_chunked_lane():
-    # The chunked-debt case reads an object-authoritative lane.
+def test_debt_parks_its_machine():
+    # The chunked-debt case parks the indebted machine, and the sampler
+    # reads that machine's banks, not its zeroed columns.
     cluster = _cluster()
-    core = cluster.nodes[2].machine.cores[1]
+    machine = cluster.nodes[2].machine
+    core = machine.cores[1]
     sim = Simulation(cluster.machines)
     sim.run_for(0.01)
     core.steal_time(0.002)
     sim.run_for(0.001)
     fleet = core._fleet
     assert fleet is not None and fleet._valid
-    assert fleet._lane_of[core] in fleet._chunked
+    assert fleet._parked == {machine: "transient"}
+    lane = fleet._lane_of[core]
+    assert not fleet.cnt[:, lane].any()
+    cores = cluster.nodes[1].machine.cores + machine.cores
+    got = gather_counters(cores)[:, cores.index(core)]
+    assert got.any()
+    assert _hex(got) == _hex(core.counters.snapshot().as_tuple())
+    # The debt drains at the front of the parked machine's next advance;
+    # the span after that admits it back into the columns.
+    sim.run_for(0.01)
+    sim.run_for(0.001)
+    assert not fleet._parked and machine in fleet.resident
 
 
 # -- one event per coordinator ---------------------------------------------------------

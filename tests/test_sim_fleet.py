@@ -10,18 +10,19 @@ of machine state.  No tolerances anywhere: one
 reordered IEEE operation fails the suite.
 
 Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
-offline / multi-job cores, with and without latency jitter),
-single banked machines of every core kind chunk-walked through the
-columns, cascades firing mid-span, raising cascades and shared banks
-forcing counted fallbacks, jitter-lane draw-order equivalence including
-mid-span buffer refills and sigma changes between spans, telemetry-on runs
-staying resident with identical event streams, subclassed-hook machines
-forcing the counted fallback, invalidation through every mutator between
-spans, lazy-flush snapshots mid-run, the ``lossy`` / ``crash`` / ``chaos``
-fault scenarios run end-to-end through the cluster coordinator, and whole
-experiments exported byte-identically through the columns and the scalar
-reference.  Each span's residency tally comes back from
-``advance_machines``, and each ``Simulation`` keeps its own run's.
+offline / multi-job cores, with and without latency jitter), single
+banked machines of every core kind chunk-walked through the columns,
+cascades firing mid-span, raising cascades (on resident, parked and
+delegated machines) and shared banks forcing counted fallbacks,
+jitter-lane draw-order equivalence including mid-span buffer refills and
+sigma changes between spans, telemetry-on runs staying resident with
+identical event streams, subclassed-hook machines forcing the counted
+fallback, invalidation through every mutator between spans, lazy-flush
+snapshots mid-run, the ``lossy`` / ``crash`` / ``chaos`` fault scenarios
+run end-to-end through the cluster coordinator, and whole experiments
+exported byte-identically through the columns and the scalar reference.
+Each span's residency tally comes back from ``advance_machines``, and
+each ``Simulation`` keeps its own run's.
 
 Run queues: cores queueing several jobs stay resident busy lanes, with
 the dispatcher's quantum in a column.  Randomized fleets rotate LOOP
@@ -39,9 +40,13 @@ delegation).
 
 Parking: supply-banked machines serving requests park while they hold ONCE
 work and are admitted back when it drains, within the one fleet a run
-builds, while a coordinator samples the parked machines' counters.
+builds, while a coordinator samples the parked machines' counters.  Each
+other state the columns cannot run (daemon-time debt, a pending settle,
+a replaced counter bank, a non-plain head phase, a banked two-job queue)
+parks its machine alone until it clears.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -57,6 +62,7 @@ from repro.sim import Cluster, CoreConfig, MachineConfig, SMPMachine, Simulation
 from repro.sim.driver import Simulation as Driver
 from repro.sim.fleet import (_BUSY, FleetState, advance_machines,
                              flush_machines, reset_fleet)
+from repro.sim.counters import CounterBank
 from repro.sim.idle import IdleStyle
 from repro.sim.node import ClusterNode
 from repro.sim.os_sched import DEFAULT_QUANTUM_S
@@ -64,6 +70,7 @@ from repro.sim.rng import spawn_seeds
 from repro.errors import CascadeFailureError
 from repro.telemetry import EVENT_PHASE_TRANSITION, Telemetry, use_telemetry
 from repro.workloads.job import Job, LoopMode
+from repro.workloads.phase import Phase
 from repro.workloads.server import RequestSpec
 from repro.workloads.serving import FleetTrafficSource
 from repro.workloads.synthetic import synthetic_phase
@@ -121,11 +128,12 @@ def looping_job(name, ratios, *, duration_s=0.05):
 
 def add_tally(tally, span):
     """Add one span's ``advance_machines`` result into ``tally``, a
-    ``[advances, {reason: fallbacks}]`` pair."""
+    ``[advances, {reason: fallbacks}]`` pair, and return the span's."""
     advances, fallbacks = span
     tally[0] += advances
     for reason, k in (fallbacks or {}).items():
         tally[1][reason] = tally[1].get(reason, 0) + k
+    return span
 
 
 def run_two_ways(build, script):
@@ -418,7 +426,7 @@ def queue_fleet(seed, sigma):
     """Unbanked machines whose cores queue several jobs — three LOOP jobs
     (the dispatcher rotates them), a burst of ONCE requests (each
     completion chains to the next) and a ONCE request ahead of a LOOP job
-    — plus a banked peer whose two-job core stays a chunked lane."""
+    — plus a banked peer whose two-job core parks its machine."""
     rng = np.random.default_rng(seed)
     ms = []
     for i in range(3):
@@ -471,7 +479,8 @@ def assert_queues_resident(ms):
 def test_randomized_run_queues_match(sigma):
     """Rotation, completion chaining and a ONCE head draining into a LOOP
     job replay bit-equal through the columns, with frequency commands
-    between spans, and no machine-span delegates."""
+    between spans.  Only the banked peer's machine-spans delegate: its
+    two-job core keeps it parked."""
     for seed in (5, 41, 77):
         rng = np.random.default_rng(seed)
         spans = [float(d) for d in rng.uniform(1e-4, 0.03, size=30)]
@@ -490,7 +499,8 @@ def test_randomized_run_queues_match(sigma):
 
         ms, tally = run_two_ways(
             lambda seed=seed: queue_fleet(seed, sigma), script)
-        assert tally == (len(spans) * len(ms), {})
+        assert tally == (len(spans) * (len(ms) - 1),
+                         {"transient": len(spans)})
         for m in ms[:3]:
             rr = m.cores[0].dispatcher.jobs
             assert all(j.instructions_retired > 0 for j in rr)
@@ -634,8 +644,8 @@ def test_arrivals_and_commands_between_spans_match():
 
 
 def build_mixed(seed=3):
-    """One banked machine with a core of each kind: busy column, chunked
-    multi-job lane, hot idle, offline."""
+    """One banked machine with a core of each kind: busy column, two
+    queued jobs (which park the machine), hot idle, offline."""
     m = SMPMachine(
         MachineConfig(num_cores=4,
                       core_config=CoreConfig(latency_jitter_sigma=0.02)),
@@ -658,7 +668,7 @@ def test_mixed_cores_match_reference():
         m.core(2).set_frequency(POWER4_TABLE.freqs_hz[9], now)
         advance(0.107)           # span end off the 10 ms grid
         m.core(1).steal_time(0.003)
-        m.core(0).steal_time(0.002)   # debt makes core 0 a chunked lane
+        m.core(0).steal_time(0.002)   # debt parks the machine too
         advance(0.0853)
         advance(0.01)            # exactly one observation chunk
         advance(0.0004)          # sub-chunk span
@@ -773,7 +783,7 @@ def test_raising_cascade_leaves_identical_partial_state():
     assert fast._now_s < 2.0
 
 
-@pytest.mark.parametrize("seed", [101, 202, 303])
+@pytest.mark.parametrize("seed", [101, 202, 303, 403])
 def test_randomized_machines_match_reference(seed):
     rng = np.random.default_rng(seed)
 
@@ -802,7 +812,7 @@ def test_randomized_machines_match_reference(seed):
                 m.assign(c, looping_job(
                     f"c{c}", (ratios[next(k)], ratios[next(k)]),
                     duration_s=durations[c]))
-            elif kind == 1:          # two jobs: a chunked lane
+            elif kind == 1:          # two jobs: the machine parks
                 m.assign(c, looping_job(f"c{c}a", (ratios[next(k)],),
                                         duration_s=durations[c]))
                 m.assign(c, looping_job(f"c{c}b", (ratios[next(k)],),
@@ -821,7 +831,11 @@ def test_randomized_machines_match_reference(seed):
             if steal:
                 m.core(core).steal_time(0.0015)
 
-    run_two_ways(build, script)
+    _, (advances, _) = run_two_ways(build, script)
+    # A two-job core parks this banked machine for the whole run (seeds
+    # 101-303 each draw one); seed 403 draws none, so its spans walk the
+    # columns, bar the one after each steal.
+    assert advances > 0 or 1 in kinds
 
 
 def test_simulation_events_cut_spans_identically():
@@ -1145,6 +1159,113 @@ def test_structure_changed_while_parked_is_found_at_admission(monkeypatch):
     assert ms[0] in fleet.resident and fleet._banked
 
 
+class TallyBank(CounterBank):
+    """A CounterBank subclass: the columns cannot run it."""
+
+
+class TaggedPhase(Phase):
+    """A Phase subclass: a head job running it parks its machine."""
+
+
+def tagged_request(name, ratio, duration_s):
+    """A ONCE job whose one phase is a :class:`TaggedPhase`."""
+    p = synthetic_phase(ratio, duration_s=duration_s, name=f"{name}_p0")
+    return Job(name=name, phases=(TaggedPhase(**{
+        f.name: getattr(p, f.name) for f in dataclasses.fields(p)}),))
+
+
+def swap_bank(core, cls):
+    """Replace ``core``'s counter bank with a ``cls`` holding its counts."""
+    core.counters = cls(**dataclasses.asdict(core.counters))
+
+
+def parking_pair(*, banked=False, settle_s=0.0):
+    """A four-core machine looping on cores 0-2 (core 3 idle), jittered,
+    beside a stock one-core peer."""
+    m = SMPMachine(
+        MachineConfig(num_cores=4,
+                      core_config=CoreConfig(latency_jitter_sigma=0.02,
+                                             settling_time_s=settle_s)),
+        supply_bank=(SupplyBank.example_p630(raise_on_cascade=False)
+                     if banked else None),
+        seed=61)
+    for c in range(3):
+        m.assign(c, looping_job(f"t{c}", (0.9, 0.3), duration_s=0.01))
+    peer = SMPMachine(
+        MachineConfig(num_cores=1,
+                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
+        seed=62)
+    peer.assign(0, looping_job("peer", (0.6,)))
+    return [m, peer]
+
+
+def _reset_and_swap(ms):
+    # A bank swap has no invalidation hook: dissolve the fleet first.
+    reset_fleet(ms)
+    swap_bank(ms[0].cores[2], TallyBank)
+
+
+def _settling(ms):
+    act = ms[0].cores[0].actuator
+    return act.pending and act._pending_at_s > ms[0].now_s
+
+
+#: state -> (build kwargs, set the state, clear it (None: it drains
+#: itself), whether it holds at a span start, the label it parks under).
+PARKING_STATES = {
+    "debt": (
+        {}, lambda ms: ms[0].core(1).steal_time(0.025), None,
+        lambda ms: ms[0].cores[1]._overhead_debt_s > 0.0, "transient"),
+    "settle": (
+        {"settle_s": 0.005},
+        lambda ms: ms[0].core(0).set_frequency(POWER4_TABLE.freqs_hz[3],
+                                               ms[0].now_s),
+        None, _settling, "transient"),
+    "counter-bank": (
+        {}, _reset_and_swap,
+        lambda ms: swap_bank(ms[0].cores[2], CounterBank),
+        lambda ms: type(ms[0].cores[2].counters) is not CounterBank,
+        "subclass"),
+    "phase-subclass": (
+        {}, lambda ms: ms[0].assign(3, tagged_request("tag", 0.8, 0.025)),
+        None, lambda ms: bool(ms[0].cores[3].dispatcher._queue),
+        "transient"),
+    "banked-two-jobs": (
+        {"banked": True},
+        lambda ms: ms[0].assign(0, looping_job("extra", (0.5,),
+                                               duration_s=0.01)),
+        lambda ms: ms[0].migrate(ms[0].cores[0].dispatcher._queue[-1], 0, 3),
+        lambda ms: len(ms[0].cores[0].dispatcher._queue) > 1, "transient"),
+}
+
+
+@pytest.mark.parametrize("state", sorted(PARKING_STATES))
+def test_state_parks_its_machine_until_it_clears(state):
+    """Each state the columns cannot run parks its machine (and only
+    that machine) while it holds at a span start, and the machine is
+    resident again once it clears; every span replays bit-equal."""
+    kwargs, hold, clear, holds, label = PARKING_STATES[state]
+    spans = []
+
+    def script(ms, advance):
+        for k in range(8):
+            if k == 1:
+                hold(ms)
+            if k == 5 and clear is not None:
+                clear(ms)
+            held = holds(ms)
+            span = advance(0.01)
+            if span is not None:
+                spans.append((held, span))
+
+    run_two_ways(lambda: parking_pair(**kwargs), script)
+    flags = [held for held, _ in spans]
+    n = flags.count(True)
+    assert n and flags == [False] + [True] * n + [False] * (7 - n)
+    for held, span in spans:
+        assert span == ((1, {label: 1}) if held else (2, None))
+
+
 # -- fallback accounting -----------------------------------------------------------
 
 
@@ -1318,6 +1439,48 @@ def test_raising_cascade_falls_back_whole_span():
     assert fleet_state(cols) == fleet_state(scal)
 
 
+def raising_bank_fleet(outside):
+    """Four hot cores behind a raising bank, ahead of a stock peer.  The
+    banked machine is ``"parked"`` (core 0 holds a ONCE request) or a
+    ``"delegate"`` (a twin right behind it shares its bank)."""
+    bank = SupplyBank.example_p630(raise_on_cascade=True)
+    config = MachineConfig(num_cores=4,
+                           core_config=CoreConfig(latency_jitter_sigma=0.0))
+    banked = SMPMachine(config, supply_bank=bank, seed=5)
+    for c in range(4):
+        banked.assign(c, looping_job(f"hot{c}", (1.0,)))
+    ms = [banked]
+    if outside == "parked":
+        banked.assign(0, once_request("req", 1.0, 5.0))
+    else:
+        twin = SMPMachine(config, supply_bank=bank, seed=6)
+        twin.assign(0, looping_job("twin", (0.9,)))
+        ms.append(twin)
+    peer = SMPMachine(
+        MachineConfig(num_cores=1,
+                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
+        seed=7)
+    peer.assign(0, looping_job("peer", (0.6,)))
+    ms.append(peer)
+    return ms
+
+
+@pytest.mark.parametrize("outside", ["parked", "delegate"])
+def test_raising_cascade_outside_the_columns_falls_back_whole_span(outside):
+    """A raising bank on a parked or delegated machine makes each span
+    fall back whole, so the peer listed after it stays where the scalar
+    loop leaves it when ``machine.advance`` raises (0.3 s, not 1.5 s)."""
+    def script(ms, advance):
+        advance(0.3)
+        ms[0].supply_bank.fail_supply(0, now_s=ms[0].now_s)
+        with pytest.raises(CascadeFailureError):
+            advance(1.2)
+
+    ms, tally = run_two_ways(lambda: raising_bank_fleet(outside), script)
+    assert tally == (0, {"bank": len(ms)})
+    assert ms[-1].now_s == pytest.approx(0.3)
+
+
 def test_shared_bank_machines_stay_delegates():
     """A bank shared between machines needs interleaved cross-machine
     observations that the per-machine plan/replay cannot reproduce: those
@@ -1410,10 +1573,13 @@ def test_reset_fleet_dissolves_columns():
     assert ms[0].__dict__.get("_fleet_cache") is None
     assert all(c._fleet is None for m in ms for c in m.cores)
     # A structural mutation the hooks cannot see is now safe; the rebuilt
-    # fleet runs the newly banked machine as a *resident* lane group.
+    # fleet holds the newly banked machine as a banked lane group, parked
+    # while its core 1 queues two jobs (the chunk walk runs sole jobs).
     ms[0].supply_bank = SupplyBank.example_p630(raise_on_cascade=False)
     advance_machines(ms, 0.02)
-    assert ms[0] in ms[0].__dict__["_fleet_cache"][1].resident
+    fl = ms[0].__dict__["_fleet_cache"][1]
+    assert fl._parked == {ms[0]: "transient"}
+    assert fl._lane_banked[fl._lane_of[ms[0].cores[0]]]
 
 
 def test_overlapping_fleets_steal_cleanly():
