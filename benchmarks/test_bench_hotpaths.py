@@ -55,6 +55,35 @@ class TestBenchScheduler:
         assert schedule.total_power_w <= budget
 
 
+class ScalarForced(SMPMachine):
+    """Subclassing ``_advance_to`` defeats fleet residency, so every span
+    of such a machine delegates to the scalar per-chunk walk (the
+    reference path)."""
+
+    def _advance_to(self, t_end):
+        super()._advance_to(t_end)
+
+
+def _banked_16_nodes(cls=SMPMachine) -> list[SMPMachine]:
+    """16 four-core machines with supply banks and latency jitter, one
+    looping job plus three hot-idle cores each."""
+    phases = tuple(
+        synthetic_phase(r, duration_s=0.05, name=f"p{i}")
+        for i, r in enumerate((1.0, 0.5, 0.2))
+    )
+    ms = [
+        cls(MachineConfig(
+            num_cores=4,
+            core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=i)
+        for i in range(16)
+    ]
+    for i, m in enumerate(ms):
+        m.assign(0, Job(name=f"j{i}", phases=phases, loop=LoopMode.LOOP))
+    return ms
+
+
 def _one_core_machine(sigma: float, seed: int, job: Job) -> SMPMachine:
     machine = SMPMachine(MachineConfig(
         num_cores=1, initial_freq_hz=ghz(1.0),
@@ -94,27 +123,7 @@ class TestBenchSimulatorAdvance:
         reference path, forced via a subclass) by >= 4x."""
         import time as _time
 
-        phases = tuple(
-            synthetic_phase(r, duration_s=0.05, name=f"p{i}")
-            for i, r in enumerate((1.0, 0.5, 0.2))
-        )
-
-        def build(cls=SMPMachine):
-            ms = [
-                cls(MachineConfig(
-                    num_cores=4,
-                    core_config=CoreConfig(latency_jitter_sigma=0.02)),
-                    supply_bank=SupplyBank.example_p630(
-                        raise_on_cascade=False),
-                    seed=i)
-                for i in range(16)
-            ]
-            for i, m in enumerate(ms):
-                m.assign(0, Job(name=f"j{i}", phases=phases,
-                                loop=LoopMode.LOOP))
-            return ms
-
-        machines = build()
+        machines = _banked_16_nodes()
         spans = []
 
         def advance_all():
@@ -128,25 +137,61 @@ class TestBenchSimulatorAdvance:
         assert machines[0].ledger.total_energy_j > 0
 
         # The >= 4x acceptance vs the scalar per-chunk walk, measured on
-        # a shorter horizon.  Subclassing _advance_to defeats fleet
-        # residency, so every machine delegates to the scalar reference.
-        class ScalarForced(SMPMachine):
-            def _advance_to(self, t_end):
-                super()._advance_to(t_end)
-
+        # a shorter horizon.
         fleet_s = scalar_s = float("inf")
         for _ in range(2):
-            ms = build()
+            ms = _banked_16_nodes()
             t0 = _time.perf_counter()
             advance_machines(ms, 5.0)
             fleet_s = min(fleet_s, _time.perf_counter() - t0)
-            ms = build(ScalarForced)
+            ms = _banked_16_nodes(ScalarForced)
             t0 = _time.perf_counter()
             advance_machines(ms, 5.0)
             scalar_s = min(scalar_s, _time.perf_counter() - t0)
         speedup = scalar_s / fleet_s
         assert speedup >= 4.0, (
             f"fleet span advance {fleet_s * 1e3:.1f} ms vs scalar "
+            f"per-chunk walk {scalar_s * 1e3:.1f} ms: only {speedup:.1f}x"
+        )
+
+    def test_bench_advance_16_nodes_short_spans(self, benchmark):
+        """The 16 banked nodes of ``advance_16_nodes_100s`` over 500
+        spans of 10 ms with ``flush=False``, the span length a 10 ms
+        sampling tick cuts.  Each span is one supply-observation chunk,
+        so the banked lanes ride the whole-fleet pass and each machine
+        gets one planned observe.  The bench asserts full residency and
+        that the columns beat the scalar per-chunk walk by >= 2x (min of
+        2 runs each)."""
+        import time as _time
+
+        def spans_5s(ms):
+            """The number of spans that kept all 16 machines resident."""
+            resident = 0
+            for _ in range(500):
+                span = advance_machines(ms, 0.010, flush=False)
+                resident += span == (16, None)
+            flush_machines(ms)
+            return resident
+
+        machines = _banked_16_nodes()
+        rounds = []
+        benchmark(lambda: rounds.append(spans_5s(machines)))
+        assert rounds and set(rounds) == {500}
+        assert all(m.supply_bank.cascade_count == 0 for m in machines)
+
+        fleet_s = scalar_s = float("inf")
+        for _ in range(2):
+            ms = _banked_16_nodes()
+            t0 = _time.perf_counter()
+            spans_5s(ms)
+            fleet_s = min(fleet_s, _time.perf_counter() - t0)
+            ms = _banked_16_nodes(ScalarForced)
+            t0 = _time.perf_counter()
+            spans_5s(ms)
+            scalar_s = min(scalar_s, _time.perf_counter() - t0)
+        speedup = scalar_s / fleet_s
+        assert speedup >= 2.0, (
+            f"fleet short spans {fleet_s * 1e3:.1f} ms vs scalar "
             f"per-chunk walk {scalar_s * 1e3:.1f} ms: only {speedup:.1f}x"
         )
 

@@ -178,17 +178,20 @@ class SupplyBank:
         return self.capacity_w - float(demand_w)
 
     def plan_constant_span(self, times_s: list[float],
-                           demand_w: float) -> tuple[int, list[int]]:
+                           demand_w: float) -> tuple[int, list[int], bool]:
         """Preview :meth:`observe` at every boundary of a constant-demand span.
 
         ``times_s`` are ascending observation times.  Returns ``(n_exec,
-        actions)``: the caller should integrate the first ``n_exec`` chunks
-        (fewer than ``len(times_s)`` only when ``raise_on_cascade`` cuts the
-        span at a cascade) and then invoke :meth:`observe` at exactly the
-        ``actions`` indices — the boundaries where the per-boundary sequence
-        changes state (episode start/end, each cascade).  Repeating an
-        unchanged observation is a no-op, so this reproduces the full
-        sequence bit-for-bit while touching O(cascades) boundaries.
+        actions, raises)``: the caller should integrate the first ``n_exec``
+        chunks and then invoke :meth:`observe` at exactly the ``actions``
+        indices — the boundaries where the per-boundary sequence changes
+        state (episode start/end, each cascade).  Repeating an unchanged
+        observation is a no-op, so this reproduces the full sequence
+        bit-for-bit while touching O(cascades) boundaries.  ``raises`` is
+        True when the last action is a cascade that ``raise_on_cascade``
+        turns into :class:`~repro.errors.CascadeFailureError`; the span is
+        cut there, so ``n_exec`` is that boundary's index plus one (all of
+        ``times_s`` when the cascade lands on the last boundary).
 
         Pure: nothing is mutated here; the replayed ``observe`` calls do the
         mutating (and the raising).
@@ -196,11 +199,11 @@ class SupplyBank:
         n = len(times_s)
         online = [s for s in self.supplies if not s.failed]
         if not online:
-            return n, []            # dark: every observation is a no-op
+            return n, [], False     # dark: every observation is a no-op
         capacity = sum(s.capacity_w for s in online)
         if demand_w <= capacity:
             # Each boundary just clears any episode; one call reproduces it.
-            return n, [0]
+            return n, [0], False
         actions: list[int] = []
         since = self.overload_since_s
         deadline = self.cascade_deadline_s
@@ -211,7 +214,7 @@ class SupplyBank:
                 actions.append(i)
                 i += 1
                 if i >= n:
-                    return n, actions
+                    return n, actions, False
             # First boundary with times[j] - since >= deadline.  bisect gets
             # close; the float-exact predicate decides (a - b >= c is not
             # the same rounding as a >= b + c, but it is monotone in a).
@@ -221,20 +224,20 @@ class SupplyBank:
             while j < n and times_s[j] - since < deadline:
                 j += 1
             if j >= n:
-                return n, actions
+                return n, actions, False
             actions.append(j)        # cascade fires here
             online.pop(0)            # observe() fails the first online supply
             if self.raise_on_cascade:
                 # observe() raises on every cascade — including the one
                 # that darkens the bank — so the span always cuts here.
-                return j + 1, actions
+                return j + 1, actions, True
             if not online:
-                return n, actions    # dark from here on
+                return n, actions, False    # dark from here on
             capacity = sum(s.capacity_w for s in online)
             since = times_s[j]
             i = j + 1
             if i >= n:
-                return n, actions
+                return n, actions, False
             if demand_w <= capacity:
                 actions.append(i)    # the next boundary ends the episode
-                return n, actions
+                return n, actions, False

@@ -38,16 +38,21 @@ Residency matrix (what lives in columns):
   ``standard_normal(n)`` equals ``n`` scalar draws), folds it into that
   lane's throughput, and lets the vector pass carry it — draw order is
   identical to the scalar path.
-* **Supply-banked machines** are resident: their lanes are excluded from
-  the whole-span vector pass and instead chunked at the machine's
-  observation interval, replaying :meth:`SupplyBank.plan_constant_span` /
-  :meth:`SupplyBank.observe` at the boundaries where the bank's state
-  changes.  A span a *raising* cascade would cut delegates the whole fleet
-  for that span, preserving the scalar loop's partial advance and
-  exception order; so does a span with a raising bank on a parked or
-  delegated machine, whenever the list holds another machine.  A request,
-  a pending settle or a second queued job parks the machine until it
-  drains (below).
+* **Supply-banked machines** are resident.  A span that is one
+  observation chunk for every resident banked machine (the common case:
+  spans shorter than the 10 ms interval) is an unbanked span plus one
+  :meth:`SupplyBank.observe` at its end, so their lanes ride the
+  whole-fleet vector pass like any other and each machine then gets its
+  planned observe.  A longer span keeps them out of the pass and chunks
+  them at their observation intervals, replaying
+  :meth:`SupplyBank.plan_constant_span` / :meth:`SupplyBank.observe` at
+  the boundaries where the bank's state changes.  Either way the demand
+  is priced from the lanes' power column.  A span in which a *raising*
+  bank plans a cascade delegates the whole fleet for that span,
+  preserving the scalar loop's partial advance and exception order; so
+  does a span with a raising bank on a parked or delegated machine,
+  whenever the list holds another machine.  A request, a pending settle
+  or a second queued job parks the machine until it drains (below).
 * **Enabled telemetry** is resident: per-lane ``sim_*`` counters accumulate
   in columns and flush to the registry at flush/snapshot boundaries, and
   phase-transition events are emitted at crossings with the scalar payload.
@@ -74,7 +79,7 @@ banks *shared* between machines, which are delegates for the fleet's
 lifetime.  A held machine with a core the columns cannot run is *parked*
 alone.  The causes are daemon-time debt, a pending frequency settle, a
 ``Job`` subclass or a non-plain head phase, a banked machine holding ONCE
-work or two or more jobs on a core (its chunk walk prices the whole
+work or two or more jobs on a core (its span plan prices the whole
 span's demand up front), a subclassed core hook or component (a replaced
 counter bank included), active idle listeners, and a negative power
 draw.  Its lanes and accounts flush to its objects and carry no-op
@@ -189,7 +194,7 @@ def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
     :class:`Job` is ``_BUSY`` at any length, ONCE and LOOP work alike: the
     dispatcher's quantum expiry and a request's completion are columnar
     crossings of :meth:`FleetState._advance_busy_lane`.  Banked machines
-    get a stricter gate: their chunk walk prices the whole span's demand
+    get a stricter gate: their span plan prices the whole span's demand
     up front, which a mid-span completion or settle would invalidate, so
     ONCE work or a queue of two or more jobs parks them too, and only a
     sole LOOP job is ``_BUSY``.
@@ -348,24 +353,21 @@ class FleetState:
         self._multi: set[int] = set()
         self._offline: set[int] = set()
         self._halt: set[int] = set()
-        #: Unbanked busy lanes with latency_jitter_sigma > 0: one RNG draw
-        #: per span through the core's stream-aligned buffer.
+        #: Busy lanes with latency_jitter_sigma > 0: one RNG draw per span
+        #: through the core's stream-aligned buffer (a banked lane the
+        #: chunk walk runs draws per slice there instead).
         self._jitter: set[int] = set()
 
-        # The whole-span vector pass and energy update run over the lanes
-        # and accounts of unbanked held machines; banked ones chunk-walk.
+        # A span that chunk-walks the banked machines runs the vector pass
+        # and the energy update over the unbanked lanes and accounts only.
         self._lane_banked = np.zeros(n, dtype=bool)
         emask = np.ones(k, dtype=bool)
         for m, lo, hi, e_lo, e_hi in self._slots:
             if m.supply_bank is not None:
                 self._lane_banked[lo:hi] = True
                 emask[e_lo:e_hi] = False
-        if self._lane_banked.any():
-            self._ub_idx = np.flatnonzero(~self._lane_banked)
-            self._ub_eidx = np.flatnonzero(emask)
-        else:
-            self._ub_idx = None
-            self._ub_eidx = None
+        self._ub_idx = np.flatnonzero(~self._lane_banked)
+        self._ub_eidx = np.flatnonzero(emask)
 
         for slot in self._slots:
             slot[0]._fleet_ref = self
@@ -608,8 +610,7 @@ class FleetState:
                 if len(disp._queue) > 1:
                     self._multi.add(i)
                     self.qleft[i] = disp._quantum_left_s
-                if (core.config.latency_jitter_sigma > 0.0
-                        and not self._lane_banked[i]):
+                if core.config.latency_jitter_sigma > 0.0:
                     self._jitter.add(i)
             self.ft_key[i] = freq
             self.cur_res[i] = core.phase_time_s.get(self.cur_name[i], 0.0)
@@ -762,8 +763,9 @@ class FleetState:
         (caller takes the scalar path) on the float corners where the
         scalar loop's span arithmetic would not collapse to one slice, or
         when a supply-bank cascade could raise where the columns would
-        not stop at it: inside a banked machine's span, or on a parked or
-        delegated machine (``_span_blocker`` says which)."""
+        not stop at it: a raising bank plans one in a resident banked
+        machine's span, or sits on a parked or delegated machine
+        (``_span_blocker`` says which)."""
         if len(self.machines) > 1 and any(
                 getattr(getattr(m, "supply_bank", None), "raise_on_cascade",
                         False) for m in (*self.delegates, *self._parked)):
@@ -774,7 +776,7 @@ class FleetState:
         t0 = self.now
         e2 = t0 + dt
         eff = e2 - t0
-        plans = None
+        plans = grids = None
         if self.resident:
             se = t0 + eff
             limit = se - t0
@@ -782,41 +784,51 @@ class FleetState:
                 self._span_blocker = "corner"
                 return False
             if self._banked:
-                plans = self._plan_banked(t0, e2, dt)
-                if plans is None:
+                planned = self._plan_banked(t0, e2, dt)
+                if planned is None:
                     return False  # _span_blocker set by _plan_banked
-            if eff > _MIN_SLICE_S:
-                if self._jitter:
-                    self._draw_jitter()
-                ub = self._ub_idx
-                if ub is None:
-                    self._advance_span_all(t0, eff)
-                elif ub.size:
-                    self._advance_span_sub(t0, eff, ub)
-            elif self._offline:
+                plans, grids = planned
+            # Banked lanes ride the whole-fleet pass unless a span longer
+            # than an observation chunk walks them (``grids``).
+            jitter = self._jitter
+            offline = self._offline
+            if grids is not None:
                 banked = self._lane_banked
-                idx = [i for i in self._offline if not banked[i]]
-                if idx:
-                    self.cur_res[idx] += eff
-                    self.ft[idx] += eff
-        if plans:
-            self._advance_banked(plans)
+                jitter = [i for i in jitter if not banked[i]]
+                offline = [i for i in offline if not banked[i]]
+            if eff > _MIN_SLICE_S:
+                if jitter:
+                    self._draw_jitter(jitter)
+                if grids is None:
+                    self._advance_span_all(t0, eff)
+                elif self._ub_idx.size:
+                    self._advance_span_sub(t0, eff, self._ub_idx)
+            elif offline:
+                idx = list(offline)
+                self.cur_res[idx] += eff
+                self.ft[idx] += eff
+            if grids is not None:
+                self._advance_banked(plans, grids)
         if self.e_accs:
-            eidx = self._ub_eidx
-            if eidx is None:
+            if grids is None:
                 self.e_energy += self.e_pow * (e2 - self.e_last)
                 self.e_last.fill(e2)
-            elif eidx.size:
+            else:
+                eidx = self._ub_eidx
                 self.e_energy[eidx] += self.e_pow[eidx] * \
                     (e2 - self.e_last[eidx])
                 self.e_last[eidx] = e2
         self.now = e2
         for m in self.resident:
             m._now_s = e2
+        if grids is None and plans:
+            for slot, _, demand, actions in plans:
+                if actions:  # [0]: the one boundary, at the span end
+                    slot[0].supply_bank.observe(e2, demand)
         return True
 
     def _advance_span_all(self, t0: float, eff: float) -> None:
-        """The whole-fleet vector pass (no banked lanes)."""
+        """The whole-fleet vector pass."""
         thr = self.thr
         prog = self.prog
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -910,9 +922,9 @@ class FleetState:
                 first = float(self.thr[i]) if i in jitter else None
                 self._advance_busy_lane(i, ((t0, eff),), first_thr=first)
 
-    def _draw_jitter(self) -> None:
-        """Draw this span's jitter value for every unbanked jittered busy
-        lane and fold it into that lane's throughput column.
+    def _draw_jitter(self, lanes) -> None:
+        """Draw this span's jitter value for each jittered busy lane in
+        ``lanes`` and fold it into that lane's throughput column.
 
         The buffer discipline: refill 64 at span start iff the buffer is
         absent or sigma changed, refill 256 on exhaustion, one draw per
@@ -923,7 +935,7 @@ class FleetState:
         pidx = self.pidx
         freq_col = self.freq
         thr_col = self.thr
-        for i in self._jitter:
+        for i in lanes:
             core = self.cores[i]
             sigma = core.config.latency_jitter_sigma
             _, _, ccpi, mem = pdata[i][pidx[i]][:4]
@@ -946,54 +958,85 @@ class FleetState:
                 cpi = ccpi + mem * freq
             thr_col[i] = freq / cpi
 
-    # -- banked machines: the chunked columnar walk ----------------------------------
+    # -- banked machines: one observe per span, or the chunked walk -----------------
 
     def _plan_banked(self, t0: float, e2: float, dt: float):
-        """Pure pre-pass over banked resident machines: observation
-        boundaries, span demand, and the bank's planned actions.
+        """Pure pre-pass over resident banked machines: observation
+        boundaries (one grid per observation interval), span demand, and
+        the bank's planned observes.
 
-        Returns None (whole-fleet span fallback, columns untouched) when a
-        raising cascade would cut a span short or a chunk would leave a
-        float residue — both cases where only the scalar path reproduces
-        the partial advance / exception order.
+        The demand is ``PowerMeter.system_power_w`` priced from the power
+        column: the builtin ``sum`` of the core powers in core order (it
+        compensates float addition on Python 3.12, so no other summation
+        is bit-equal on every version), plus the non-CPU draw.
+
+        Returns ``(plans, grids)``, one ``(slot, interval, demand,
+        actions)`` plan per machine.  ``grids`` is None when the span is
+        one chunk on every grid: the banked lanes then ride the whole-fleet
+        pass and each machine's planned observe lands at the span end.
+        Otherwise it maps each interval to the chunk arrays of
+        :meth:`_advance_banked`.  Returns None (whole-fleet span fallback,
+        columns untouched) when a raising bank plans a cascade or a walked
+        chunk would leave a float residue — both cases where only the
+        scalar path reproduces the partial advance / exception order.
         """
+        e_pow = self.e_pow
+        elane = self.elane
+        grids = {}
+        walk = False
         plans = []
-        kind = self.kind
-        for m, lo, hi, e_lo, e_hi in self._banked:
+        for slot in self._banked:
+            m, lo, hi, _, _ = slot
             step = m.config.supply_observation_interval_s
-            bounds = observation_bounds(t0, e2, dt, step)
-            demand = m.system_power_w()
-            n_exec, actions = m.supply_bank.plan_constant_span(bounds, demand)
-            if n_exec < len(bounds):
+            bounds = grids.get(step)
+            if bounds is None:
+                bounds = grids[step] = observation_bounds(t0, e2, dt, step)
+                walk = walk or len(bounds) > 1
+            demand = (sum(e_pow[elane[lo:hi]].tolist())
+                      + m.meter.non_cpu_power_w)
+            _, actions, raises = m.supply_bank.plan_constant_span(bounds,
+                                                                  demand)
+            if raises:
                 self._span_blocker = "bank"
                 return None
+            plans.append((slot, step, demand, actions))
+        if not walk:
+            return plans, None
+        for step, bounds in grids.items():
             barr = np.asarray(bounds)
             starts = np.empty(barr.size)
             starts[0] = t0
             starts[1:] = barr[:-1]
             dts = barr - starts
-            if any(kind[i] == _IDLE for i in range(lo, hi)):
-                ends = starts + dts
-                chunks = ends - starts
-                if np.any(ends - (starts + chunks) > _MIN_SLICE_S):
-                    self._span_blocker = "corner"
-                    return None
-            plans.append((m, lo, hi, e_lo, e_hi, bounds, barr, starts, dts,
-                          demand, actions))
-        return plans
-
-    def _advance_banked(self, plans) -> None:
-        """Advance each banked machine through its observation chunks —
-        ``SMPMachine.advance``'s per-chunk walk against columns: cores in
-        order, then the ledger's 2-D cumsum, then the planned observes."""
+            ends = starts + dts
+            # Where the scalar idle loop would cut a second slice.
+            residue = np.any(ends - (starts + (ends - starts)) > _MIN_SLICE_S)
+            grids[step] = (bounds, barr, dts,
+                           list(zip(starts.tolist(), dts.tolist())), residue)
         kind = self.kind
-        for m, lo, hi, e_lo, e_hi, bounds, barr, starts, dts, demand, \
-                actions in plans:
+        for (_, lo, hi, _, _), step, _, _ in plans:
+            if grids[step][4] and any(kind[i] == _IDLE for i in range(lo, hi)):
+                self._span_blocker = "corner"
+                return None
+        return plans, grids
+
+    def _advance_banked(self, plans, grids) -> None:
+        """Advance each banked machine through its observation chunks —
+        ``SMPMachine.advance``'s per-chunk walk against columns: each lane
+        across every chunk, then the ledger's 2-D cumsum, then the planned
+        observes.  While telemetry is enabled the lanes' phase-transition
+        events are collected and emitted in the scalar order: chunk by
+        chunk, lanes in core order, each chunk's observe (and its PSU
+        events) after them."""
+        kind = self.kind
+        tel = get_telemetry()
+        for (m, lo, hi, e_lo, e_hi), step, demand, actions in plans:
+            bounds, barr, dts, chunks, _ = grids[step]
+            log = [] if tel.enabled else None
             for i in range(lo, hi):
                 k = kind[i]
                 if k == _BUSY:
-                    self._advance_busy_lane(
-                        i, list(zip(starts.tolist(), dts.tolist())))
+                    self._advance_busy_lane(i, chunks, log=log)
                 elif k == _IDLE:
                     self._advance_idle_lane(i, dts)
                 else:  # _OFFLINE
@@ -1010,10 +1053,20 @@ class FleetState:
                 buf[:, 2:] = pw[:, None] * (barr[1:] - barr[:-1])[None, :]
             self.e_energy[e_lo:e_hi] = buf.cumsum(axis=1)[:, -1]
             self.e_last[e_lo:e_hi] = barr[-1]
-            for j in actions:
-                # The real observe: overload episodes, cascades, PSU
-                # events — identical to the scalar per-chunk observes.
-                m.supply_bank.observe(bounds[j], demand)
+            # The real observes: overload episodes, cascades, PSU events —
+            # identical to the scalar per-chunk observes.
+            bank = m.supply_bank
+            a = 0
+            if log:
+                log.sort(key=lambda event: event[0])  # stable: lanes in order
+                for j, t, job, src, dst in log:
+                    while a < len(actions) and actions[a] < j:
+                        bank.observe(bounds[actions[a]], demand)
+                        a += 1
+                    tel.emit(EVENT_PHASE_TRANSITION, sim_time_s=t, job=job,
+                             from_phase=src, to_phase=dst)
+            for j in actions[a:]:
+                bank.observe(bounds[j], demand)
 
     def _advance_idle_lane(self, i: int, dts: np.ndarray) -> None:
         """One stationary idle slice per chunk, accumulated in bulk
@@ -1041,7 +1094,8 @@ class FleetState:
         self.ft[i] = _acc(float(self.ft[i]), use)
 
     def _advance_busy_lane(self, i: int, chunks, *,
-                           first_thr: float | None = None) -> None:
+                           first_thr: float | None = None,
+                           log: list | None = None) -> None:
         """``_advance_slice`` with the span-stable conditions hoisted out
         (constant frequency, no settling boundary, no overhead debt)
         against this lane's columns, jitter draws, the dispatcher's quantum
@@ -1052,6 +1106,10 @@ class FleetState:
         drew for this lane (one draw per span); the first slice consumes
         it and every later slice draws fresh, so the RNG stream matches
         the scalar loop exactly.
+
+        ``log``, when given, collects the phase-transition events as
+        ``(chunk index, time, job, from_phase, to_phase)`` instead of
+        emitting them, for the banked walk to emit in the scalar order.
 
         A completion or a quantum expiry changes the job at the head of
         the queue: the replay does ``Dispatcher.account_run``'s pop or
@@ -1103,7 +1161,7 @@ class FleetState:
         jname = job.name
         throughput = first_thr
         try:
-            for start, dt in chunks:
+            for j, (start, dt) in enumerate(chunks):
                 t = start
                 end = start + dt
                 while end - t > min_slice:
@@ -1185,7 +1243,9 @@ class FleetState:
                         if nxt is None:
                             nxt = pt.get(name, 0.0)
                         cur_res = nxt
-                        if emit:
+                        if log is not None:
+                            log.append((j, t, jname, prev_name, name))
+                        elif emit:
                             # Same payload/order as Job.retire's
                             # _advance_phase (a looping job is never done).
                             tel.emit(EVENT_PHASE_TRANSITION,

@@ -105,7 +105,7 @@ def bank_state(bank):
 
 
 def replay_plan(bank, times, demand):
-    n_exec, actions = bank.plan_constant_span(times, demand)
+    n_exec, actions, _ = bank.plan_constant_span(times, demand)
     for j in actions:
         bank.observe(times[j], demand)
     return n_exec
@@ -114,20 +114,22 @@ def replay_plan(bank, times, demand):
 class TestPlanConstantSpan:
     TIMES = [round(0.01 * i, 10) for i in range(1, 301)]   # 3 s of 10 ms chunks
 
-    def check(self, make_bank, demand):
+    def check(self, make_bank, demand, times=TIMES):
         lit = make_bank()
         plan = make_bank()
         raised_lit = raised_plan = False
         try:
-            for t in self.TIMES:
+            for t in times:
                 lit.observe(t, demand)
         except CascadeFailureError:
             raised_lit = True
+        _, _, raises = make_bank().plan_constant_span(times, demand)
         try:
-            replay_plan(plan, self.TIMES, demand)
+            replay_plan(plan, times, demand)
         except CascadeFailureError:
             raised_plan = True
         assert raised_lit == raised_plan
+        assert raises == raised_lit
         assert bank_state(lit) == bank_state(plan)
 
     def test_below_capacity(self):
@@ -151,11 +153,35 @@ class TestPlanConstantSpan:
     def test_raise_cuts_span_at_cascade_boundary(self):
         b = SupplyBank.example_p630()
         b.fail_supply(0)
-        n_exec, actions = b.plan_constant_span(self.TIMES, 746.0)
+        n_exec, actions, raises = b.plan_constant_span(self.TIMES, 746.0)
         assert n_exec < len(self.TIMES)
         assert actions[-1] == n_exec - 1
+        assert raises
         # Planning is pure: nothing moved yet.
         assert bank_state(b) == (None, 0, [True, False])
+
+    def test_raise_on_the_last_boundary_is_reported(self):
+        """A raising cascade that lands on the span's last boundary cuts
+        nothing (``n_exec`` covers every chunk), yet the replayed observe
+        still raises: ``raises`` says so."""
+        def make():
+            b = SupplyBank.example_p630()
+            b.fail_supply(0)
+            return b
+
+        _, actions, _ = make().plan_constant_span(self.TIMES, 746.0)
+        times = self.TIMES[:actions[-1] + 1]
+        n_exec, last, raises = make().plan_constant_span(times, 746.0)
+        assert (n_exec, last, raises) == (len(times), actions, True)
+        self.check(make, 746.0, times)
+        # One boundary past the deadline alone: a one-chunk span raises.
+        b = make()
+        b.observe(0.5, 746.0)
+        assert b.plan_constant_span([1.5], 746.0) == (1, [0], True)
+        # The same plans on a bank that only counts cascades never raise.
+        b = SupplyBank.example_p630(raise_on_cascade=False)
+        b.fail_supply(0)
+        assert b.plan_constant_span(times, 746.0)[2] is False
 
     def test_mid_episode_resume(self):
         """A plan starting inside a running overload episode honours the
@@ -171,6 +197,7 @@ class TestPlanConstantSpan:
         b = SupplyBank.example_p630(raise_on_cascade=False)
         b.fail_supply(0)
         b.fail_supply(0)
-        n_exec, actions = b.plan_constant_span(self.TIMES, 500.0)
+        n_exec, actions, raises = b.plan_constant_span(self.TIMES, 500.0)
         assert n_exec == len(self.TIMES)
         assert actions == []
+        assert not raises

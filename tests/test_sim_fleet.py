@@ -11,15 +11,18 @@ reordered IEEE operation fails the suite.
 
 Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
 offline / multi-job cores, with and without latency jitter), single
-banked machines of every core kind chunk-walked through the columns,
-cascades firing mid-span, raising cascades (on resident, parked and
-delegated machines) and shared banks forcing counted fallbacks,
+banked machines of every core kind, banked spans of one observation
+chunk riding the whole-fleet pass and longer ones chunk-walked (spans
+around the interval, mixed intervals), cascades firing mid-span,
+raising cascades (on resident, parked and delegated machines, and on a
+span's last boundary) and shared banks forcing counted fallbacks,
 jitter-lane draw-order equivalence including mid-span buffer refills and
 sigma changes between spans, telemetry-on runs staying resident with
-identical event streams, subclassed-hook machines forcing the counted
-fallback, invalidation through every mutator between spans, lazy-flush
-snapshots mid-run, the ``lossy`` / ``crash`` / ``chaos`` fault scenarios
-run end-to-end through the cluster coordinator, and whole experiments
+identical event streams (a banked walk's included), subclassed-hook
+machines forcing the counted fallback, invalidation through every
+mutator between spans, lazy-flush snapshots mid-run, the ``lossy`` /
+``crash`` / ``chaos`` fault scenarios run end-to-end through the cluster
+coordinator, and whole experiments
 exported byte-identically through the columns and the scalar reference.
 Each span's residency tally comes back from ``advance_machines``, and
 each ``Simulation`` keeps its own run's.
@@ -68,7 +71,8 @@ from repro.sim.node import ClusterNode
 from repro.sim.os_sched import DEFAULT_QUANTUM_S
 from repro.sim.rng import spawn_seeds
 from repro.errors import CascadeFailureError
-from repro.telemetry import EVENT_PHASE_TRANSITION, Telemetry, use_telemetry
+from repro.telemetry import (EVENT_PHASE_TRANSITION, EVENT_PSU_FAILURE,
+                             Telemetry, use_telemetry)
 from repro.workloads.job import Job, LoopMode
 from repro.workloads.phase import Phase
 from repro.workloads.server import RequestSpec
@@ -177,8 +181,9 @@ def hetero_fleet(seed, n=5):
         if i % 2 == 0:
             m.cores[2].offline = True
         ms.append(m)
-    # One banked machine, jittered: resident, chunk-walked through the
-    # columns at the supply-observation interval.
+    # One banked machine, jittered and resident: a span shorter than its
+    # supply-observation interval rides the whole-fleet pass, a longer
+    # one is chunk-walked through the columns.
     banked = SMPMachine(
         MachineConfig(num_cores=2,
                       core_config=CoreConfig(latency_jitter_sigma=0.015)),
@@ -885,6 +890,151 @@ def test_cluster_advance_matches_reference():
     assert fleet_state(fast.machines) == fleet_state(slow.machines)
 
 
+# -- banked spans: one observation chunk rides the pass, longer ones walk -----------
+
+
+def count_walks(monkeypatch):
+    """The span start of every banked chunk walk from here on."""
+    walks = []
+    walk = FleetState._advance_banked
+
+    def counted(self, plans, grids):
+        walks.append(self.now)
+        walk(self, plans, grids)
+
+    monkeypatch.setattr(FleetState, "_advance_banked", counted)
+    return walks
+
+
+def run_spans_two_ways(build, spans, walks, between=None):
+    """``run_two_ways`` over ``spans`` (``between(ms, k)`` after span
+    ``k``).  Returns the column run's machines, its tally, and whether
+    each of its spans walked the banked machines chunk by chunk."""
+    walked = []
+
+    def script(ms, advance):
+        for k, dt in enumerate(spans):
+            before = len(walks)
+            advance(dt)
+            walked.append(len(walks) > before)
+            if between is not None:
+                between(ms, k)
+
+    ms, tally = run_two_ways(build, script)
+    assert not any(walked[len(spans):])    # the scalar replay walks nothing
+    return ms, tally, walked[:len(spans)]
+
+
+def banked_machine(*, seed, interval_s=0.010, sigma=0.02,
+                   style=IdleStyle.HOT_LOOP):
+    """Four cores behind a p630 bank: a looping job on core 0, core 1
+    idle (hot or halted), core 2 offline, a second looping job on core 3."""
+    m = SMPMachine(
+        MachineConfig(num_cores=4, supply_observation_interval_s=interval_s,
+                      core_config=CoreConfig(latency_jitter_sigma=sigma,
+                                             idle_style=style)),
+        supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+        seed=seed)
+    m.assign(0, looping_job(f"b{seed}", (1.0, 0.35), duration_s=0.004))
+    m.cores[2].offline = True
+    m.assign(3, looping_job(f"c{seed}", (0.6,), duration_s=0.007))
+    return m
+
+
+def test_spans_around_the_observation_interval(monkeypatch):
+    """Just below and exactly at the 10 ms interval a span is one chunk
+    and rides the whole-fleet pass; just above it is two chunks and
+    walks."""
+    walks = count_walks(monkeypatch)
+    spans = [0.0099999, 0.010, 0.0100001] * 3 + [0.0004]
+
+    def build():
+        plain = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=50)
+        plain.assign(0, looping_job("plain", (0.8, 0.3), duration_s=0.006))
+        return [banked_machine(seed=51), plain]
+
+    _, tally, walked = run_spans_two_ways(build, spans, walks)
+    assert walked == [False, False, True] * 3 + [False]
+    assert tally == (2 * len(spans), {})
+
+
+def test_mixed_intervals_walk_the_whole_span(monkeypatch):
+    """Banked machines observing every 10 ms and every 4 ms beside an
+    unbanked one: a 7 ms span is one chunk for the first and two for the
+    second, so every banked machine walks it; a 3 ms span is one chunk
+    for both and rides the pass."""
+    walks = count_walks(monkeypatch)
+    spans = [0.003, 0.007, 0.003, 0.0035, 0.007, 0.012, 0.002]
+
+    def build():
+        plain = SMPMachine(
+            MachineConfig(num_cores=1,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=52)
+        plain.assign(0, looping_job("plain", (0.9, 0.4), duration_s=0.005))
+        return [banked_machine(seed=53), plain,
+                banked_machine(seed=54, interval_s=0.004)]
+
+    def retune(ms, k):
+        m = ms[k % 3]
+        m.core(0).set_frequency(POWER4_TABLE.freqs_hz[3 + k], m.now_s)
+
+    _, tally, walked = run_spans_two_ways(build, spans, walks, retune)
+    assert walked == [False, True, False, False, True, True, False]
+    assert tally == (3 * len(spans), {})
+
+
+@pytest.mark.parametrize("style,sigma", [(IdleStyle.HOT_LOOP, 0.02),
+                                         (IdleStyle.HALT, 0.0)],
+                         ids=["hot-jittered", "halted"])
+def test_every_banked_lane_kind_rides_the_pass(monkeypatch, style, sigma):
+    """Busy, idle (hot or halted), offline and jittered banked lanes in
+    one-chunk spans, between walked ones, with retunes and a core taken
+    offline and back between spans."""
+    walks = count_walks(monkeypatch)
+    spans = [0.004, 0.0097, 0.025, 0.006, 0.0003, 0.01, 0.031, 0.008]
+
+    def between(ms, k):
+        m = ms[0]
+        if k == 1:
+            m.core(1).set_frequency(POWER4_TABLE.freqs_hz[5], m.now_s)
+        elif k == 3:
+            m.cores[2].offline = False
+        elif k == 5:
+            m.core(0).set_frequency(POWER4_TABLE.freqs_hz[8], m.now_s)
+            m.cores[1].offline = True
+
+    def build():
+        return [banked_machine(seed=55, sigma=sigma, style=style)]
+
+    _, tally, walked = run_spans_two_ways(build, spans, walks, between)
+    assert walked == [dt > 0.010 for dt in spans]
+    assert tally == (len(spans), {})
+
+
+def test_cascade_inside_a_one_chunk_span(monkeypatch):
+    """A bank that only counts cascades overloads after one supply fails;
+    5 ms spans carry the episode past its deadline, and the cascade fires
+    at the end of one of them, which the whole-fleet pass advanced."""
+    walks = count_walks(monkeypatch)
+    spans = [0.005] * 230
+
+    def build():
+        m = banked_machine(seed=56)
+        m.assign(1, looping_job("hot", (1.0,)))
+        m.cores[2].offline = False
+        m.supply_bank.fail_supply(0)
+        return [m]
+
+    ms, tally, walked = run_spans_two_ways(build, spans, walks)
+    assert ms[0].supply_bank.cascade_count == 1
+    assert not any(walked)
+    assert tally == (len(spans), {})
+
+
 # -- serving traffic: ONCE-request lanes stay resident ------------------------------
 
 
@@ -1333,6 +1483,75 @@ def test_enabled_telemetry_stays_resident():
     assert events(tel_cols) == events(tel_scal)
 
 
+def run_with_events(build, spans):
+    """Advance ``build()`` across ``spans`` twice under live telemetry,
+    through the columns and through ``machine.advance``; exact state
+    equality.  Returns both runs' phase-transition and PSU events, in
+    emission order, and the column run's machines."""
+    def run(advance_all):
+        tel = Telemetry()
+        with use_telemetry(tel):
+            ms = build()
+            for dt in spans:
+                advance_all(ms, dt)
+            flush_machines(ms)
+        kinds = (EVENT_PHASE_TRANSITION, EVENT_PSU_FAILURE)
+        return ms, [(e.kind, e.sim_time_s, dict(e.attrs))
+                    for e in tel.events.history if e.kind in kinds]
+
+    def scalar(ms, dt):
+        for m in ms:
+            m.advance(dt)
+
+    cols, cols_events = run(lambda ms, dt: advance_machines(ms, dt))
+    scal, scal_events = run(scalar)
+    assert fleet_state(cols) == fleet_state(scal)
+    return cols, cols_events, scal_events
+
+
+def test_banked_walk_emits_events_in_scalar_order():
+    """A banked machine's multi-chunk walk replays each lane across every
+    chunk, but its events leave as the scalar loop emits them: chunk by
+    chunk, cores in order within a chunk."""
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=43)
+        m.assign(0, looping_job("a", (0.9, 0.3), duration_s=0.013))
+        m.assign(1, looping_job("b", (0.7, 0.2), duration_s=0.021))
+        return [m]
+
+    _, cols, scal = run_with_events(build, [0.05] * 3)
+    assert len(cols) > 10    # both cores cross phases inside every span
+    assert cols == scal
+
+
+def test_banked_walk_orders_psu_events_after_their_chunk():
+    """A cascade fires inside a multi-chunk span full of phase crossings
+    (the bank only counts it): its PSU failure event sits among the phase
+    transitions exactly where the scalar chunk loop emits it."""
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=4,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=44)
+        for c in range(4):
+            m.assign(c, looping_job(f"hot{c}", (1.0, 0.4),
+                                    duration_s=0.011 + 0.004 * c))
+        m.supply_bank.fail_supply(0)
+        return [m]
+
+    ms, cols, scal = run_with_events(build, [0.3, 1.2])
+    assert ms[0].supply_bank.cascade_count == 1
+    cascade = [k for k, e in enumerate(cols)
+               if e[0] == EVENT_PSU_FAILURE and e[2]["cascade"]]
+    assert len(cascade) == 1 and 0 < cascade[0] < len(cols) - 1
+    assert cols == scal
+
+
 def fleet_series(telemetry):
     """Every ``sim_fleet_*`` series in ``telemetry``'s registry."""
     return {(name, tuple(sorted(series["labels"].items()))): series["value"]
@@ -1437,6 +1656,52 @@ def test_raising_cascade_falls_back_whole_span():
     scal = build()
     run(scal, lambda dt: scal[0].advance(dt))
     assert fleet_state(cols) == fleet_state(scal)
+
+
+@pytest.mark.parametrize("peer", [False, True], ids=["alone", "peer"])
+@pytest.mark.parametrize("spans", ["multi-chunk", "one-chunk"])
+def test_raising_cascade_on_the_last_boundary_falls_back_whole_span(spans,
+                                                                    peer):
+    """A raising cascade on a span's last (or only) observation boundary
+    cuts no chunk, yet its observe raises: the span still falls back
+    whole, so the banked machine's clock, lanes and ledger, and a peer
+    listed after it, stop exactly where the scalar loop leaves them."""
+    def build():
+        banked = SMPMachine(
+            MachineConfig(num_cores=4,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=True),
+            seed=5)
+        for c in range(4):
+            banked.assign(c, looping_job(f"hot{c}", (1.0,)))
+        ms = [banked]
+        if peer:
+            other = SMPMachine(
+                MachineConfig(num_cores=1,
+                              core_config=CoreConfig(
+                                  latency_jitter_sigma=0.0)),
+                seed=7)
+            other.assign(0, looping_job("peer", (0.6,)))
+            ms.append(other)
+        return ms
+
+    def script(ms, advance):
+        advance(0.25)
+        ms[0].supply_bank.fail_supply(0, now_s=ms[0].now_s)
+        advance(0.25)    # the overload episode opens at 0.26 s
+        with pytest.raises(CascadeFailureError):
+            if spans == "multi-chunk":
+                advance(0.76)    # the cascade lands on boundary 76 of 76
+            else:
+                while True:
+                    advance(0.005)
+
+    ms, (advances, fallbacks) = run_two_ways(build, script)
+    assert ms[0].supply_bank.cascade_count == 1
+    assert fallbacks == {} and advances > 0
+    if spans == "multi-chunk":
+        assert ms[0].now_s == pytest.approx(1.26)
+        assert ms[-1].now_s == pytest.approx(1.26 if not peer else 0.5)
 
 
 def raising_bank_fleet(outside):
