@@ -1,7 +1,7 @@
 # Canonical developer commands for the fvsst reproduction.
 
 .PHONY: install test bench bench-save bench-sim bench-fleet bench-hier \
-	bench-compare chaos-hier experiments validate examples all
+	bench-compare chaos-hier experiments validate examples digest-check all
 
 BENCH_BASELINE := benchmarks/BENCH_hotpaths.json
 BENCH_CURRENT  := .bench_current.json
@@ -61,5 +61,11 @@ validate:
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
+
+# The serial `fvsst digest --fast` must hash to its committed value (the
+# first two steps of CI's digest-invariance job).
+digest-check:
+	PYTHONPATH=src python -m repro.cli digest --fast --output digest-check/serial.md
+	sha256sum -c tests/golden/digest-fast.sha256
 
 all: test bench validate

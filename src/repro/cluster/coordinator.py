@@ -78,6 +78,9 @@ __all__ = ["CoordinatorConfig", "ClusterCoordinator"]
 #: Wire size of a report request / command acknowledgement frame.
 _CONTROL_FRAME_BYTES = 64
 
+#: The percentile ``CoordinatorConfig.slo_p99_target_s`` constrains.
+_SLO_PERCENTILE = 99.0
+
 #: The :class:`ViewBatch` columns, in constructor order.
 _BATCH_COLUMNS = ("node_ids", "proc_ids", "has_signature", "core_cpi",
                   "mem_time_per_instr_s", "idle_signaled")
@@ -115,7 +118,7 @@ class CoordinatorConfig:
     #: With a fault plan: how long to wait for a command ack before
     #: resending.
     retry_timeout_s: float = 0.005
-    #: SLO mode: a request-latency target (seconds at ``slo_percentile``).
+    #: SLO mode: a p99 request-latency target, in seconds.
     #: Each pass translates the bound serving traffic's per-node demand
     #: into per-node frequency *floors* (via the M/M/1 latency model) and
     #: feeds them into the step-1/step-2 kernels: the power budget can
@@ -127,8 +130,6 @@ class CoordinatorConfig:
     #: (the fault-free pass is then byte-identical to a coordinator
     #: without it).
     slo_p99_target_s: float | None = None
-    #: The percentile the SLO target constrains (p99 by default).
-    slo_percentile: float = 99.0
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
@@ -161,11 +162,6 @@ class CoordinatorConfig:
         check_positive(self.retry_timeout_s, "retry_timeout_s")
         if self.slo_p99_target_s is not None:
             check_positive(self.slo_p99_target_s, "slo_p99_target_s")
-        if not 0.0 < self.slo_percentile < 100.0:
-            raise ClusterError(
-                f"slo_percentile must be in (0, 100), got "
-                f"{self.slo_percentile}"
-            )
 
     @property
     def effective_staleness_bound_s(self) -> float:
@@ -365,7 +361,7 @@ class ClusterCoordinator:
             floors[node_id] = frequency_floor_hz(
                 table, demand.signature, demand.instructions,
                 demand.rate_per_core_per_s, target,
-                percentile=self.config.slo_percentile)
+                percentile=_SLO_PERCENTILE)
         self.slo_floors_hz = floors
         if self.telemetry.enabled:
             self._m_slo_floor.set(max(floors.values()) if floors else 0.0)

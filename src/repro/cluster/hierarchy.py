@@ -288,7 +288,6 @@ class FleetAllocator:
         self.config = config or CoordinatorConfig()
         self.fleet = fleet or FleetConfig()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self.faults = faults
         self.power_limit_w = self.config.power_limit_w
         size = self.fleet.shard_size
         groups = [cluster.nodes[i:i + size]
@@ -512,25 +511,20 @@ class FleetAllocator:
         dropped = 0
         for shard in self.shards:
             uplink = shard.uplink_node_id
-            if self.faults is not None:
-                request = network.try_send(_CONTROL_FRAME_BYTES,
-                                           now_s=now_s, node_id=uplink)
-                if request is None:
-                    dropped += 1
-                    continue
-                summary = shard.make_summary(now_s)
-                reply = network.try_send(message_size_bytes(summary),
-                                         now_s=now_s, node_id=uplink)
-                if reply is None:
-                    dropped += 1
-                    continue
-                if timeout is not None and request + reply > timeout:
-                    dropped += 1
-                    continue
-            else:
-                summary = shard.make_summary(now_s)
-                network.round_trip_s(_CONTROL_FRAME_BYTES,
-                                     message_size_bytes(summary))
+            request = network.try_send(_CONTROL_FRAME_BYTES,
+                                       now_s=now_s, node_id=uplink)
+            if request is None:
+                dropped += 1
+                continue
+            summary = shard.make_summary(now_s)
+            reply = network.try_send(message_size_bytes(summary),
+                                     now_s=now_s, node_id=uplink)
+            if reply is None:
+                dropped += 1
+                continue
+            if timeout is not None and request + reply > timeout:
+                dropped += 1
+                continue
             fresh[shard.shard_id] = summary
         self.summaries_dropped += dropped
         if tel.enabled:
@@ -579,12 +573,8 @@ class FleetAllocator:
         lease = BudgetLease(shard_id=shard.shard_id, time_s=now_s,
                             budget_w=budget_w)
         size = message_size_bytes(lease)
-        network = self.cluster.network
-        if self.faults is not None:
-            delay = network.try_send(size, now_s=now_s,
-                                     node_id=shard.uplink_node_id)
-        else:
-            delay = network.send(size)
+        delay = self.cluster.network.try_send(size, now_s=now_s,
+                                              node_id=shard.uplink_node_id)
         self.leases_sent += 1
         if self.telemetry.enabled:
             self._m_leases_sent.inc()

@@ -74,6 +74,16 @@ class OverheadModel:
 PER_CORE_OVERHEAD = OverheadModel(sample_cost_s=6e-6, schedule_cost_s=150e-6,
                                   actuation_cost_s=8e-6, per_core=True)
 
+#: Measured feedback (``DaemonConfig.measured_feedback``): the proportional
+#: gain applied to the measured excess over the limit.
+_FEEDBACK_GAIN = 0.8
+#: Fraction of the remaining gap recovered per pass, but only while the
+#: measured draw sits below the limit by ``_FEEDBACK_MARGIN`` (a deadband
+#: that prevents the tighten/relax limit cycle).
+_FEEDBACK_RELAX = 0.10
+#: Relative headroom required before the planning limit relaxes.
+_FEEDBACK_MARGIN = 0.03
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -108,14 +118,6 @@ class DaemonConfig:
     #: the daemon tightens an internal planning limit proportionally and
     #: relaxes it back when headroom reappears.
     measured_feedback: bool = False
-    #: Proportional tightening gain applied to the measured excess.
-    feedback_gain: float = 0.8
-    #: Fraction of the remaining gap recovered per pass — but only while
-    #: the measured draw sits below the limit by ``feedback_margin`` (a
-    #: deadband that prevents the tighten/relax limit cycle).
-    feedback_relax: float = 0.10
-    #: Relative headroom required before the planning limit relaxes.
-    feedback_margin: float = 0.03
     #: Node id used in logs and views (single-machine daemons are node 0).
     node_id: int = 0
 
@@ -131,10 +133,6 @@ class DaemonConfig:
             raise SchedulingError(
                 "halted_idle_threshold must lie in (0, 1]"
             )
-        if not 0.0 < self.feedback_gain <= 2.0:
-            raise SchedulingError("feedback_gain must lie in (0, 2]")
-        if not 0.0 < self.feedback_relax <= 1.0:
-            raise SchedulingError("feedback_relax must lie in (0, 1]")
 
     @property
     def schedule_period_s(self) -> float:
@@ -339,11 +337,10 @@ class FvsstDaemon(Governor):
         planning limit proportionally; compliance relaxes it back toward
         the hard limit.
         """
-        cfg = self.config
         if self.power_limit_w is None:
             self._planning_limit_w = None
             return None
-        if not cfg.measured_feedback:
+        if not self.config.measured_feedback:
             return self.power_limit_w
         if self._planning_limit_w is None:
             self._planning_limit_w = self.power_limit_w
@@ -352,12 +349,12 @@ class FvsstDaemon(Governor):
         if excess > 0.0:
             floor = self.machine.num_cores * self.machine.table.min_power_w
             self._planning_limit_w = max(
-                floor * 0.5, self._planning_limit_w - cfg.feedback_gain * excess
+                floor * 0.5, self._planning_limit_w - _FEEDBACK_GAIN * excess
             )
-        elif measured <= self.power_limit_w * (1.0 - cfg.feedback_margin):
+        elif measured <= self.power_limit_w * (1.0 - _FEEDBACK_MARGIN):
             # Deadband: only creep back up with real headroom in hand.
             gap = self.power_limit_w - self._planning_limit_w
-            self._planning_limit_w += cfg.feedback_relax * gap
+            self._planning_limit_w += _FEEDBACK_RELAX * gap
         return min(self._planning_limit_w, self.power_limit_w)
 
     def _run_schedule(self, now_s: float) -> None:

@@ -30,7 +30,10 @@ per-span update exploits these float identities:
 * sequential ``x += inc`` runs (idle chunks, energy per observation chunk)
   collapse into one ``cumsum``, which accumulates left-to-right.
 
-Residency matrix (what lives in columns):
+Residency matrix (what lives in columns).  A resident lane is one of two
+kinds: a *busy* lane runs the plain-phase job at the head of its core's
+queue, and a *hot-idle* lane spins the idle loop of an empty queue (the
+p630 idles hot, Section 7.1).
 
 * **Jittered busy cores** are resident: each span draws one value per lane
   through the core's stream-aligned ``_jitter_buf`` (block refill-64 on a
@@ -44,7 +47,7 @@ Residency matrix (what lives in columns):
   :meth:`SupplyBank.observe` at its end, so their lanes ride the
   whole-fleet vector pass like any other and each machine then gets its
   planned observe.  A longer span keeps them out of the pass and chunks
-  them at their observation intervals, replaying
+  them at the observation interval, replaying
   :meth:`SupplyBank.plan_constant_span` / :meth:`SupplyBank.observe` at
   the boundaries where the bank's state changes.  Either way the demand
   is priced from the lanes' power column.  A span in which a *raising*
@@ -53,12 +56,10 @@ Residency matrix (what lives in columns):
   does a span with a raising bank on a parked or delegated machine,
   whenever the list holds another machine.  A request, a pending settle
   or a second queued job parks the machine until it drains (below).
-* **Enabled telemetry** is resident: per-lane ``sim_*`` counters accumulate
-  in columns and flush to the registry at flush/snapshot boundaries, and
-  phase-transition events are emitted at crossings with the scalar payload.
-  Per-machine event order and every counter value match the scalar path
-  bit-for-bit; only the interleaving of events *across* machines within
-  one span is unspecified.
+* **Enabled telemetry** is resident: phase-transition events are emitted
+  at crossings with the scalar payload.  Per-machine event order matches
+  the scalar path; only the interleaving of events *across* machines
+  within one span is unspecified.
 * **Run queues** are resident on unbanked machines, whatever their length
   and loop modes (serving requests are ONCE jobs): the lane runs the job
   at the head of the queue, and the dispatcher's quantum runs down in one
@@ -77,7 +78,8 @@ The fleet holds lanes and ledger accounts for every machine it can: all
 but subclassed machines or components, desynchronised clocks and supply
 banks *shared* between machines, which are delegates for the fleet's
 lifetime.  A held machine with a core the columns cannot run is *parked*
-alone.  The causes are daemon-time debt, a pending frequency settle, a
+alone.  The causes are an offline core, an idle core that halts
+(``IdleStyle.HALT``), daemon-time debt, a pending frequency settle, a
 ``Job`` subclass or a non-plain head phase, a banked machine holding ONCE
 work or two or more jobs on a core (its span plan prices the whole
 span's demand up front), a subclassed core hook or component (a replaced
@@ -135,11 +137,10 @@ __all__ = ["FleetState", "advance_machines", "flush_machines",
            "reset_fleet", "gather_counters"]
 
 # Per-core execution modes over one event-free span.
-_OFFLINE = 0    # closed form: residency only
-_IDLE = 1       # closed form: one stationary idle slice per chunk
-_BUSY = 2       # column lane: plain-phase head job, constant frequency
-_HANDOFF = 3    # object-authoritative for the rest of a span (``_handoff``)
-_PARKED = 4     # object-authoritative: its machine advances scalar
+_IDLE = 0       # closed form: one stationary hot-idle slice per chunk
+_BUSY = 1       # column lane: plain-phase head job, constant frequency
+_HANDOFF = 2    # object-authoritative for the rest of a span (``_handoff``)
+_PARKED = 3     # object-authoritative: its machine advances scalar
 # Flushes skip the object-authoritative kinds, _HANDOFF and up.
 
 #: Hooks whose override forces the scalar path.
@@ -178,10 +179,11 @@ def _acc(initial: float, increments: np.ndarray) -> float:
 def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
     """Execution mode of one core over an event-free span.
 
-    Returns ``_OFFLINE``, ``_IDLE`` or ``_BUSY``, or the fallback label its
-    machine parks under: "subclass" for an overridden hook or component
-    (a replaced counter bank included), "transient" for a state that
-    drains away:
+    Returns ``_IDLE`` (the hot idle loop) or ``_BUSY``, or the fallback
+    label its machine parks under: "offline" for a powered-off core,
+    "halted" for an idle core that halts (``IdleStyle.HALT``), "subclass"
+    for an overridden hook or component (a replaced counter bank
+    included), "transient" for a state that drains away:
 
     * a ``Job`` subclass in the queue, or a head job with a non-plain
       phase (a ``Phase`` subclass);
@@ -202,7 +204,7 @@ def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
     if not _hooks_intact(core):
         return "subclass"
     if core.offline:
-        return _OFFLINE
+        return "offline"
     act = core.actuator
     if (type(act) is not ThrottleActuator
             or not _detector_passive(core.idle_detector)
@@ -220,7 +222,7 @@ def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
     if type(core.counters) is not CounterBank:
         return "subclass"
     if not queue:
-        return _IDLE
+        return "halted" if core.config.idle_style is IdleStyle.HALT else _IDLE
     if _phases_plain(queue[0]) and (len(queue) == 1 or not banked):
         return _BUSY
     return "transient"
@@ -329,9 +331,10 @@ class FleetState:
         self.qleft = np.full(n, np.inf)
         self.busy = np.zeros(n, dtype=bool)
         # Counter totals: instructions, cycles, n_l2, n_l3, n_mem,
-        # l1_stall_cycles, halted_cycles (CounterBank field order).
+        # l1_stall_cycles, halted_cycles (CounterBank field order).  No
+        # resident lane halts, so its halted_cycles only carries the bank's
+        # total to :func:`gather_counters`.
         self.cnt = np.zeros((7, n))
-        self.hfreq: np.ndarray | None = None
         k = len(self.e_accs)
         self.e_pow = np.zeros(k)
         self.e_last = np.zeros(k)
@@ -351,8 +354,6 @@ class FleetState:
         #: Busy lanes whose queue held two or more jobs at setup: the
         #: dispatcher's quantum runs down in ``qleft``.
         self._multi: set[int] = set()
-        self._offline: set[int] = set()
-        self._halt: set[int] = set()
         #: Busy lanes with latency_jitter_sigma > 0: one RNG draw per span
         #: through the core's stream-aligned buffer (a banked lane the
         #: chunk walk runs draws per slice there instead).
@@ -503,14 +504,10 @@ class FleetState:
     def _reset_lane(self, i: int) -> None:
         """Empty lane ``i``: no set memberships, no-op columns."""
         self._handed_off.discard(i)
-        self._offline.discard(i)
         self._jitter.discard(i)
         if i in self._multi:
             self._multi.discard(i)
             self.qleft[i] = np.inf
-        if i in self._halt:
-            self._halt.discard(i)
-            self.hfreq[i] = 0.0
         self.busy[i] = False
         self.jobs[i] = None
         self.pdata[i] = None
@@ -541,82 +538,66 @@ class FleetState:
         self._reset_lane(i)
         self.kind[i] = mode
 
-        if mode == _OFFLINE:
-            self._offline.add(i)
-            self.cur_name[i] = "__offline__"
-            self.ft_key[i] = 0.0
-            self.cur_res[i] = core.phase_time_s.get("__offline__", 0.0)
-            self.ft[i] = core.freq_time_s.get(0.0, 0.0)
-            self._load_counters(i)
-            self._install_bank_hook(i)
-        else:
-            freq = core.actuator.effective_hz(t0)
-            if mode == _IDLE:
-                core.idle_detector.note_queue_length(0)
-                if core.config.idle_style is IdleStyle.HOT_LOOP:
-                    phase = HOT_IDLE_PHASE
-                    self.thr[i] = phase.throughput(core.latencies, freq)
-                    self.freq[i] = freq
-                    self.r2[i] = phase.n_l2_per_instr
-                    self.r3[i] = phase.n_l3_per_instr
-                    self.rm[i] = phase.n_mem_per_instr
-                    self.rl1[i] = phase.l1_stall_cycles_per_instr
-                    self.cur_name[i] = phase.name
-                else:
-                    if self.hfreq is None:
-                        self.hfreq = np.zeros(self.n)
-                    self._halt.add(i)
-                    self.hfreq[i] = freq
-                    self.cur_name[i] = "__halted__"
-            else:  # _BUSY
-                disp = core.dispatcher
-                job = disp._queue[0]
-                core.idle_detector.note_queue_length(len(disp._queue))
-                job.mark_started(t0)
-                lat = core.latencies
-                pdata = []
-                for p in job.phases:
-                    core_cpi = (1.0 / p.alpha
-                                + p.l1_stall_cycles_per_instr
-                                + p.unmodeled_stall_cycles_per_instr)
-                    mem_time = (p.n_l2_per_instr * lat.t_l2_s
-                                + p.n_l3_per_instr * lat.t_l3_s
-                                + p.n_mem_per_instr * lat.t_mem_s)
-                    pdata.append((p.name, p.instructions, core_cpi, mem_time,
-                                  p.n_l2_per_instr, p.n_l3_per_instr,
-                                  p.n_mem_per_instr,
-                                  p.l1_stall_cycles_per_instr))
-                pidx = job.phase_index
-                name, pinstr, ccpi, mem, r2, r3, rm, rl1 = pdata[pidx]
-                self.busy[i] = True
-                self.jobs[i] = job
-                self.pdata[i] = pdata
-                self.pidx[i] = pidx
-                self.freq[i] = freq
-                # A plain Phase at a positive frequency always has a
-                # positive throughput (Phase validates its rates).
-                self.thr[i] = freq / (ccpi + mem * freq)
-                self.r2[i] = r2
-                self.r3[i] = r3
-                self.rm[i] = rm
-                self.rl1[i] = rl1
-                self.pinstr[i] = pinstr
-                self.ptol[i] = pinstr * (1.0 - 1e-12)
-                self.prog[i] = job.phase_progress
-                self.retired[i] = job.instructions_retired
-                self.cur_name[i] = name
-                if self.pending[i] is None:
-                    self.pending[i] = {}
-                if len(disp._queue) > 1:
-                    self._multi.add(i)
-                    self.qleft[i] = disp._quantum_left_s
-                if core.config.latency_jitter_sigma > 0.0:
-                    self._jitter.add(i)
-            self.ft_key[i] = freq
-            self.cur_res[i] = core.phase_time_s.get(self.cur_name[i], 0.0)
-            self.ft[i] = core.freq_time_s.get(freq, 0.0)
-            self._load_counters(i)
-            self._install_bank_hook(i)
+        freq = core.actuator.effective_hz(t0)
+        if mode == _IDLE:
+            core.idle_detector.note_queue_length(0)
+            phase = HOT_IDLE_PHASE
+            self.thr[i] = phase.throughput(core.latencies, freq)
+            self.freq[i] = freq
+            self.r2[i] = phase.n_l2_per_instr
+            self.r3[i] = phase.n_l3_per_instr
+            self.rm[i] = phase.n_mem_per_instr
+            self.rl1[i] = phase.l1_stall_cycles_per_instr
+            self.cur_name[i] = phase.name
+        else:  # _BUSY
+            disp = core.dispatcher
+            job = disp._queue[0]
+            core.idle_detector.note_queue_length(len(disp._queue))
+            job.mark_started(t0)
+            lat = core.latencies
+            pdata = []
+            for p in job.phases:
+                core_cpi = (1.0 / p.alpha
+                            + p.l1_stall_cycles_per_instr
+                            + p.unmodeled_stall_cycles_per_instr)
+                mem_time = (p.n_l2_per_instr * lat.t_l2_s
+                            + p.n_l3_per_instr * lat.t_l3_s
+                            + p.n_mem_per_instr * lat.t_mem_s)
+                pdata.append((p.name, p.instructions, core_cpi, mem_time,
+                              p.n_l2_per_instr, p.n_l3_per_instr,
+                              p.n_mem_per_instr,
+                              p.l1_stall_cycles_per_instr))
+            pidx = job.phase_index
+            name, pinstr, ccpi, mem, r2, r3, rm, rl1 = pdata[pidx]
+            self.busy[i] = True
+            self.jobs[i] = job
+            self.pdata[i] = pdata
+            self.pidx[i] = pidx
+            self.freq[i] = freq
+            # A plain Phase at a positive frequency always has a
+            # positive throughput (Phase validates its rates).
+            self.thr[i] = freq / (ccpi + mem * freq)
+            self.r2[i] = r2
+            self.r3[i] = r3
+            self.rm[i] = rm
+            self.rl1[i] = rl1
+            self.pinstr[i] = pinstr
+            self.ptol[i] = pinstr * (1.0 - 1e-12)
+            self.prog[i] = job.phase_progress
+            self.retired[i] = job.instructions_retired
+            self.cur_name[i] = name
+            if self.pending[i] is None:
+                self.pending[i] = {}
+            if len(disp._queue) > 1:
+                self._multi.add(i)
+                self.qleft[i] = disp._quantum_left_s
+            if core.config.latency_jitter_sigma > 0.0:
+                self._jitter.add(i)
+        self.ft_key[i] = freq
+        self.cur_res[i] = core.phase_time_s.get(self.cur_name[i], 0.0)
+        self.ft[i] = core.freq_time_s.get(freq, 0.0)
+        self._load_counters(i)
+        self._install_bank_hook(i)
 
         core._fleet = self
         core.idle_detector._fleet_invalidate = core._fleet_invalidate
@@ -776,7 +757,7 @@ class FleetState:
         t0 = self.now
         e2 = t0 + dt
         eff = e2 - t0
-        plans = grids = None
+        plans = grid = None
         if self.resident:
             se = t0 + eff
             limit = se - t0
@@ -787,30 +768,24 @@ class FleetState:
                 planned = self._plan_banked(t0, e2, dt)
                 if planned is None:
                     return False  # _span_blocker set by _plan_banked
-                plans, grids = planned
+                plans, grid = planned
             # Banked lanes ride the whole-fleet pass unless a span longer
-            # than an observation chunk walks them (``grids``).
-            jitter = self._jitter
-            offline = self._offline
-            if grids is not None:
-                banked = self._lane_banked
-                jitter = [i for i in jitter if not banked[i]]
-                offline = [i for i in offline if not banked[i]]
+            # than an observation chunk walks them (``grid``).
             if eff > _MIN_SLICE_S:
+                jitter = self._jitter
+                if grid is not None:
+                    banked = self._lane_banked
+                    jitter = [i for i in jitter if not banked[i]]
                 if jitter:
                     self._draw_jitter(jitter)
-                if grids is None:
+                if grid is None:
                     self._advance_span_all(t0, eff)
                 elif self._ub_idx.size:
                     self._advance_span_sub(t0, eff, self._ub_idx)
-            elif offline:
-                idx = list(offline)
-                self.cur_res[idx] += eff
-                self.ft[idx] += eff
-            if grids is not None:
-                self._advance_banked(plans, grids)
+            if grid is not None:
+                self._advance_banked(plans, grid)
         if self.e_accs:
-            if grids is None:
+            if grid is None:
                 self.e_energy += self.e_pow * (e2 - self.e_last)
                 self.e_last.fill(e2)
             else:
@@ -821,8 +796,8 @@ class FleetState:
         self.now = e2
         for m in self.resident:
             m._now_s = e2
-        if grids is None and plans:
-            for slot, _, demand, actions in plans:
+        if grid is None and plans:
+            for slot, demand, actions in plans:
                 if actions:  # [0]: the one boundary, at the span end
                     slot[0].supply_bank.observe(e2, demand)
         return True
@@ -861,8 +836,6 @@ class FleetState:
         cnt[3] += self.r3 * instr
         cnt[4] += self.rm * instr
         cnt[5] += self.rl1 * instr
-        if self._halt:
-            cnt[6] += self.hfreq * add
         self.cur_res += add
         self.ft += add
         self.retired += instr
@@ -910,8 +883,6 @@ class FleetState:
         cnt[3, ub] += self.r3[ub] * instr
         cnt[4, ub] += self.rm[ub] * instr
         cnt[5, ub] += self.rl1[ub] * instr
-        if self._halt:
-            cnt[6, ub] += self.hfreq[ub] * add
         self.cur_res[ub] += add
         self.ft[ub] += add
         self.retired[ub] += instr
@@ -961,37 +932,31 @@ class FleetState:
     # -- banked machines: one observe per span, or the chunked walk -----------------
 
     def _plan_banked(self, t0: float, e2: float, dt: float):
-        """Pure pre-pass over resident banked machines: observation
-        boundaries (one grid per observation interval), span demand, and
-        the bank's planned observes.
+        """Pure pre-pass over resident banked machines: the span's
+        observation boundaries, each machine's span demand, and its bank's
+        planned observes.
 
         The demand is ``PowerMeter.system_power_w`` priced from the power
         column: the builtin ``sum`` of the core powers in core order (it
         compensates float addition on Python 3.12, so no other summation
         is bit-equal on every version), plus the non-CPU draw.
 
-        Returns ``(plans, grids)``, one ``(slot, interval, demand,
-        actions)`` plan per machine.  ``grids`` is None when the span is
-        one chunk on every grid: the banked lanes then ride the whole-fleet
-        pass and each machine's planned observe lands at the span end.
-        Otherwise it maps each interval to the chunk arrays of
-        :meth:`_advance_banked`.  Returns None (whole-fleet span fallback,
-        columns untouched) when a raising bank plans a cascade or a walked
-        chunk would leave a float residue — both cases where only the
-        scalar path reproduces the partial advance / exception order.
+        Returns ``(plans, grid)``, one ``(slot, demand, actions)`` plan per
+        machine.  ``grid`` is None when the span is one observation chunk:
+        the banked lanes then ride the whole-fleet pass and each machine's
+        planned observe lands at the span end.  Otherwise it holds the
+        chunk arrays of :meth:`_advance_banked`.  Returns None
+        (whole-fleet span fallback, columns untouched) when a raising bank
+        plans a cascade or a walked chunk would leave a float residue —
+        both cases where only the scalar path reproduces the partial
+        advance / exception order.
         """
         e_pow = self.e_pow
         elane = self.elane
-        grids = {}
-        walk = False
+        bounds = observation_bounds(t0, e2, dt)
         plans = []
         for slot in self._banked:
             m, lo, hi, _, _ = slot
-            step = m.config.supply_observation_interval_s
-            bounds = grids.get(step)
-            if bounds is None:
-                bounds = grids[step] = observation_bounds(t0, e2, dt, step)
-                walk = walk or len(bounds) > 1
             demand = (sum(e_pow[elane[lo:hi]].tolist())
                       + m.meter.non_cpu_power_w)
             _, actions, raises = m.supply_bank.plan_constant_span(bounds,
@@ -999,49 +964,43 @@ class FleetState:
             if raises:
                 self._span_blocker = "bank"
                 return None
-            plans.append((slot, step, demand, actions))
-        if not walk:
+            plans.append((slot, demand, actions))
+        if len(bounds) == 1:
             return plans, None
-        for step, bounds in grids.items():
-            barr = np.asarray(bounds)
-            starts = np.empty(barr.size)
-            starts[0] = t0
-            starts[1:] = barr[:-1]
-            dts = barr - starts
-            ends = starts + dts
-            # Where the scalar idle loop would cut a second slice.
-            residue = np.any(ends - (starts + (ends - starts)) > _MIN_SLICE_S)
-            grids[step] = (bounds, barr, dts,
-                           list(zip(starts.tolist(), dts.tolist())), residue)
-        kind = self.kind
-        for (_, lo, hi, _, _), step, _, _ in plans:
-            if grids[step][4] and any(kind[i] == _IDLE for i in range(lo, hi)):
+        barr = np.asarray(bounds)
+        starts = np.empty(barr.size)
+        starts[0] = t0
+        starts[1:] = barr[:-1]
+        dts = barr - starts
+        ends = starts + dts
+        # Where the scalar idle loop would cut a second slice.
+        if np.any(ends - (starts + (ends - starts)) > _MIN_SLICE_S):
+            kind = self.kind
+            if any(kind[i] == _IDLE for (_, lo, hi, _, _), _, _ in plans
+                   for i in range(lo, hi)):
                 self._span_blocker = "corner"
                 return None
-        return plans, grids
+        return plans, (bounds, barr, dts,
+                       list(zip(starts.tolist(), dts.tolist())))
 
-    def _advance_banked(self, plans, grids) -> None:
-        """Advance each banked machine through its observation chunks —
-        ``SMPMachine.advance``'s per-chunk walk against columns: each lane
-        across every chunk, then the ledger's 2-D cumsum, then the planned
-        observes.  While telemetry is enabled the lanes' phase-transition
-        events are collected and emitted in the scalar order: chunk by
-        chunk, lanes in core order, each chunk's observe (and its PSU
-        events) after them."""
+    def _advance_banked(self, plans, grid) -> None:
+        """Advance each banked machine through the span's observation
+        chunks — ``SMPMachine.advance``'s per-chunk walk against columns:
+        each lane across every chunk, then the ledger's 2-D cumsum, then
+        the planned observes.  While telemetry is enabled the lanes'
+        phase-transition events are collected and emitted in the scalar
+        order: chunk by chunk, lanes in core order, each chunk's observe
+        (and its PSU events) after them."""
         kind = self.kind
         tel = get_telemetry()
-        for (m, lo, hi, e_lo, e_hi), step, demand, actions in plans:
-            bounds, barr, dts, chunks, _ = grids[step]
+        bounds, barr, dts, chunks = grid
+        for (m, lo, hi, e_lo, e_hi), demand, actions in plans:
             log = [] if tel.enabled else None
             for i in range(lo, hi):
-                k = kind[i]
-                if k == _BUSY:
+                if kind[i] == _BUSY:
                     self._advance_busy_lane(i, chunks, log=log)
-                elif k == _IDLE:
+                else:
                     self._advance_idle_lane(i, dts)
-                else:  # _OFFLINE
-                    self.cur_res[i] = _acc(float(self.cur_res[i]), dts)
-                    self.ft[i] = _acc(float(self.ft[i]), dts)
             # One ledger.advance_to per chunk, as a 2-D cumsum over this
             # machine's contiguous account slice: each row accumulates
             # left-to-right, bit-equal to the per-chunk loop.
@@ -1069,7 +1028,7 @@ class FleetState:
                 bank.observe(bounds[j], demand)
 
     def _advance_idle_lane(self, i: int, dts: np.ndarray) -> None:
-        """One stationary idle slice per chunk, accumulated in bulk
+        """One stationary hot-idle slice per chunk, accumulated in bulk
         against this lane's columns (the caller pre-checked the
         float-residue corner where the scalar loop would cut a second
         degenerate slice)."""
@@ -1077,19 +1036,16 @@ class FleetState:
         if use.size == 0:
             return
         cnt = self.cnt
-        if i in self._halt:
-            cnt[6, i] = _acc(float(cnt[6, i]), float(self.hfreq[i]) * use)
-        else:
-            thr = float(self.thr[i])
-            instr = thr * use
-            cnt[0, i] = _acc(float(cnt[0, i]), instr)
-            cnt[1, i] = _acc(float(cnt[1, i]), float(self.freq[i]) * use)
-            for rate, row in ((float(self.r2[i]), 2), (float(self.r3[i]), 3),
-                              (float(self.rm[i]), 4),
-                              (float(self.rl1[i]), 5)):
-                # Zero-rate adds are bitwise no-ops (x + 0.0 == x, x >= 0).
-                if rate != 0.0:
-                    cnt[row, i] = _acc(float(cnt[row, i]), rate * instr)
+        thr = float(self.thr[i])
+        instr = thr * use
+        cnt[0, i] = _acc(float(cnt[0, i]), instr)
+        cnt[1, i] = _acc(float(cnt[1, i]), float(self.freq[i]) * use)
+        for rate, row in ((float(self.r2[i]), 2), (float(self.r3[i]), 3),
+                          (float(self.rm[i]), 4),
+                          (float(self.rl1[i]), 5)):
+            # Zero-rate adds are bitwise no-ops (x + 0.0 == x, x >= 0).
+            if rate != 0.0:
+                cnt[row, i] = _acc(float(cnt[row, i]), rate * instr)
         self.cur_res[i] = _acc(float(self.cur_res[i]), use)
         self.ft[i] = _acc(float(self.ft[i]), use)
 

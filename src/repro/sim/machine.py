@@ -26,11 +26,17 @@ from .rng import spawn_rngs
 __all__ = ["MachineConfig", "SMPMachine", "observation_bounds"]
 
 
-def observation_bounds(start: float, end: float, dt: float,
-                       step: float) -> list[float]:
+#: Maximum stretch between supply-bank demand observations.  Long
+#: event-free advances of a machine with a supply bank are chunked at this
+#: granularity so overload episodes and cascade deadlines are detected
+#: even when nothing else is scheduled.
+SUPPLY_OBSERVATION_INTERVAL_S = 0.010
+
+
+def observation_bounds(start: float, end: float, dt: float) -> list[float]:
     """Ascending supply-observation boundaries for one span of ``dt``
-    seconds from ``start`` to ``end``, every ``step`` seconds, always
-    ending exactly at ``end``.
+    seconds from ``start`` to ``end``, every
+    :data:`SUPPLY_OBSERVATION_INTERVAL_S`, always ending exactly at ``end``.
 
     Boundaries are computed by index (``start + i*step``) so the span end
     lands exactly instead of accumulating ``dt -= step`` subtraction
@@ -38,6 +44,7 @@ def observation_bounds(start: float, end: float, dt: float,
     expression bit-for-bit.  The fleet columns replay banked machines
     through the same boundaries, so this is the single source of truth.
     """
+    step = SUPPLY_OBSERVATION_INTERVAL_S
     n = int(dt / step)
     while n and start + n * step >= end:
         n -= 1
@@ -59,11 +66,6 @@ class MachineConfig:
     meter_noise_sigma: float = 0.0
     #: Initial operating point (defaults to the table's maximum).
     initial_freq_hz: float | None = None
-    #: Maximum stretch between supply-bank demand observations.  Long
-    #: event-free advances are chunked at this granularity so overload
-    #: episodes and cascade deadlines are detected even when nothing else
-    #: is scheduled.  Ignored without a supply bank.
-    supply_observation_interval_s: float = 0.010
     name: str = "p630"
 
     def __post_init__(self) -> None:
@@ -213,8 +215,7 @@ class SMPMachine:
         if self.supply_bank is None:
             self._advance_to(end)
             return
-        step = self.config.supply_observation_interval_s
-        for t_end in observation_bounds(start, end, dt, step):
+        for t_end in observation_bounds(start, end, dt):
             self._advance_to(t_end)
 
     def _advance_to(self, t_end: float) -> None:

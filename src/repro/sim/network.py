@@ -133,10 +133,6 @@ class Network:
         self.bytes_sent += payload_bytes
         return delay
 
-    def round_trip_s(self, payload_bytes: int, reply_bytes: int = 64) -> float:
-        """Request/response delay (used for synchronous collections)."""
-        return self.send(payload_bytes) + self.send(reply_bytes)
-
     def try_send(self, payload_bytes: int, *, now_s: float,
                  node_id: int) -> float | None:
         """Fault-aware send: delivery delay, or ``None`` when dropped.

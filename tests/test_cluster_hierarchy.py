@@ -321,6 +321,18 @@ class TestShardIsolation:
         assert reachable <= budget - frozen + 1e-6
 
 
+    def test_summary_timeout_applies_without_a_fault_plan(self):
+        # No fault plan, yet every summary round trip outlasts the
+        # timeout: each one is dropped and both shards go lost, as the
+        # same timeout does under a plan.
+        _, allocator, sim, _ = _attached_allocator(
+            8, 4, fleet_kwargs={"summary_timeout_s": 1e-9})
+        sim.run_for(1.0)
+        assert allocator.rebalances == 5
+        assert allocator.summaries_dropped == 2 * allocator.rebalances
+        assert set(allocator.shard_health.values()) == {"lost"}
+
+
 class TestSingleShardEquivalence:
     """shard_size >= nodes: the hierarchy must vanish byte-for-byte."""
 

@@ -312,12 +312,6 @@ class TestMeasuredFeedback:
         # must not exceed it.
         assert d._planning_limit_w is None or d._planning_limit_w <= 300.0
 
-    def test_gain_validation(self):
-        with pytest.raises(SchedulingError):
-            DaemonConfig(feedback_gain=0.0)
-        with pytest.raises(SchedulingError):
-            DaemonConfig(feedback_relax=1.5)
-
 
 class TestWindowAggregate:
     def test_window_adds_left_to_right(self):

@@ -658,8 +658,6 @@ class TestCoordinatorSLO:
     def test_config_validation(self):
         with pytest.raises(Exception):
             CoordinatorConfig(slo_p99_target_s=-1.0)
-        with pytest.raises(ClusterError):
-            CoordinatorConfig(slo_p99_target_s=0.02, slo_percentile=100.0)
 
     def test_fast_path_invalidated_by_floor_change(self):
         # The reschedule fast path may only reuse a schedule produced

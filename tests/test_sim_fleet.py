@@ -9,11 +9,11 @@ driver's call site) — and asserts *exact* float equality of every piece
 of machine state.  No tolerances anywhere: one
 reordered IEEE operation fails the suite.
 
-Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
-offline / multi-job cores, with and without latency jitter), single
-banked machines of every core kind, banked spans of one observation
-chunk riding the whole-fleet pass and longer ones chunk-walked (spans
-around the interval, mixed intervals), cascades firing mid-span,
+Coverage: randomized heterogeneous fleets (busy / hot-idle / multi-job
+lanes, with and without latency jitter, beside machines an offline or a
+halting core parks), single banked machines of both lane kinds, banked
+spans of one observation chunk riding the whole-fleet pass and longer
+ones chunk-walked (spans around the interval), cascades firing mid-span,
 raising cascades (on resident, parked and delegated machines, and on a
 span's last boundary) and shared banks forcing counted fallbacks,
 jitter-lane draw-order equivalence including mid-span buffer refills and
@@ -44,9 +44,12 @@ delegation).
 Parking: supply-banked machines serving requests park while they hold ONCE
 work and are admitted back when it drains, within the one fleet a run
 builds, while a coordinator samples the parked machines' counters.  Each
-other state the columns cannot run (daemon-time debt, a pending settle,
-a replaced counter bank, a non-plain head phase, a banked two-job queue)
-parks its machine alone until it clears.
+other state the columns cannot run (an offline core, a halting idle
+core, daemon-time debt, a pending settle, a replaced counter bank, a
+non-plain head phase, a banked two-job queue) parks its machine alone
+until it clears; a power-down governor's run and a halt-idle machine
+whose requests drain and resume park exactly for the spans that hold
+such a core.
 """
 
 import dataclasses
@@ -58,6 +61,7 @@ import pytest
 from repro.analysis.export import result_to_dict
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.faults import fault_scenario
+from repro.core.baselines import PowerDownGovernor
 from repro.experiments import run_experiment
 from repro.power.supply import SupplyBank
 from repro.power.table import POWER4_TABLE
@@ -163,23 +167,20 @@ def run_two_ways(build, script):
 
 
 def hetero_fleet(seed, n=5):
-    """Machines mixing every lane kind plus a banked, jittered machine."""
+    """Machines mixing both lane kinds (busy, multi-job and hot-idle
+    lanes, with and without jitter) plus a banked, jittered machine."""
     ms = []
     for i in range(n):
-        style = IdleStyle.HOT_LOOP if i % 2 else IdleStyle.HALT
         sigma = 0.02 if i % 2 else 0.0
         m = SMPMachine(
             MachineConfig(num_cores=3,
-                          core_config=CoreConfig(latency_jitter_sigma=sigma,
-                                                 idle_style=style)),
+                          core_config=CoreConfig(latency_jitter_sigma=sigma)),
             seed=seed + i)
         m.assign(0, looping_job(f"solo{i}", (1.0, 0.4, 0.15)))
         if i % 3 == 0:
             # Two LOOP jobs: a busy lane the dispatcher's quantum rotates.
             m.assign(1, looping_job(f"pair{i}a", (0.8,)))
             m.assign(1, looping_job(f"pair{i}b", (0.95, 0.3)))
-        if i % 2 == 0:
-            m.cores[2].offline = True
         ms.append(m)
     # One banked machine, jittered and resident: a span shorter than its
     # supply-observation interval rides the whole-fleet pass, a longer
@@ -191,6 +192,24 @@ def hetero_fleet(seed, n=5):
         seed=seed + 97)
     banked.assign(0, looping_job("banked", (0.7, 0.2)))
     ms.append(banked)
+    return ms
+
+
+def dark_machines(seed):
+    """An offline core and a halting idle core, each on a machine of its
+    own: the columns run neither, so each parks its machine (``offline``,
+    ``halted``), which advances through ``machine.advance`` meanwhile."""
+    ms = []
+    for i, style in enumerate((IdleStyle.HOT_LOOP, IdleStyle.HALT)):
+        m = SMPMachine(
+            MachineConfig(num_cores=3,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0,
+                                                 idle_style=style)),
+            seed=seed + 50 + i)
+        m.assign(0, looping_job(f"dark{i}", (1.0, 0.4, 0.15)))
+        m.assign(1, looping_job(f"dark{i}b", (0.8,)))
+        ms.append(m)
+    ms[0].cores[2].offline = True
     return ms
 
 
@@ -206,7 +225,7 @@ def test_hetero_fleet_matches_both_references():
         ms[2].core(1).set_frequency(POWER4_TABLE.freqs_hz[9], now)
         advance(0.2003)
 
-    run_two_ways(lambda: hetero_fleet(31), script)
+    run_two_ways(lambda: hetero_fleet(31) + dark_machines(31), script)
 
 
 def test_randomized_fleets_match(subtests=None):
@@ -218,7 +237,8 @@ def test_randomized_fleets_match(subtests=None):
                       for _ in range(6)]
 
         def build(seed=seed):
-            return hetero_fleet(seed * 1000 + 5, n=4 + seed % 3)
+            return (hetero_fleet(seed * 1000 + 5, n=4 + seed % 3)
+                    + dark_machines(seed))
 
         def script(ms, advance, spans=spans, picks=freq_picks):
             it = iter(picks)
@@ -304,7 +324,8 @@ def test_randomized_jitter_fleets_match():
         spans = [float(d) for d in rng.uniform(5e-4, 0.6, size=14)]
 
         def build(seed=seed):
-            return hetero_fleet(seed * 500 + 11, n=3 + seed % 2)
+            return (hetero_fleet(seed * 500 + 11, n=3 + seed % 2)
+                    + dark_machines(seed))
 
         def script(ms, advance, spans=spans):
             for k, dt in enumerate(spans):
@@ -354,9 +375,10 @@ def test_jitter_sigma_changes_between_spans():
 
 def test_mutators_between_spans_match():
     """Every invalidation hook: set_frequency, add_job, steal_time,
-    offline toggles, power_scale, migrate."""
+    offline toggles (a parked machine's core back on, a resident one's
+    off and back), power_scale, migrate."""
     def build():
-        return hetero_fleet(77, n=4)
+        return hetero_fleet(77, n=4) + dark_machines(77)
 
     def script(ms, advance):
         advance(0.05)
@@ -365,10 +387,12 @@ def test_mutators_between_spans_match():
         advance(0.04)
         m.core(1).steal_time(0.003)
         advance(0.021)
-        m.core(2).offline = False
+        ms[-2].core(2).offline = False
         ms[1].core(2).offline = False
-        advance(0.03)
         m.core(2).offline = True
+        advance(0.03)
+        m.core(2).offline = False
+        ms[-2].core(2).offline = True
         advance(0.013)
         ms[1].core(0).power_scale = 0.5
         advance(0.017)
@@ -435,11 +459,9 @@ def queue_fleet(seed, sigma):
     rng = np.random.default_rng(seed)
     ms = []
     for i in range(3):
-        style = IdleStyle.HALT if i == 1 else IdleStyle.HOT_LOOP
         m = SMPMachine(
             MachineConfig(num_cores=3,
-                          core_config=CoreConfig(latency_jitter_sigma=sigma,
-                                                 idle_style=style)),
+                          core_config=CoreConfig(latency_jitter_sigma=sigma)),
             seed=seed + i)
         for k in range(3):
             m.assign(0, looping_job(
@@ -805,42 +827,50 @@ def test_randomized_machines_match_reference(seed):
         ))
 
     def build():
-        m = SMPMachine(
-            MachineConfig(num_cores=4,
-                          core_config=CoreConfig(latency_jitter_sigma=0.03)),
-            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
-            seed=seed,
-        )
-        k = iter(range(12))
-        for c, kind in enumerate(kinds):
-            if kind == 0:            # single looping job: a busy column
-                m.assign(c, looping_job(
-                    f"c{c}", (ratios[next(k)], ratios[next(k)]),
-                    duration_s=durations[c]))
-            elif kind == 1:          # two jobs: the machine parks
-                m.assign(c, looping_job(f"c{c}a", (ratios[next(k)],),
-                                        duration_s=durations[c]))
-                m.assign(c, looping_job(f"c{c}b", (ratios[next(k)],),
-                                        duration_s=durations[c + 4]))
-            elif kind == 2:          # idle hot loop
-                pass
-            else:
-                m.cores[c].offline = True
-        return [m]
+        ms = []
+        for twin in range(2):
+            m = SMPMachine(
+                MachineConfig(num_cores=4,
+                              core_config=CoreConfig(
+                                  latency_jitter_sigma=0.03)),
+                supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+                seed=seed + twin,
+            )
+            k = iter(range(12))
+            for c, kind in enumerate(kinds):
+                if kind == 0:            # single looping job: a busy column
+                    m.assign(c, looping_job(
+                        f"c{c}", (ratios[next(k)], ratios[next(k)]),
+                        duration_s=durations[c]))
+                elif kind == 1:          # two jobs: the machine parks
+                    m.assign(c, looping_job(f"c{c}a", (ratios[next(k)],),
+                                            duration_s=durations[c]))
+                    m.assign(c, looping_job(f"c{c}b", (ratios[next(k)],),
+                                            duration_s=durations[c + 4]))
+                elif kind == 3 and twin:  # offline: parks the twin only
+                    m.cores[c].offline = True
+                # kind 2, and kind 3 on the first machine: idle hot loop
+            ms.append(m)
+        return ms
 
     def script(ms, advance):
         m = ms[0]
         for dt, core, fidx, steal in segments:
             advance(dt)
-            m.core(core).set_frequency(POWER4_TABLE.freqs_hz[fidx], m.now_s)
+            for other in ms:
+                other.core(core).set_frequency(POWER4_TABLE.freqs_hz[fidx],
+                                               other.now_s)
             if steal:
                 m.core(core).steal_time(0.0015)
 
-    _, (advances, _) = run_two_ways(build, script)
-    # A two-job core parks this banked machine for the whole run (seeds
-    # 101-303 each draw one); seed 403 draws none, so its spans walk the
-    # columns, bar the one after each steal.
+    _, (advances, fallbacks) = run_two_ways(build, script)
+    # A two-job core parks both banked machines for the whole run (seeds
+    # 101-303 each draw one), and an offline draw parks the twin (seeds
+    # 101, 303 and 403).  Seed 403 draws no two-job core, so the first
+    # machine's spans walk the columns, bar the one after each steal.
     assert advances > 0 or 1 in kinds
+    if 3 in kinds and 1 not in kinds:
+        assert fallbacks["offline"] == len(segments)
 
 
 def test_simulation_events_cut_spans_identically():
@@ -925,18 +955,17 @@ def run_spans_two_ways(build, spans, walks, between=None):
     return ms, tally, walked[:len(spans)]
 
 
-def banked_machine(*, seed, interval_s=0.010, sigma=0.02,
-                   style=IdleStyle.HOT_LOOP):
-    """Four cores behind a p630 bank: a looping job on core 0, core 1
-    idle (hot or halted), core 2 offline, a second looping job on core 3."""
+def banked_machine(*, seed, sigma=0.02, style=IdleStyle.HOT_LOOP):
+    """Four cores behind a p630 bank: a looping job on core 0, cores 1
+    and 2 idle (hot, or halting, which parks the machine), a second
+    looping job on core 3."""
     m = SMPMachine(
-        MachineConfig(num_cores=4, supply_observation_interval_s=interval_s,
+        MachineConfig(num_cores=4,
                       core_config=CoreConfig(latency_jitter_sigma=sigma,
                                              idle_style=style)),
         supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
         seed=seed)
     m.assign(0, looping_job(f"b{seed}", (1.0, 0.35), duration_s=0.004))
-    m.cores[2].offline = True
     m.assign(3, looping_job(f"c{seed}", (0.6,), duration_s=0.007))
     return m
 
@@ -961,39 +990,15 @@ def test_spans_around_the_observation_interval(monkeypatch):
     assert tally == (2 * len(spans), {})
 
 
-def test_mixed_intervals_walk_the_whole_span(monkeypatch):
-    """Banked machines observing every 10 ms and every 4 ms beside an
-    unbanked one: a 7 ms span is one chunk for the first and two for the
-    second, so every banked machine walks it; a 3 ms span is one chunk
-    for both and rides the pass."""
-    walks = count_walks(monkeypatch)
-    spans = [0.003, 0.007, 0.003, 0.0035, 0.007, 0.012, 0.002]
-
-    def build():
-        plain = SMPMachine(
-            MachineConfig(num_cores=1,
-                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
-            seed=52)
-        plain.assign(0, looping_job("plain", (0.9, 0.4), duration_s=0.005))
-        return [banked_machine(seed=53), plain,
-                banked_machine(seed=54, interval_s=0.004)]
-
-    def retune(ms, k):
-        m = ms[k % 3]
-        m.core(0).set_frequency(POWER4_TABLE.freqs_hz[3 + k], m.now_s)
-
-    _, tally, walked = run_spans_two_ways(build, spans, walks, retune)
-    assert walked == [False, True, False, False, True, True, False]
-    assert tally == (3 * len(spans), {})
-
-
 @pytest.mark.parametrize("style,sigma", [(IdleStyle.HOT_LOOP, 0.02),
                                          (IdleStyle.HALT, 0.0)],
                          ids=["hot-jittered", "halted"])
 def test_every_banked_lane_kind_rides_the_pass(monkeypatch, style, sigma):
-    """Busy, idle (hot or halted), offline and jittered banked lanes in
-    one-chunk spans, between walked ones, with retunes and a core taken
-    offline and back between spans."""
+    """Busy, hot-idle and jittered banked lanes in one-chunk spans,
+    between walked ones, with retunes and jobs landing on the idle cores
+    between spans.  Halting idle cores are no lane kind: they park the
+    machine (``halted``) until the jobs land, and it then rides the pass
+    and walks like the hot one."""
     walks = count_walks(monkeypatch)
     spans = [0.004, 0.0097, 0.025, 0.006, 0.0003, 0.01, 0.031, 0.008]
 
@@ -1002,17 +1007,20 @@ def test_every_banked_lane_kind_rides_the_pass(monkeypatch, style, sigma):
         if k == 1:
             m.core(1).set_frequency(POWER4_TABLE.freqs_hz[5], m.now_s)
         elif k == 3:
-            m.cores[2].offline = False
+            m.assign(1, looping_job("late1", (0.8,), duration_s=0.005))
+            m.assign(2, looping_job("late2", (0.5, 0.9), duration_s=0.006))
         elif k == 5:
             m.core(0).set_frequency(POWER4_TABLE.freqs_hz[8], m.now_s)
-            m.cores[1].offline = True
 
     def build():
         return [banked_machine(seed=55, sigma=sigma, style=style)]
 
     _, tally, walked = run_spans_two_ways(build, spans, walks, between)
-    assert walked == [dt > 0.010 for dt in spans]
-    assert tally == (len(spans), {})
+    parked = 4 if style is IdleStyle.HALT else 0
+    assert walked == [dt > 0.010 and k >= parked
+                      for k, dt in enumerate(spans)]
+    assert tally == (len(spans) - parked,
+                     {"halted": parked} if parked else {})
 
 
 def test_cascade_inside_a_one_chunk_span(monkeypatch):
@@ -1025,7 +1033,6 @@ def test_cascade_inside_a_one_chunk_span(monkeypatch):
     def build():
         m = banked_machine(seed=56)
         m.assign(1, looping_job("hot", (1.0,)))
-        m.cores[2].offline = False
         m.supply_bank.fail_supply(0)
         return [m]
 
@@ -1360,6 +1367,19 @@ def _settling(ms):
     return act.pending and act._pending_at_s > ms[0].now_s
 
 
+def _power(on):
+    def toggle(ms):
+        ms[0].cores[1].offline = not on
+    return toggle
+
+
+def _idle_style(style):
+    def restyle(ms):
+        core = ms[0].cores[3]    # the idle core
+        core.config = dataclasses.replace(core.config, idle_style=style)
+    return restyle
+
+
 #: state -> (build kwargs, set the state, clear it (None: it drains
 #: itself), whether it holds at a span start, the label it parks under).
 PARKING_STATES = {
@@ -1386,6 +1406,13 @@ PARKING_STATES = {
                                                duration_s=0.01)),
         lambda ms: ms[0].migrate(ms[0].cores[0].dispatcher._queue[-1], 0, 3),
         lambda ms: len(ms[0].cores[0].dispatcher._queue) > 1, "transient"),
+    "offline": (
+        {}, _power(False), _power(True),
+        lambda ms: ms[0].cores[1].offline, "offline"),
+    "halted": (
+        {}, _idle_style(IdleStyle.HALT), _idle_style(IdleStyle.HOT_LOOP),
+        lambda ms: ms[0].cores[3].config.idle_style is IdleStyle.HALT,
+        "halted"),
 }
 
 
@@ -1414,6 +1441,90 @@ def test_state_parks_its_machine_until_it_clears(state):
     assert n and flags == [False] + [True] * n + [False] * (7 - n)
     for held, span in spans:
         assert span == ((1, {label: 1}) if held else (2, None))
+
+
+def run_sim_two_ways(run):
+    """``run()`` through the fleet columns and through the scalar
+    reference (``scalar_reference()``); the two must return equal machine
+    states.  Returns the column run's result."""
+    cols = run()
+    with scalar_reference():
+        scal = run()
+    assert cols[0] == scal[0]
+    return cols
+
+
+def test_power_down_parks_only_while_cores_are_off():
+    """A one-machine ``PowerDownGovernor`` run whose budget drops (two
+    cores power off) and later rises (they come back): every span with an
+    offline core parks the machine (``offline``), every other span rides
+    the columns, and the run matches the scalar reference exactly."""
+    limit_w = 2.5 * POWER4_TABLE.max_power_w    # room for two cores
+
+    def run():
+        m = SMPMachine(
+            MachineConfig(num_cores=4,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=37)
+        for c in range(4):
+            m.assign(c, looping_job(f"pd{c}", (0.9, 0.3), duration_s=0.01))
+        sim = Simulation(m)
+        governor = PowerDownGovernor(m)
+        governor.attach(sim)
+        dark = []
+        for k in range(12):
+            if k == 3:
+                governor.set_power_limit(limit_w, sim.now_s)
+            elif k == 8:
+                governor.set_power_limit(None, sim.now_s)
+            dark.append(any(c.offline for c in m.cores))
+            sim.run_for(0.013)    # one span: no event is scheduled
+        return machine_state(m), dark, sim.fleet_advances, \
+            dict(sim.fleet_fallbacks)
+
+    _, dark, advances, fallbacks = run_sim_two_ways(run)
+    assert dark == [False] * 3 + [True] * 5 + [False] * 4
+    assert fallbacks == {"offline": 5}
+    assert advances == 12 - 5
+
+
+def test_halting_core_parks_only_while_it_idles():
+    """A halt-style machine serving requests beside a hot peer: while a
+    core's queue is empty that core halts and parks its machine
+    (``halted``); requests arriving again admit it back.  Every other
+    span rides the columns, and the run matches the scalar reference
+    exactly."""
+    def run():
+        m = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0,
+                                                 idle_style=IdleStyle.HALT)),
+            seed=38)
+        m.assign(0, looping_job("bg", (0.8, 0.3), duration_s=0.01))
+        for k in range(3):
+            m.assign(1, once_request(f"r{k}", 0.7, 0.012, phases=1 + k % 2))
+        peer = SMPMachine(
+            MachineConfig(num_cores=1,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=39)
+        peer.assign(0, looping_job("peer", (0.6,)))
+        sim = Simulation([m, peer])
+        idle = []
+        for k in range(14):
+            if k == 8:
+                for j in range(2):
+                    m.core(1).add_job(once_request(f"late{j}", 0.9, 0.01))
+            idle.append(m.cores[1].is_idle)
+            sim.run_for(0.01)     # one span: no event is scheduled
+        return fleet_state([m, peer]), idle, sim.fleet_advances, \
+            dict(sim.fleet_fallbacks)
+
+    _, idle, advances, fallbacks = run_sim_two_ways(run)
+    halted = idle.count(True)
+    # Drained before the late requests arrive, busy again, drained again.
+    assert not idle[0] and not idle[8] and any(idle[:8]) and idle[-1]
+    assert fallbacks == {"halted": halted}
+    assert advances == 2 * len(idle) - halted
 
 
 # -- fallback accounting -----------------------------------------------------------

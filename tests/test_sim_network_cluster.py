@@ -27,7 +27,8 @@ class TestNetwork:
 
     def test_round_trip_counts_two_messages(self):
         net = Network()
-        delay = net.round_trip_s(100, 50)
+        delay = (net.try_send(100, now_s=0.0, node_id=0)
+                 + net.try_send(50, now_s=0.0, node_id=0))
         assert net.messages_sent == 2
         assert delay > net.config.base_latency_s
 
