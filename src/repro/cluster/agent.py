@@ -134,10 +134,9 @@ class NodeAgent:
 
         Commands address processors by explicit id (:attr:`FrequencyCommand.proc_ids`)
         so a partial command — e.g. one excluding an offline processor —
-        retunes exactly the processors it names.  A legacy command without
-        ids must cover every processor positionally.  Stale commands
-        (older than the newest applied) are dropped: with retransmits a
-        delayed duplicate of an old decision must not override a newer one.
+        retunes exactly the processors it names.  Stale commands (older
+        than the newest applied) are dropped: with retransmits a delayed
+        duplicate of an old decision must not override a newer one.
         """
         if command.node_id != self.node.node_id:
             raise ClusterError(
@@ -145,24 +144,14 @@ class NodeAgent:
                 f"{self.node.node_id}"
             )
         cores = self.node.machine.cores
-        if command.proc_ids is None:
-            # Legacy positional encoding: only sound for full-width
-            # commands, where slot i is processor i by construction.
-            if len(command.freqs_hz) != len(cores):
+        targets = []
+        for proc_id, freq in zip(command.proc_ids, command.freqs_hz):
+            if not 0 <= proc_id < len(cores):
                 raise ClusterError(
-                    f"command carries {len(command.freqs_hz)} frequencies for "
-                    f"{len(cores)} processors"
+                    f"command for node {command.node_id} addresses "
+                    f"processor {proc_id}; node has {len(cores)}"
                 )
-            targets = list(zip(cores, command.freqs_hz))
-        else:
-            targets = []
-            for proc_id, freq in zip(command.proc_ids, command.freqs_hz):
-                if not 0 <= proc_id < len(cores):
-                    raise ClusterError(
-                        f"command for node {command.node_id} addresses "
-                        f"processor {proc_id}; node has {len(cores)}"
-                    )
-                targets.append((cores[proc_id], freq))
+            targets.append((cores[proc_id], freq))
         if command.time_s < self._last_command_time_s:
             return
         self._last_command_time_s = command.time_s

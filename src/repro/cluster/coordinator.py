@@ -22,9 +22,10 @@ Every pass runs the same body, with or without a
   of the global budget — so total scheduled power honours the active
   limits no matter how many reports went missing (the paper's safety
   property, extended to a faulty control plane);
-* per-node health (``healthy``/``stale``/``lost``/``recovered``) is
-  tracked and surfaced through telemetry (``node_lost``/``node_recovered``
-  events, drop/stale-pass counters, health gauges).
+* per-node health (``healthy``/``stale``/``lost``/``recovered``) follows
+  the rule both tiers share (:class:`~repro.cluster.protocol.Liveness`) and
+  is surfaced through telemetry (``node_lost``/``node_recovered`` events,
+  drop/stale-pass counters, health gauges).
 
 Only the command protocol depends on the fault plan.  Without one,
 commands are fire-and-forget, and a command that reaches a crashed agent
@@ -61,22 +62,24 @@ from ..sim.rng import spawn_seeds
 from ..telemetry import (
     EVENT_BUDGET_BREACH,
     EVENT_CURTAILMENT,
-    EVENT_NODE_LOST,
-    EVENT_NODE_RECOVERED,
     Telemetry,
     get_telemetry,
 )
 from ..units import check_non_negative, check_positive
 from .agent import AgentSampler, NodeAgent
 from .faults import FaultSchedule
-from .protocol import FrequencyCommand, NodeReport, message_size_bytes
+from .protocol import (
+    _CONTROL_FRAME_BYTES,
+    FrequencyCommand,
+    Liveness,
+    NodeReport,
+    message_size_bytes,
+    round_trip,
+)
 
 _by_node_proc = operator.attrgetter("node_id", "proc_id")
 
 __all__ = ["CoordinatorConfig", "ClusterCoordinator"]
-
-#: Wire size of a report request / command acknowledgement frame.
-_CONTROL_FRAME_BYTES = 64
 
 #: The percentile ``CoordinatorConfig.slo_p99_target_s`` constrains.
 _SLO_PERCENTILE = 99.0
@@ -84,14 +87,6 @@ _SLO_PERCENTILE = 99.0
 #: The :class:`ViewBatch` columns, in constructor order.
 _BATCH_COLUMNS = ("node_ids", "proc_ids", "has_signature", "core_cpi",
                   "mem_time_per_instr_s", "idle_signaled")
-
-
-def _health_counts(states) -> dict[str, int]:
-    """Members per gauge state; ``recovered`` counts as healthy."""
-    counts = {"healthy": 0, "stale": 0, "lost": 0}
-    for state in states:
-        counts["healthy" if state == "recovered" else state] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -225,13 +220,6 @@ class ClusterCoordinator:
         self.last_schedule: Schedule | None = None
         #: Wall-clock cost of the most recent global pass.
         self.last_pass_wall_s: float | None = None
-        #: Health per node: healthy/stale/lost/recovered.
-        self.node_health: dict[int, str] = {
-            nid: "healthy" for nid in self._agents_by_id
-        }
-        #: Each node's last fresh rows: node_id -> (report time, batch,
-        #: lo, hi), a reference to rows ``lo:hi`` of that pass's batch.
-        self._view_cache: dict[int, tuple[float, ViewBatch, int, int]] = {}
         # Plain resilience tallies (kept even with telemetry disabled so
         # experiments and tests can read them cheaply).
         self.reports_dropped = 0
@@ -297,12 +285,10 @@ class ClusterCoordinator:
             "cluster_stale_passes_total",
             "Global passes that scheduled at least one node from cached "
             "or floor views")
-        self._m_health = {
-            state: m.gauge(
-                f"cluster_nodes_{state}",
-                f"Nodes currently in the {state!r} health state")
-            for state in ("healthy", "stale", "lost")
-        }
+        #: Each node's health, and its last fresh rows as ``(batch, lo,
+        #: hi)``, a reference to rows ``lo:hi`` of that pass's batch.
+        self._liveness = Liveness(self._agents_by_id, self.telemetry,
+                                  member="node", gauges="cluster_nodes_")
         self._m_slo_floor = m.gauge(
             "cluster_slo_floor_hz",
             "Highest per-node SLO frequency floor of the last pass")
@@ -327,6 +313,12 @@ class ClusterCoordinator:
         if self._sim is None:
             raise ClusterError("coordinator is not attached")
         return self._sim
+
+    @property
+    def node_health(self) -> dict[int, str]:
+        """Health per node (healthy/stale/lost/recovered), in agent order:
+        a read-only view of the states the coordinator's passes set."""
+        return self._liveness.states
 
     # -- SLO mode ------------------------------------------------------------------
 
@@ -439,47 +431,31 @@ class ClusterCoordinator:
         """Poll every agent: the reports that arrived (by node id, in agent
         order) and the worst round trip among them.
 
-        Request out, report back: one round trip per node, the
+        Request out, report back: one :func:`round_trip` per node, the
         collections overlapping across nodes (asynchronous gather).  A
         crashed agent, a dropped leg, or a round trip over
         ``report_timeout_s`` makes the node miss the pass; its agent keeps
-        the unconfirmed counter windows for the next one.  Without a fault
-        plan ``Network.try_send`` is exactly ``Network.send``.
+        the unconfirmed counter windows for the next one.
         """
         tel = self.telemetry
         network = self.cluster.network
         timeout = self.config.report_timeout_s
         fresh: dict[int, NodeReport] = {}
         worst_delay = 0.0
-        report_bytes = 0
-        dropped = 0
         for agent in self.agents:
             node_id = agent.node.node_id
-            if agent.crashed(now_s):
-                dropped += 1
-                continue
-            request = network.try_send(_CONTROL_FRAME_BYTES, now_s=now_s,
-                                       node_id=node_id)
-            if request is None:
-                dropped += 1
-                continue
-            report = agent.make_report(now_s)
-            size = message_size_bytes(report)
-            reply = network.try_send(size, now_s=now_s, node_id=node_id)
-            if reply is None:
-                dropped += 1
-                continue
-            delay = request + reply
-            if timeout is not None and delay > timeout:
-                dropped += 1
+            polled = None if agent.crashed(now_s) else round_trip(
+                network, now_s, node_id, agent.make_report, timeout)
+            if polled is None:
                 continue
             agent.confirm_report()
-            fresh[node_id] = report
+            fresh[node_id], delay = polled
             worst_delay = max(worst_delay, delay)
-            report_bytes += size
+        dropped = len(self.agents) - len(fresh)
         self.reports_dropped += dropped
         if tel.enabled:
-            self._m_report_bytes.inc(report_bytes)
+            self._m_report_bytes.inc(sum(map(message_size_bytes,
+                                             fresh.values())))
             self._m_collect_delay.observe(worst_delay)
             if dropped:
                 self._m_reports_dropped.inc(dropped)
@@ -526,48 +502,33 @@ class ClusterCoordinator:
         """The pass's rows in agent order (None when no node has any),
         and the lost nodes.
 
-        Each fresh node's rows are cached as a reference into this pass's
-        batch.  A missing node re-enters from its cached rows while they
-        are within the staleness bound (health ``stale``); beyond it the
-        node is ``lost``.
+        Each fresh node's rows are a reference into this pass's batch.  A
+        missing node re-enters from its cached rows while they are within
+        the staleness bound (health ``stale``); beyond it the node is
+        ``lost``.
         """
-        bound = self.config.effective_staleness_bound_s
         batch = None
+        rows: dict[int, tuple[ViewBatch, int, int]] = {}
         if fresh:
             batch = self._view_batch_from_reports(list(fresh.values()))
             lo = 0
             for node_id, report in fresh.items():
                 hi = lo + len(report.proc_ids)
-                self._view_cache[node_id] = (now_s, batch, lo, hi)
+                rows[node_id] = (batch, lo, hi)
                 lo = hi
-        segments: list[tuple[ViewBatch, int, int]] = []
-        lost_nodes: list[int] = []
-        stale = False
-        for agent in self.agents:
-            node_id = agent.node.node_id
-            cached = self._view_cache.get(node_id)
-            if node_id in fresh:
-                recovered = self.node_health[node_id] == "lost"
-                self._set_health(node_id, "recovered" if recovered
-                                 else "healthy", now_s)
-            elif (cached is not None and now_s - cached[0] <= bound
-                    and self.node_health[node_id] != "lost"):
-                stale = True
-                self._set_health(node_id, "stale", now_s)
-            else:
-                lost_nodes.append(node_id)
-                self._set_health(node_id, "lost", now_s)
-                continue
-            segments.append(cached[1:])
+        segments = self._liveness.sweep(
+            now_s, rows, self.config.effective_staleness_bound_s)
+        lost_nodes = [node_id for node_id, segment
+                      in zip(self.node_health, segments) if segment is None]
+        stale = len(fresh) + len(lost_nodes) < len(segments)
         if stale or lost_nodes:
             self.stale_passes += 1
             if self.telemetry.enabled:
                 self._m_stale_passes.inc()
-        self._update_health_gauges()
         if stale:
             batch = ViewBatch(*(
                 np.concatenate([getattr(b, column)[lo:hi]
-                                for b, lo, hi in segments])
+                                for b, lo, hi in filter(None, segments)])
                 for column in _BATCH_COLUMNS))
         return batch, lost_nodes
 
@@ -654,28 +615,6 @@ class ClusterCoordinator:
             infeasible=infeasible or live.infeasible,
             reduction_steps=live.reduction_steps,
         )
-
-    # -- health --------------------------------------------------------------------
-
-    def _set_health(self, node_id: int, state: str, now_s: float) -> None:
-        previous = self.node_health[node_id]
-        if previous == state:
-            return
-        self.node_health[node_id] = state
-        if self.telemetry.enabled:
-            if state == "lost":
-                self.telemetry.emit(EVENT_NODE_LOST, sim_time_s=now_s,
-                                    node=node_id, previous=previous)
-            elif previous == "lost":
-                self.telemetry.emit(EVENT_NODE_RECOVERED, sim_time_s=now_s,
-                                    node=node_id)
-
-    def _update_health_gauges(self) -> None:
-        if not self.telemetry.enabled:
-            return
-        counts = _health_counts(self.node_health.values())
-        for state, gauge in self._m_health.items():
-            gauge.set(counts[state])
 
     # -- dispatch ------------------------------------------------------------------
 

@@ -57,21 +57,20 @@ from ..sim.rng import spawn_seeds
 from ..telemetry import (
     EVENT_BUDGET_BREACH,
     EVENT_CURTAILMENT,
-    EVENT_SHARD_LOST,
     EVENT_SHARD_REBALANCE,
-    EVENT_SHARD_RECOVERED,
     Telemetry,
     get_telemetry,
 )
 from ..units import check_positive
-from .coordinator import (
-    _CONTROL_FRAME_BYTES,
-    ClusterCoordinator,
-    CoordinatorConfig,
-    _health_counts,
-)
+from .coordinator import ClusterCoordinator, CoordinatorConfig
 from .faults import FaultSchedule
-from .protocol import BudgetLease, ShardSummary, message_size_bytes
+from .protocol import (
+    BudgetLease,
+    Liveness,
+    ShardSummary,
+    message_size_bytes,
+    round_trip,
+)
 
 __all__ = [
     "FleetConfig",
@@ -229,7 +228,7 @@ class ShardCoordinator(ClusterCoordinator):
             ladder = np.take_along_axis(rows, capped, axis=1).sum(axis=0)
             mean_loss = float(np.mean([a.predicted_loss
                                        for a in assignments]))
-        counts = _health_counts(self.node_health.values())
+        counts = self._liveness.counts()
         return ShardSummary(
             shard_id=self.shard_id,
             time_s=now_s,
@@ -316,10 +315,6 @@ class FleetAllocator:
         self.committed_w: list[float] = [
             s.power_limit_w if s.power_limit_w is not None else math.inf
             for s in self.shards]
-        #: Health per shard: healthy/stale/lost/recovered.
-        self.shard_health: dict[int, str] = {
-            s.shard_id: "healthy" for s in self.shards}
-        self._summary_cache: dict[int, tuple[float, ShardSummary]] = {}
         self._sim: Simulation | None = None
         # Plain tallies (readable with telemetry disabled).
         self.rebalances = 0
@@ -349,12 +344,10 @@ class FleetAllocator:
         self._m_committed = m.gauge(
             "shard_committed_watts",
             "Sum of budget watts currently committed to shards")
-        self._m_health = {
-            state: m.gauge(
-                f"shard_health_{state}",
-                f"Shards currently in the {state!r} health state")
-            for state in ("healthy", "stale", "lost")
-        }
+        #: Each shard's health and last fresh summary.
+        self._liveness = Liveness((s.shard_id for s in self.shards),
+                                  self.telemetry, member="shard",
+                                  gauges="shard_health_")
 
     # -- introspection -----------------------------------------------------------
 
@@ -382,6 +375,12 @@ class FleetAllocator:
     def staleness_bound_s(self) -> float:
         return self.fleet.effective_staleness_bound_s(
             self.config.schedule_period_s)
+
+    @property
+    def shard_health(self) -> dict[int, str]:
+        """Health per shard (healthy/stale/lost/recovered), in shard
+        order: a read-only view of the states the rebalances set."""
+        return self._liveness.states
 
     def node_health(self) -> dict[int, str]:
         """Fleet-wide node health, merged from every shard."""
@@ -444,34 +443,20 @@ class FleetAllocator:
         usable: list[int] = []       # shard indices with a live ladder
         ladders: list[tuple[float, ...]] = []
         lost: list[int] = []
-        bound = self.staleness_bound_s
-        for i, shard in enumerate(self.shards):
-            sid = shard.shard_id
-            if sid in summaries:
-                summary = summaries[sid]
-                self._summary_cache[sid] = (now_s, summary)
-                recovered = self.shard_health[sid] == "lost"
-                self._set_shard_health(sid, "recovered" if recovered
-                                       else "healthy", now_s)
-                # Resync: the summary's applied budget is ground truth for
+        for i, summary in enumerate(self._liveness.sweep(
+                now_s, summaries, self.staleness_bound_s)):
+            if summary is None:
+                lost.append(i)
+                continue
+            if summary.shard_id in summaries:
+                # Fresh this round: its applied budget is ground truth for
                 # the committed accounting (an unconstrained shard can draw
                 # up to its demand).
                 self.committed_w[i] = (summary.budget_w
                                        if summary.budget_w is not None
                                        else summary.demand_w)
-                usable.append(i)
-                ladders.append(summary.capped_demand_w)
-                continue
-            cached = self._summary_cache.get(sid)
-            if (cached is not None and now_s - cached[0] <= bound
-                    and self.shard_health[sid] != "lost"):
-                self._set_shard_health(sid, "stale", now_s)
-                usable.append(i)
-                ladders.append(cached[1].capped_demand_w)
-            else:
-                self._set_shard_health(sid, "lost", now_s)
-                lost.append(i)
-        self._update_health_gauges()
+            usable.append(i)
+            ladders.append(summary.capped_demand_w)
 
         budget = self.power_limit_w
         infeasible = False
@@ -502,30 +487,19 @@ class FleetAllocator:
                      infeasible=infeasible)
 
     def _collect_summaries(self, now_s: float) -> dict[int, ShardSummary]:
-        """One summary round trip per shard over the (possibly faulty)
-        fabric; a shard whose request or reply dies is simply absent."""
+        """One summary :func:`round_trip` per shard over the (possibly
+        faulty) fabric; a shard whose request or reply dies, or whose
+        round trip exceeds ``summary_timeout_s``, is simply absent."""
         tel = self.telemetry
         network = self.cluster.network
         timeout = self.fleet.summary_timeout_s
         fresh: dict[int, ShardSummary] = {}
-        dropped = 0
         for shard in self.shards:
-            uplink = shard.uplink_node_id
-            request = network.try_send(_CONTROL_FRAME_BYTES,
-                                       now_s=now_s, node_id=uplink)
-            if request is None:
-                dropped += 1
-                continue
-            summary = shard.make_summary(now_s)
-            reply = network.try_send(message_size_bytes(summary),
-                                     now_s=now_s, node_id=uplink)
-            if reply is None:
-                dropped += 1
-                continue
-            if timeout is not None and request + reply > timeout:
-                dropped += 1
-                continue
-            fresh[shard.shard_id] = summary
+            polled = round_trip(network, now_s, shard.uplink_node_id,
+                                shard.make_summary, timeout)
+            if polled is not None:
+                fresh[shard.shard_id] = polled[0]
+        dropped = len(self.shards) - len(fresh)
         self.summaries_dropped += dropped
         if tel.enabled:
             self._m_summaries.inc(len(fresh))
@@ -586,29 +560,6 @@ class FleetAllocator:
         self.sim.at(now_s + delay,
                     lambda t, s=shard, lease=lease: s.apply_lease(lease, t),
                     name=f"apply-lease-s{shard.shard_id}")
-
-    # -- health ------------------------------------------------------------------
-
-    def _set_shard_health(self, shard_id: int, state: str,
-                          now_s: float) -> None:
-        previous = self.shard_health[shard_id]
-        if previous == state:
-            return
-        self.shard_health[shard_id] = state
-        if self.telemetry.enabled:
-            if state == "lost":
-                self.telemetry.emit(EVENT_SHARD_LOST, sim_time_s=now_s,
-                                    shard=shard_id, previous=previous)
-            elif previous == "lost":
-                self.telemetry.emit(EVENT_SHARD_RECOVERED,
-                                    sim_time_s=now_s, shard=shard_id)
-
-    def _update_health_gauges(self) -> None:
-        if not self.telemetry.enabled:
-            return
-        counts = _health_counts(self.shard_health.values())
-        for state, gauge in self._m_health.items():
-            gauge.set(counts[state])
 
     # -- triggers ----------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Messages of the cluster scheduling protocol.
+"""Messages of the cluster scheduling protocol, and how members are polled.
 
 Kept deliberately small: one report per node per scheduling period carrying
 a per-processor counter summary, and one command per node carrying its
@@ -11,23 +11,34 @@ messages on the rack→datacenter tier: a :class:`ShardSummary` (one compact
 fixed-size record per shard per rebalance round — columnar aggregates, no
 per-processor payload, so the fleet tier's traffic is O(shards)) and a
 :class:`BudgetLease` delegating a power budget back down to a shard.
+
+Both tiers poll their members the same way: the coordinator polls nodes
+for reports, the fleet allocator polls shards for summaries.  Each poll is
+one :func:`round_trip`, and one :class:`Liveness` per tier ages the members
+that miss a round (docs/RESILIENCE.md, "One health rule").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..errors import ClusterError
+from ..sim.network import Network
+from ..telemetry import Telemetry
 
 __all__ = ["REPORT_FIELDS", "NodeReport", "FrequencyCommand",
-           "ShardSummary", "BudgetLease", "message_size_bytes"]
+           "ShardSummary", "BudgetLease", "message_size_bytes",
+           "round_trip", "Liveness"]
 
 #: Encoded size of one float field on the wire.
 _FIELD_BYTES = 8
 #: Fixed framing/header cost per message.
 _HEADER_BYTES = 32
+#: Wire size of a poll request / command acknowledgement frame.
+_CONTROL_FRAME_BYTES = 64
 
 #: The rows of :attr:`NodeReport.counters`: the window's summed counter
 #: deltas in :class:`~repro.sim.counters.CounterBank` field order, then
@@ -72,24 +83,20 @@ class FrequencyCommand:
     freqs_hz: tuple[float, ...]
     #: Voltage per commanded processor, same indexing.
     voltages: tuple[float, ...]
-    #: Which processor each slot addresses.  ``None`` is the legacy
-    #: positional encoding (slot i = processor i), which is only sound
-    #: when the command covers every processor of the node — the agent
-    #: enforces that.
-    proc_ids: tuple[int, ...] | None = None
+    #: Which processor each slot addresses.
+    proc_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.freqs_hz) != len(self.voltages):
             raise ClusterError("frequency and voltage vectors differ in length")
-        if self.proc_ids is not None:
-            if len(self.proc_ids) != len(self.freqs_hz):
-                raise ClusterError(
-                    "proc_ids and frequency vectors differ in length")
-            if any(p < 0 for p in self.proc_ids):
-                raise ClusterError("proc ids must be non-negative")
-            if len(set(self.proc_ids)) != len(self.proc_ids):
-                raise ClusterError(
-                    f"command for node {self.node_id}: duplicate proc ids")
+        if len(self.proc_ids) != len(self.freqs_hz):
+            raise ClusterError(
+                "proc_ids and frequency vectors differ in length")
+        if any(p < 0 for p in self.proc_ids):
+            raise ClusterError("proc ids must be non-negative")
+        if len(set(self.proc_ids)) != len(self.proc_ids):
+            raise ClusterError(
+                f"command for node {self.node_id}: duplicate proc ids")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,3 +187,100 @@ def message_size_bytes(
     if isinstance(message, BudgetLease):
         return _HEADER_BYTES + 3 * _FIELD_BYTES
     raise ClusterError(f"unknown message type {type(message).__name__}")
+
+
+def round_trip(network: Network, now_s: float, node_id: int,
+               make: Callable[[float], object], timeout_s: float | None
+               ) -> tuple[object, float] | None:
+    """Poll one member: a request frame out to ``node_id``, the reply
+    ``make(now_s)`` builds, and the reply back.
+
+    Returns ``(reply, delay)``, or None when either leg is dropped or the
+    round trip exceeds ``timeout_s`` (None accepts any delay).  The reply
+    is built only once the request has arrived.
+    """
+    request = network.try_send(_CONTROL_FRAME_BYTES, now_s=now_s,
+                               node_id=node_id)
+    if request is None:
+        return None
+    reply = make(now_s)
+    back = network.try_send(message_size_bytes(reply), now_s=now_s,
+                            node_id=node_id)
+    if back is None or (timeout_s is not None
+                        and request + back > timeout_s):
+        return None
+    return reply, request + back
+
+
+class Liveness:
+    """The health of the members one tier polls, aged by one rule.
+
+    :meth:`sweep` takes the payloads that arrived in a round.  A member
+    whose payload arrived is ``healthy`` (``recovered`` on its first round
+    back from ``lost``), and its payload is cached.  A member that missed
+    the round serves its cached payload while that is at most ``bound_s``
+    old (``stale``).  Past that, or with nothing cached, it is ``lost``,
+    and it stays lost until a payload arrives.  With telemetry enabled,
+    entering ``lost`` emits ``<member>_lost`` (with the ``previous``
+    state), leaving it emits ``<member>_recovered``, and every sweep sets
+    the ``<gauges>healthy``/``stale``/``lost`` gauges, counting
+    ``recovered`` as healthy.
+    """
+
+    def __init__(self, ids: Iterable[int], telemetry: Telemetry, *,
+                 member: str, gauges: str) -> None:
+        self.telemetry = telemetry
+        self.member = member
+        #: Health per member id, in poll order.
+        self.states: dict[int, str] = dict.fromkeys(ids, "healthy")
+        #: Each member's last fresh payload: id -> (round time, payload).
+        self._cache: dict[int, tuple[float, object]] = {}
+        self._gauges = {
+            state: telemetry.metrics.gauge(
+                f"{gauges}{state}",
+                f"{member.capitalize()}s currently in the {state!r} "
+                f"health state")
+            for state in ("healthy", "stale", "lost")
+        }
+
+    def counts(self) -> dict[str, int]:
+        """Members per gauge state; ``recovered`` counts as healthy."""
+        counts = {"healthy": 0, "stale": 0, "lost": 0}
+        for state in self.states.values():
+            counts["healthy" if state == "recovered" else state] += 1
+        return counts
+
+    def sweep(self, now_s: float, fresh: dict[int, object],
+              bound_s: float) -> list:
+        """Age every member by one round.  Returns each member's payload,
+        in poll order: the fresh one, the cached one while ``stale``, or
+        None once ``lost``."""
+        tel = self.telemetry
+        payloads = []
+        for member_id, previous in self.states.items():
+            if member_id in fresh:
+                payload = fresh[member_id]
+                self._cache[member_id] = (now_s, payload)
+                state = "recovered" if previous == "lost" else "healthy"
+            else:
+                cached = self._cache.get(member_id)
+                if (cached is not None and previous != "lost"
+                        and now_s - cached[0] <= bound_s):
+                    payload, state = cached[1], "stale"
+                else:
+                    payload, state = None, "lost"
+            payloads.append(payload)
+            if state == previous:
+                continue
+            self.states[member_id] = state
+            if tel.enabled and state == "lost":
+                tel.emit(f"{self.member}_lost", sim_time_s=now_s,
+                         **{self.member: member_id}, previous=previous)
+            elif tel.enabled and previous == "lost":
+                tel.emit(f"{self.member}_recovered", sim_time_s=now_s,
+                         **{self.member: member_id})
+        if tel.enabled:
+            counts = self.counts()
+            for state, gauge in self._gauges.items():
+                gauge.set(counts[state])
+        return payloads

@@ -5,7 +5,6 @@
   per-node limits, SLO floors, a frequency ceiling and per-part power
   scales as inputs to the one pass.
 * :mod:`~repro.core.voltage` — minimum-voltage assignment (step 3).
-* :mod:`~repro.core.triggers` — the three scheduling triggers of Section 5.
 * :mod:`~repro.core.logs` — scheduling and counter logs (Section 6).
 * :mod:`~repro.core.daemon` — the fvsst daemon tying it all together
   (single-threaded or, with ``OverheadModel.per_core``, Section 9's
@@ -32,7 +31,6 @@ from .scheduler import (
 )
 from .consolidation import ConsolidationGovernor
 from .voltage import VoltageSelector, default_vf_curve
-from .triggers import TriggerBus, PowerLimitChange, IdleTransition
 from .logs import ScheduleLogEntry, CounterLogEntry, FvsstLog
 from .daemon import FvsstDaemon, DaemonConfig, OverheadModel, PER_CORE_OVERHEAD
 from .governor import Governor
@@ -57,9 +55,6 @@ __all__ = [
     "ConsolidationGovernor",
     "VoltageSelector",
     "default_vf_curve",
-    "TriggerBus",
-    "PowerLimitChange",
-    "IdleTransition",
     "ScheduleLogEntry",
     "CounterLogEntry",
     "FvsstLog",

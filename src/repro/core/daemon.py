@@ -31,7 +31,6 @@ from .governor import Governor
 from .logs import CounterLogEntry, FvsstLog
 from .predictor import CounterPredictor, PredictorProtocol
 from .scheduler import FrequencyVoltageScheduler, ProcessorView, Schedule
-from .triggers import IdleTransition, PowerLimitChange, TriggerBus
 
 __all__ = [
     "OverheadModel", "PER_CORE_OVERHEAD", "DaemonConfig", "FvsstDaemon",
@@ -170,9 +169,6 @@ class FvsstDaemon(Governor):
             for i, core in enumerate(machine.cores)
         ]
         self.log = FvsstLog()
-        self.triggers = TriggerBus()
-        self.triggers.subscribe(PowerLimitChange, self._on_limit_trigger)
-        self.triggers.subscribe(IdleTransition, self._on_idle_trigger)
         self.power_limit_w = cfg.power_limit_w
         self._windows: list[list[CounterSample]] = [
             [] for _ in machine.cores
@@ -227,7 +223,7 @@ class FvsstDaemon(Governor):
         if self.config.idle_detection:
             for core in self.machine.cores:
                 core.idle_detector.enabled = True
-                core.idle_detector.subscribe(self._idle_signal_from_core)
+                core.idle_detector.subscribe(self._on_idle_signal)
         sim.every(self.config.sample_period_s, self._on_sample_tick,
                   name="fvsst-sample")
 
@@ -445,18 +441,16 @@ class FvsstDaemon(Governor):
         system must be under the new limit well before the supply cascade
         deadline, so the daemon does not wait for the next timer firing.
         """
-        self.triggers.publish(PowerLimitChange(time_s=now_s,
-                                               new_limit_w=limit_w))
-
-    def _on_limit_trigger(self, trigger: PowerLimitChange) -> None:
-        self.power_limit_w = trigger.new_limit_w
+        check_non_negative(now_s, "now_s")
+        if limit_w is not None:
+            check_positive(limit_w, "limit_w")
+        self.power_limit_w = limit_w
         self._planning_limit_w = None   # feedback restarts at the new limit
         if self.telemetry.enabled:
-            self.telemetry.emit(EVENT_CURTAILMENT,
-                                sim_time_s=trigger.time_s,
+            self.telemetry.emit(EVENT_CURTAILMENT, sim_time_s=now_s,
                                 node=self.config.node_id,
-                                new_limit_w=trigger.new_limit_w)
-        self._run_schedule(trigger.time_s)
+                                new_limit_w=limit_w)
+        self._run_schedule(now_s)
 
     def set_frequency_cap(self, cap_hz: float | None, now_s: float) -> None:
         """Install (or lift, with ``None``) a per-processor frequency
@@ -469,24 +463,19 @@ class FvsstDaemon(Governor):
         self.frequency_cap_hz = cap_hz
         self._run_schedule(now_s)
 
-    def _idle_signal_from_core(self, core_id: int, is_idle: bool) -> None:
-        now = self.sim.now_s if self._sim is not None else 0.0
-        self.triggers.publish(IdleTransition(
-            time_s=now, node_id=self.config.node_id,
-            proc_id=core_id, is_idle=is_idle,
-        ))
-
-    def _on_idle_trigger(self, trigger: IdleTransition) -> None:
-        self._idle_flags[trigger.proc_id] = trigger.is_idle
-        if trigger.is_idle:
+    def _on_idle_signal(self, core_id: int, is_idle: bool) -> None:
+        """A core entered or left the idle loop (Section 5's idle
+        trigger)."""
+        now_s = self.sim.now_s
+        self._idle_flags[core_id] = is_idle
+        if is_idle:
             # Pin the idle processor at the floor immediately (Section 5).
-            self.machine.core(trigger.proc_id).set_frequency(
-                self.machine.table.f_min_hz, trigger.time_s
-            )
+            self.machine.core(core_id).set_frequency(
+                self.machine.table.f_min_hz, now_s)
         else:
             # Leaving idle: resume normal operation right away rather than
             # waiting out the timer at the floor frequency.
-            self._run_schedule(trigger.time_s)
+            self._run_schedule(now_s)
 
     # -- conveniences -----------------------------------------------------------------
 

@@ -12,20 +12,22 @@ the V(f) recovered by the Lava fit of Table 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
-from ..power.lava import fit_lava_model
-from ..power.table import POWER4_TABLE
-from ..power.vf_curve import VoltageFrequencyCurve
+from ..power.vf_curve import LinearVFCurve, VoltageFrequencyCurve
 
 __all__ = ["default_vf_curve", "VoltageSelector"]
 
+#: ``fit_lava_model(POWER4_TABLE).vf_curve``, frozen so that no run pays
+#: for the fit or for importing its optimiser; a test pins it to a fresh
+#: fit.
+_TABLE1_VF_CURVE = LinearVFCurve(f_min_hz=250e6, v_min=0.6845275286529459,
+                                 f_max_hz=1e9, v_max=1.3)
 
-@lru_cache(maxsize=1)
+
 def default_vf_curve() -> VoltageFrequencyCurve:
-    """The minimum-voltage curve implied by Table 1 (computed once)."""
-    return fit_lava_model(POWER4_TABLE).vf_curve
+    """The minimum-voltage curve implied by Table 1."""
+    return _TABLE1_VF_CURVE
 
 
 class VoltageSelector:

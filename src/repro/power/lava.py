@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .. import constants
 from ..errors import PowerModelError
@@ -87,6 +86,8 @@ def fit_lava_model(
     """
     if not 0.0 < v_floor_fraction < 1.0:
         raise PowerModelError("v_floor_fraction must lie in (0, 1)")
+    # Imported here: the fit is the only scipy user, and no run needs it.
+    from scipy.optimize import least_squares
 
     f = table.freqs_array()
     p = table.powers_array()

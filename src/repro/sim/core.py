@@ -58,8 +58,6 @@ class CoreConfig:
     quantum_s: float = DEFAULT_QUANTUM_S
     #: Throttle/frequency settling delay (the paper assumes 0).
     settling_time_s: float = 0.0
-    #: Whether the idle detector raises signals (prototype: off).
-    idle_detection: bool = False
 
     def __post_init__(self) -> None:
         check_non_negative(self.latency_jitter_sigma, "latency_jitter_sigma")
@@ -86,9 +84,8 @@ class SimulatedCore:
             initial_freq_hz, settling_time_s=self.config.settling_time_s
         )
         self.counters = CounterBank()
-        self.idle_detector = IdleDetector(
-            core_id, enabled=self.config.idle_detection
-        )
+        #: Off until a listening governor enables it at attach.
+        self.idle_detector = IdleDetector(core_id)
         self._rng = make_rng(rng)
         #: Wall-clock seconds spent in each named phase (Figure 8 residency
         #: uses the scheduler log instead; this is ground truth for tests).

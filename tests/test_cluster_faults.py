@@ -176,18 +176,6 @@ class TestCommandProcIds:
         assert machine.core(1).frequency_setting_hz == before_core1
         assert machine.core(2).frequency_setting_hz == mhz(500)
 
-    def test_partial_command_without_proc_ids_rejected(self):
-        # The legacy positional encoding is only sound at full width;
-        # pre-fix a narrower command on a wider machine raised too, but a
-        # same-width non-contiguous one was applied silently wrong.
-        cluster = quiet_cluster(nodes=1, procs=3)
-        agent = NodeAgent(cluster.nodes[0], seed=1)
-        with pytest.raises(ClusterError):
-            agent.apply_command(FrequencyCommand(
-                node_id=0, time_s=0.0,
-                freqs_hz=(mhz(650), mhz(500)), voltages=(1.0, 0.9),
-            ), 0.0)
-
     def test_out_of_range_proc_id_rejected(self):
         cluster = quiet_cluster(nodes=1, procs=2)
         agent = NodeAgent(cluster.nodes[0], seed=1)

@@ -10,6 +10,7 @@ from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.protocol import (
     REPORT_FIELDS,
     FrequencyCommand,
+    Liveness,
     NodeReport,
     message_size_bytes,
 )
@@ -18,6 +19,13 @@ from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig
+from repro.telemetry import (
+    EVENT_NODE_LOST,
+    EVENT_NODE_RECOVERED,
+    EVENT_SHARD_LOST,
+    EVENT_SHARD_RECOVERED,
+    Telemetry,
+)
 from repro.units import ghz, mhz
 from repro.workloads.tiers import tiered_cluster_assignment
 
@@ -59,11 +67,54 @@ class TestProtocol:
     def test_command_vector_lengths_checked(self):
         with pytest.raises(ClusterError):
             FrequencyCommand(node_id=0, time_s=0.0,
-                             freqs_hz=(ghz(1.0),), voltages=(1.3, 1.2))
+                             freqs_hz=(ghz(1.0),), voltages=(1.3, 1.2),
+                             proc_ids=(0,))
 
     def test_unknown_message_type(self):
         with pytest.raises(ClusterError):
             message_size_bytes("junk")  # type: ignore[arg-type]
+
+
+class TestLiveness:
+    """The one health rule the coordinator (nodes) and the fleet
+    allocator (shards) age their members by."""
+
+    @pytest.mark.parametrize("member, gauges, lost, recovered", [
+        ("node", "cluster_nodes_", EVENT_NODE_LOST, EVENT_NODE_RECOVERED),
+        ("shard", "shard_health_", EVENT_SHARD_LOST, EVENT_SHARD_RECOVERED),
+    ])
+    def test_members_walk_the_health_states(self, member, gauges, lost,
+                                            recovered):
+        telemetry = Telemetry()
+        health = Liveness((0, 1), telemetry, member=member, gauges=gauges)
+
+        def sweep(now_s, fresh):
+            payloads = health.sweep(now_s, fresh, bound_s=1.0)
+            counts = tuple(telemetry.metrics.get(gauges + state).value
+                           for state in ("healthy", "stale", "lost"))
+            return payloads, dict(health.states), counts
+
+        # Member 1 misses its first round: nothing cached, so lost.
+        assert sweep(0.0, {0: "a"}) == (
+            ["a", None], {0: "healthy", 1: "lost"}, (1, 0, 1))
+        # Member 0 misses a round: its 0.5 s-old payload serves (stale).
+        assert sweep(0.5, {}) == (
+            ["a", None], {0: "stale", 1: "lost"}, (0, 1, 1))
+        # ... until the cache is older than the bound: lost.
+        assert sweep(1.5, {}) == (
+            [None, None], {0: "lost", 1: "lost"}, (0, 0, 2))
+        # Back from lost: recovered, which counts as healthy.
+        assert sweep(2.0, {0: "b", 1: "c"}) == (
+            ["b", "c"], {0: "recovered", 1: "recovered"}, (2, 0, 0))
+        assert sweep(2.5, {0: "d"}) == (
+            ["d", "c"], {0: "healthy", 1: "stale"}, (1, 1, 0))
+        events = telemetry.events
+        assert [(e.sim_time_s, dict(e.attrs)) for e in events.events_of(lost)] \
+            == [(0.0, {member: 1, "previous": "healthy"}),
+                (1.5, {member: 0, "previous": "stale"})]
+        assert [(e.sim_time_s, dict(e.attrs))
+                for e in events.events_of(recovered)] \
+            == [(2.0, {member: 0}), (2.0, {member: 1})]
 
 
 class TestNodeAgent:
@@ -90,7 +141,7 @@ class TestNodeAgent:
         agent = NodeAgent(cluster.nodes[0], seed=1)
         command = FrequencyCommand(node_id=0, time_s=0.0,
                                    freqs_hz=(mhz(650), mhz(500)),
-                                   voltages=(1.0, 0.9))
+                                   voltages=(1.0, 0.9), proc_ids=(0, 1))
         agent.apply_command(command, 0.0)
         assert cluster.nodes[0].machine.frequency_vector_hz() == [
             mhz(650), mhz(500)
@@ -101,15 +152,7 @@ class TestNodeAgent:
         agent = NodeAgent(cluster.nodes[0], seed=1)
         command = FrequencyCommand(node_id=7, time_s=0.0,
                                    freqs_hz=(ghz(1.0), ghz(1.0)),
-                                   voltages=(1.3, 1.3))
-        with pytest.raises(ClusterError):
-            agent.apply_command(command, 0.0)
-
-    def test_wrong_width_command_rejected(self):
-        cluster = quiet_cluster(nodes=1)
-        agent = NodeAgent(cluster.nodes[0], seed=1)
-        command = FrequencyCommand(node_id=0, time_s=0.0,
-                                   freqs_hz=(ghz(1.0),), voltages=(1.3,))
+                                   voltages=(1.3, 1.3), proc_ids=(0, 1))
         with pytest.raises(ClusterError):
             agent.apply_command(command, 0.0)
 

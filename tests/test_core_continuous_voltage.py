@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.voltage import VoltageSelector, default_vf_curve
+from repro.power.lava import fit_lava_model
+from repro.power.table import POWER4_TABLE
 from repro.power.vf_curve import LinearVFCurve
 from repro.units import ghz, mhz
 
@@ -13,6 +15,15 @@ class TestVoltageSelector:
         assert curve is default_vf_curve()
         assert curve.min_voltage(ghz(1.0)) == pytest.approx(1.3, abs=0.01)
         assert curve.min_voltage(mhz(250)) < curve.min_voltage(ghz(1.0))
+
+    def test_default_curve_is_table1_fit(self):
+        # The frozen curve is the Lava fit of Table 1.  The anchors are
+        # exact; the fitted v_min may differ in its last bits under
+        # another scipy.
+        frozen, fitted = default_vf_curve(), fit_lava_model(POWER4_TABLE).vf_curve
+        assert (frozen.f_min_hz, frozen.f_max_hz, frozen.v_max) == \
+            (fitted.f_min_hz, fitted.f_max_hz, fitted.v_max)
+        assert frozen.v_min == pytest.approx(fitted.v_min, rel=1e-9)
 
     def test_per_processor_override(self):
         selector = VoltageSelector()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, UnitError
 from repro.sim.core import CoreConfig
 from repro.sim.counters import CounterSample
 from repro.sim.driver import Simulation
@@ -99,13 +99,18 @@ class TestPowerLimitTrigger:
         assert m.cpu_power_w() <= 294.0
         assert before > 294.0
 
-    def test_trigger_recorded_in_history(self):
+    def test_limit_change_checked_at_the_boundary(self):
         m = quiet_machine()
         d = quiet_daemon(m)
         sim = Simulation(m)
         d.attach(sim)
+        for limit_w, now_s in ((75.0, -0.1), (0.0, 0.0), (-5.0, 0.0)):
+            with pytest.raises(UnitError):
+                d.set_power_limit(limit_w, now_s)
+        # A rejected change leaves the daemon as it was.
+        assert d.power_limit_w is None and not d.log.schedule_entries
         d.set_power_limit(75.0, 0.0)
-        assert len(d.triggers.history) == 1
+        assert d.power_limit_w == 75.0 and len(d.log.schedule_entries) == 1
 
     def test_limit_lift_restores_eps_frequencies(self):
         m = quiet_machine()
@@ -143,7 +148,7 @@ class TestIdleDetection:
         assert m.core(1).frequency_setting_hz >= mhz(950)
 
     def test_enabled_pins_idle_to_floor(self):
-        m = quiet_machine(num_cores=2, idle_detection=True)
+        m = quiet_machine(num_cores=2)
         m.assign(0, profile_by_name("gzip").job(loop=True))
         d = quiet_daemon(m, idle_detection=True)
         sim = Simulation(m)
@@ -153,7 +158,7 @@ class TestIdleDetection:
         assert m.core(0).frequency_setting_hz >= mhz(900)
 
     def test_idle_exit_restores_scheduling(self):
-        m = quiet_machine(num_cores=1, idle_detection=True)
+        m = quiet_machine(num_cores=1)
         d = quiet_daemon(m, idle_detection=True)
         sim = Simulation(m)
         d.attach(sim)

@@ -1,44 +1,12 @@
-"""Trigger bus and fvsst logs."""
+"""fvsst logs."""
 
 import numpy as np
 import pytest
 
 from repro.core.logs import CounterLogEntry, FvsstLog
-from repro.core.triggers import IdleTransition, PowerLimitChange, TriggerBus
-from repro.errors import ExperimentError, SchedulingError
+from repro.errors import ExperimentError
 from repro.sim.counters import CounterSample
 from repro.units import ghz, mhz
-
-
-class TestTriggerBus:
-    def test_publish_to_subscribers(self):
-        bus = TriggerBus()
-        got = []
-        bus.subscribe(PowerLimitChange, got.append)
-        trigger = PowerLimitChange(time_s=1.0, new_limit_w=294.0)
-        assert bus.publish(trigger) == 1
-        assert got == [trigger]
-        assert bus.history == [trigger]
-
-    def test_types_are_routed_separately(self):
-        bus = TriggerBus()
-        limits, idles = [], []
-        bus.subscribe(PowerLimitChange, limits.append)
-        bus.subscribe(IdleTransition, idles.append)
-        bus.publish(IdleTransition(time_s=0.0, node_id=0, proc_id=1,
-                                   is_idle=True))
-        assert len(limits) == 0 and len(idles) == 1
-
-    def test_none_limit_lifts(self):
-        t = PowerLimitChange(time_s=0.0, new_limit_w=None)
-        assert t.new_limit_w is None
-
-    def test_unknown_type_rejected(self):
-        bus = TriggerBus()
-        with pytest.raises(SchedulingError):
-            bus.subscribe(str, lambda t: None)
-        with pytest.raises(SchedulingError):
-            bus.publish("not a trigger")  # type: ignore[arg-type]
 
 
 def sample(instr=1e6, cycles=1e6, t=0.0, interval=0.01) -> CounterSample:

@@ -118,8 +118,7 @@ class TestClusterIdleDetection:
             2,
             machine_config=MachineConfig(
                 num_cores=1,
-                core_config=CoreConfig(latency_jitter_sigma=0.0,
-                                       idle_detection=True),
+                core_config=CoreConfig(latency_jitter_sigma=0.0),
             ),
             seed=4,
         )

@@ -101,3 +101,20 @@ def test_import_repro_leaves_experiments_unloaded():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_runs_leave_scipy_unloaded():
+    # scipy serves only the Lava fit (fvsst run table1); a run uses the
+    # frozen curve, so neither the import nor a one-machine run loads it.
+    code = ("import sys, repro; "
+            "print('scipy' in sys.modules); "
+            "from repro.workloads.profiles import profile_by_name; "
+            "repro.Scenario(num_cores=1, seed=0)"
+            ".with_job(0, profile_by_name('gzip').job(loop=True))"
+            ".with_governor('fvsst').run(0.2); "
+            "print('scipy' in sys.modules)")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["False", "False"]
