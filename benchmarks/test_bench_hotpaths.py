@@ -267,6 +267,88 @@ class TestBenchSimulatorAdvance:
             f"reference {scalar_s * 1e3:.1f} ms: only {speedup:.1f}x"
         )
 
+    def test_bench_banked_serving_advance(self, benchmark, monkeypatch):
+        """Serving behind supply banks: 16 four-core nodes, each behind a
+        two-PSU p630 bank, with looping jobs on cores 2-3 and open-loop
+        requests on cores 0-1, for 5 simulated seconds.  Arrivals cut
+        every span shorter than the 10 ms supply-observation interval, so
+        a banked machine's requests and run queues ride the whole-fleet
+        pass with it: the bench asserts *zero* fallbacks and >= 2x over
+        the scalar reference (every span through ``machine.advance``),
+        min of 2 in process CPU time."""
+        import time as _time
+
+        from repro.sim import driver
+        from repro.sim.cluster import Cluster
+        from repro.sim.driver import Simulation
+        from repro.sim.node import ClusterNode
+        from repro.sim.rng import spawn_seeds
+        from repro.workloads.serving import FleetTrafficSource
+
+        phases = tuple(
+            synthetic_phase(r, duration_s=0.05, name=f"p{i}")
+            for i, r in enumerate((1.0, 0.5, 0.2))
+        )
+
+        def build():
+            config = MachineConfig(
+                num_cores=4, core_config=CoreConfig(latency_jitter_sigma=0.02))
+            seeds = spawn_seeds(5, 16)
+            cluster = Cluster([
+                ClusterNode(i, SMPMachine(
+                    config, seed=seeds[i],
+                    supply_bank=SupplyBank.example_p630(
+                        raise_on_cascade=False)))
+                for i in range(16)])
+            for node in cluster.nodes:
+                for core in (2, 3):
+                    node.assign(core, Job(name=f"loop{node.node_id}{core}",
+                                          phases=phases, loop=LoopMode.LOOP))
+            sim = Simulation(cluster.machines)
+            traffic = FleetTrafficSource(
+                cluster, rate_per_s=lambda t: 1280.0, max_rate_per_s=1280.0,
+                cores_per_node=2, seed=43)
+            traffic.attach(sim)
+            return sim, traffic
+
+        state = {}
+
+        def serve_5s():
+            sim, traffic = build()
+            sim.run_for(5.0)
+            state["sim"], state["traffic"] = sim, traffic
+
+        benchmark(serve_5s)
+        sim, traffic = state["sim"], state["traffic"]
+        assert traffic.completed > 5_000
+        # Resident banked serving lanes: no "transient" parks, nor any
+        # other fallback.
+        assert sim.fleet_fallbacks == {}
+        assert sim.fleet_advances > 0
+
+        def scalar_reference(machines, dt, *, flush=True):
+            for machine in machines:
+                machine.advance(dt)
+            return 0, None
+
+        fleet_s = scalar_s = float("inf")
+        for _ in range(2):
+            sim, _ = build()
+            t0 = _time.process_time()
+            sim.run_for(5.0)
+            fleet_s = min(fleet_s, _time.process_time() - t0)
+            with monkeypatch.context() as mp:
+                mp.setattr(driver, "advance_machines", scalar_reference)
+                sim, _ = build()
+                t0 = _time.process_time()
+                sim.run_for(5.0)
+                scalar_s = min(scalar_s, _time.process_time() - t0)
+        speedup = scalar_s / fleet_s
+        assert speedup >= 2.0, (
+            f"fleet banked serving {fleet_s * 1e3:.1f} ms vs scalar "
+            f"reference {scalar_s * 1e3:.1f} ms: only {speedup:.1f}x"
+        )
+
     def test_bench_advance_1024_nodes_10s(self, benchmark):
         """Fleet-scale span advance: 1024 bankless single-core machines
         driven through the event loop with a 10 ms periodic tick — the

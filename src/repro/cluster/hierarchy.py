@@ -286,6 +286,16 @@ class FleetAllocator:
         self.cluster = cluster
         self.config = config or CoordinatorConfig()
         self.fleet = fleet or FleetConfig()
+        # The fleet's default bound derives from the coordinator's period,
+        # so the check against it lives here, where both are known.
+        timeout = self.fleet.summary_timeout_s
+        if timeout is not None and timeout > self.staleness_bound_s:
+            raise ClusterError(
+                f"summary_timeout_s ({timeout:g} s) exceeds the staleness "
+                f"bound ({self.staleness_bound_s:g} s): a summary slow "
+                f"enough to need the timeout would already be stale, so "
+                f"every rebalance would silently run from cached summaries"
+            )
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.power_limit_w = self.config.power_limit_w
         size = self.fleet.shard_size

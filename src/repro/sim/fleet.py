@@ -43,32 +43,40 @@ p630 idles hot, Section 7.1).
   identical to the scalar path.
 * **Supply-banked machines** are resident.  A span that is one
   observation chunk for every resident banked machine (the common case:
-  spans shorter than the 10 ms interval) is an unbanked span plus one
+  spans no longer than the 10 ms interval) is an unbanked span plus one
   :meth:`SupplyBank.observe` at its end, so their lanes ride the
-  whole-fleet vector pass like any other and each machine then gets its
-  planned observe.  A longer span keeps them out of the pass and chunks
-  them at the observation interval, replaying
-  :meth:`SupplyBank.plan_constant_span` / :meth:`SupplyBank.observe` at
-  the boundaries where the bank's state changes.  Either way the demand
-  is priced from the lanes' power column.  A span in which a *raising*
-  bank plans a cascade delegates the whole fleet for that span,
-  preserving the scalar loop's partial advance and exception order; so
-  does a span with a raising bank on a parked or delegated machine,
-  whenever the list holds another machine.  A request, a pending settle
-  or a second queued job parks the machine until it drains (below).
+  whole-fleet vector pass like any other, requests and run queues
+  included, and each machine then gets its planned observe.  A longer
+  span keeps them out of the pass and chunks them at the observation
+  interval, replaying :meth:`SupplyBank.plan_constant_span` /
+  :meth:`SupplyBank.observe` at the boundaries where the bank's state
+  changes.  Either way the demand is priced from the lanes' power column
+  at the span start, while the scalar observes it after the cores ran.
+  The two agree while no resident banked lane's draw changes inside the
+  span, and a completion leaves a hot-idling core's draw as it was; so
+  ONCE work on a banked core that halts when idle parks its machine at
+  any span length.  A walked span also parks a banked machine holding
+  ONCE work or a queue: the walk replays each lane across all of its
+  chunks, where a completion or a rotation would hand the lane off
+  mid-walk (parking, below).  A span in which a *raising* bank plans a
+  cascade delegates the whole fleet for that span, preserving the
+  scalar loop's partial advance and exception order; so does a span
+  with a raising bank on a parked or delegated machine, whenever the
+  list holds another machine.
 * **Enabled telemetry** is resident: phase-transition events are emitted
   at crossings with the scalar payload.  Per-machine event order matches
   the scalar path; only the interleaving of events *across* machines
   within one span is unspecified.
-* **Run queues** are resident on unbanked machines, whatever their length
-  and loop modes (serving requests are ONCE jobs): the lane runs the job
-  at the head of the queue, and the dispatcher's quantum runs down in one
-  more column.  A request's completion and the quantum's expiry are
-  columnar crossings.  The vector predicate that finds phase boundaries
-  also finds the last phase's end and ``Dispatcher.account_run``'s
-  expiry threshold; the crossing replay completes the job (or rotates the
-  queue), writes the lane back to its objects, and hands the rest of the
-  span to the scalar slice loop, which runs the next job or the idle loop.
+* **Run queues** are resident whatever their length and loop modes
+  (serving requests are ONCE jobs), on a banked machine too in any span
+  of one observation chunk: the lane runs the job at the head of the
+  queue, and the dispatcher's quantum runs down in one more column.  A
+  request's completion and the quantum's expiry are columnar crossings.
+  The vector predicate that finds phase boundaries also finds the last
+  phase's end and ``Dispatcher.account_run``'s expiry threshold; the
+  crossing replay completes the job (or rotates the queue), writes the
+  lane back to its objects, and hands the rest of the span to the scalar
+  slice loop, which runs the next job or the idle loop.
   ``started_at_s`` / ``completed_at_s`` stamps, event payloads, counters,
   and RNG draw order are all identical to the scalar path.  The lane
   re-derives at the next span start (the new head's columns, fresh
@@ -80,17 +88,18 @@ banks *shared* between machines, which are delegates for the fleet's
 lifetime.  A held machine with a core the columns cannot run is *parked*
 alone.  The causes are an offline core, an idle core that halts
 (``IdleStyle.HALT``), daemon-time debt, a pending frequency settle, a
-``Job`` subclass or a non-plain head phase, a banked machine holding ONCE
-work or two or more jobs on a core (its span plan prices the whole
-span's demand up front), a subclassed core hook or component (a replaced
-counter bank included), active idle listeners, and a negative power
-draw.  Its lanes and accounts flush to its objects and carry no-op
-columns, and it advances through ``machine.advance`` (the bit-equal
-reference) until a span start finds the blocker cleared, when only its
-lanes re-derive and only its accounts reload.  No other machine's lanes
-move, and the fleet is built once per run unless a span falls back whole
-(a float corner, a raising cascade), :func:`reset_fleet` runs, or a
-parked machine's structure changed by the time it is admitted.
+``Job`` subclass or a non-plain head phase, ONCE work on a banked core
+that halts when idle, ONCE work or two or more jobs on a core of a
+banked machine in a walked span (it parks for that span only), a
+subclassed core hook or component (a replaced counter bank included),
+active idle listeners, and a negative power draw.  Its lanes and
+accounts flush to its objects and carry no-op columns, and it advances
+through ``machine.advance`` (the bit-equal reference) until a span start
+finds the blocker cleared, when only its lanes re-derive and only its
+accounts reload.  No other machine's lanes move, and the fleet is built
+once per run unless a span falls back whole (a float corner, a raising
+cascade), :func:`reset_fleet` runs, or a parked machine's structure
+changed by the time it is admitted.
 :func:`advance_machines` returns each span's residency tally,
 delegations broken down per reason label; the
 :class:`~repro.sim.driver.Simulation` sums it over its run and exports it
@@ -128,7 +137,8 @@ from ..workloads.phase import Phase
 from .core import _MIN_SLICE_S, SimulatedCore
 from .counters import CounterBank
 from .idle import HOT_IDLE_PHASE, IdleDetector, IdleStyle
-from .machine import SMPMachine, observation_bounds
+from .machine import (SUPPLY_OBSERVATION_INTERVAL_S, SMPMachine,
+                      observation_bounds)
 from .os_sched import Dispatcher
 from .powermeter import PowerMeter
 from .throttle import ThrottleActuator
@@ -176,7 +186,8 @@ def _acc(initial: float, increments: np.ndarray) -> float:
     return float(buf.cumsum()[-1])
 
 
-def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
+def _classify_lane(core: SimulatedCore, t0: float, banked: bool,
+                   walked: bool) -> int | str:
     """Execution mode of one core over an event-free span.
 
     Returns ``_IDLE`` (the hot idle loop) or ``_BUSY``, or the fallback
@@ -192,14 +203,18 @@ def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
     * pending frequency settling, observed (and passively settled) at
       ``t0`` first, exactly as the scalar path's first slice observes it.
 
-    On an unbanked machine, a run queue whose head is a plain-phase
-    :class:`Job` is ``_BUSY`` at any length, ONCE and LOOP work alike: the
-    dispatcher's quantum expiry and a request's completion are columnar
-    crossings of :meth:`FleetState._advance_busy_lane`.  Banked machines
-    get a stricter gate: their span plan prices the whole span's demand
-    up front, which a mid-span completion or settle would invalidate, so
-    ONCE work or a queue of two or more jobs parks them too, and only a
-    sole LOOP job is ``_BUSY``.
+    A run queue whose head is a plain-phase :class:`Job` is ``_BUSY`` at
+    any length, ONCE and LOOP work alike: the dispatcher's quantum expiry
+    and a request's completion are columnar crossings of
+    :meth:`FleetState._advance_busy_lane`.  Two states of a core of a
+    ``banked`` machine are "transient" too.  When the span walks its
+    observation chunks (``walked``: the span is longer than one chunk),
+    ONCE work or a queue of two or more jobs is: the walk replays each
+    lane across all of its chunks, where a completion or a rotation
+    would hand the lane off mid-walk.  At any span length, ONCE work on
+    a core that halts when idle is: its completion drops the core's draw
+    before ``SMPMachine._advance_to`` observes the bank, while the
+    columns price the demand at the span start.
     """
     if not _hooks_intact(core):
         return "subclass"
@@ -216,14 +231,14 @@ def _classify_lane(core: SimulatedCore, t0: float, banked: bool) -> int | str:
     if act.pending and not banked:
         act.effective_hz(t0)
     if (act.pending or core._overhead_debt_s > _MIN_SLICE_S
-            or (banked and any(job.loop is not LoopMode.LOOP
-                               for job in queue))):
+            or (banked and (walked or core.config.idle_style is IdleStyle.HALT)
+                and any(job.loop is not LoopMode.LOOP for job in queue))):
         return "transient"
     if type(core.counters) is not CounterBank:
         return "subclass"
     if not queue:
         return "halted" if core.config.idle_style is IdleStyle.HALT else _IDLE
-    if _phases_plain(queue[0]) and (len(queue) == 1 or not banked):
+    if _phases_plain(queue[0]) and (len(queue) == 1 or not walked):
         return _BUSY
     return "transient"
 
@@ -370,6 +385,10 @@ class FleetState:
         self._ub_idx = np.flatnonzero(~self._lane_banked)
         self._ub_eidx = np.flatnonzero(emask)
 
+        #: Whether the current span walks the banked machines' observation
+        #: chunks (set by :meth:`prepare`).  A fleet builds as for a
+        #: one-chunk span, and ``prepare`` parks what a walk cannot run.
+        self._walked = False
         for slot in self._slots:
             slot[0]._fleet_ref = self
             label = self._machine_blocker(slot[0]) or self._admit(slot)
@@ -402,8 +421,9 @@ class FleetState:
         """None when every core of held machine ``m`` can live in columns
         now, else the fallback label that keeps it parked."""
         banked = m.supply_bank is not None
+        walked = banked and self._walked
         for c in m.cores:
-            cls = _classify_lane(c, self.now, banked)
+            cls = _classify_lane(c, self.now, banked, walked)
             if type(cls) is str:
                 return cls
         return None
@@ -532,7 +552,8 @@ class FleetState:
         old = core._fleet
         if old is not None and old is not self and old._valid:
             old.detach()
-        mode = _classify_lane(core, t0, bool(self._lane_banked[i]))
+        banked = bool(self._lane_banked[i])
+        mode = _classify_lane(core, t0, banked, banked and self._walked)
         if type(mode) is str:
             return mode
         self._reset_lane(i)
@@ -697,11 +718,17 @@ class FleetState:
 
     # -- per-span processing -----------------------------------------------------------
 
-    def prepare(self) -> bool:
-        """Bring the columns to the span start: admit each parked machine
-        whose blocker cleared, re-derive stale lanes, and park each
-        machine with a lane the columns cannot run.  False means a parked
-        machine changed structure: build a new fleet."""
+    def prepare(self, dt: float) -> bool:
+        """Bring the columns to the start of a span of ``dt``: admit each
+        parked machine whose blocker cleared, re-derive stale lanes, and
+        park each machine with a lane the columns cannot run over this
+        span.  False means a parked machine changed structure: build a
+        new fleet."""
+        t0 = self.now
+        # Only banked lanes walk (``_ub_idx`` holds the unbanked ones).
+        self._walked = walked = (
+            dt > SUPPLY_OBSERVATION_INTERVAL_S and self._ub_idx.size < self.n
+            and len(observation_bounds(t0, t0 + dt, dt)) > 1)
         lanes = ()
         kind = self.kind
         if self._dirty:
@@ -729,12 +756,23 @@ class FleetState:
         for i in lanes:
             if kind[i] == _PARKED:
                 continue  # its machine parked earlier in this loop
-            label = self._setup_lane(i, self.now)
+            label = self._setup_lane(i, t0)
             if label is not None:
                 slot = self._lane_slot[i]
                 self._park(slot)
                 self._parked[slot[0]] = label
                 changed = True
+        if walked:
+            # A banked machine admitted over a one-chunk span may hold
+            # what a walk cannot run (a queue, ONCE work): classify it
+            # again for this span.
+            for slot in self._banked:
+                m = slot[0]
+                label = None if m in self._parked else self._machine_blocker(m)
+                if label is not None:
+                    self._park(slot)
+                    self._parked[m] = label
+                    changed = True
         if changed:
             self._relist()
         return True
@@ -1069,9 +1107,9 @@ class FleetState:
 
         A completion or a quantum expiry changes the job at the head of
         the queue: the replay does ``Dispatcher.account_run``'s pop or
-        rotation and hands the rest of the span to :meth:`_handoff`.  Only
-        unbanked lanes complete or rotate, so ``chunks`` is then the whole
-        span.
+        rotation and hands the rest of the span to :meth:`_handoff`.  A
+        walked span parks every banked machine whose lanes could complete
+        or rotate, so ``chunks`` is then the whole span.
         """
         core = self.cores[i]
         job = self.jobs[i]
@@ -1343,11 +1381,12 @@ def advance_machines(machines, dt: float, *, flush: bool = True
     if dt == 0.0 or not machines:
         return 0, None
     fleet = _get_fleet(machines)
-    if not fleet.prepare():
+    if not fleet.prepare(dt):
         # A parked machine changed structure: a new fleet holds the
         # machines afresh, admitting or parking each one as it builds.
         fleet.detach()
         fleet = _get_fleet(machines)
+        fleet.prepare(dt)
     try:
         advanced = fleet.advance(dt)
     except BaseException:

@@ -409,6 +409,17 @@ class TestFleetConfigValidation:
         assert fleet.effective_rebalance_period_s(0.1) == pytest.approx(0.2)
         assert fleet.effective_staleness_bound_s(0.1) == pytest.approx(0.6)
 
+    def test_rejects_timeout_beyond_default_bound(self):
+        # The default bound is 3 rebalance periods of 2 scheduling
+        # periods each: 0.6 s at 0.1 s.
+        config = CoordinatorConfig(schedule_period_s=0.1)
+        with pytest.raises(ClusterError, match="staleness"):
+            FleetAllocator(quiet_cluster(8), config,
+                           fleet=FleetConfig(summary_timeout_s=1.0))
+        allocator = FleetAllocator(quiet_cluster(8), config,
+                                   fleet=FleetConfig(summary_timeout_s=0.5))
+        assert allocator.staleness_bound_s == pytest.approx(0.6)
+
 
 class TestCoordinatorConfigTimeoutValidation:
     def test_rejects_report_timeout_beyond_staleness_bound(self):

@@ -41,15 +41,22 @@ accounting, and per-request ``elapsed_s`` stamps — and a stock serving
 fleet must take *zero* fallbacks (completion is a columnar crossing, not a
 delegation).
 
-Parking: supply-banked machines serving requests park while they hold ONCE
-work and are admitted back when it drains, within the one fleet a run
-builds, while a coordinator samples the parked machines' counters.  Each
-other state the columns cannot run (an offline core, a halting idle
-core, daemon-time debt, a pending settle, a replaced counter bank, a
-non-plain head phase, a banked two-job queue) parks its machine alone
-until it clears; a power-down governor's run and a halt-idle machine
-whose requests drain and resume park exactly for the spans that hold
-such a core.
+Banked serving: in spans of one observation chunk, supply-banked
+machines stay resident through requests that complete and quanta that
+expire mid-span (per-machine event streams, PSU events included, match
+the scalar order).  A request on a banked core that halts when idle
+parks its machine at any span length, and a walked span parks a banked
+machine holding ONCE work or a queue for that span only; a raising bank
+rebuilds the fleet only on the spans that fall back whole.
+
+Parking: a supply-banked node whose halting cores serve requests parks
+while it holds ONCE work and is admitted back when it drains, within the
+one fleet a run builds, while a coordinator samples the parked machine's
+counters.  Each other state the columns cannot run (an offline core, a
+halting idle core, daemon-time debt, a pending settle, a replaced counter
+bank, a non-plain head phase) parks its machine alone until it clears; a
+power-down governor's run and a halt-idle machine whose requests drain
+and resume park exactly for the spans that hold such a core.
 """
 
 import dataclasses
@@ -71,6 +78,7 @@ from repro.sim.fleet import (_BUSY, FleetState, advance_machines,
                              flush_machines, reset_fleet)
 from repro.sim.counters import CounterBank
 from repro.sim.idle import IdleStyle
+from repro.sim.machine import observation_bounds
 from repro.sim.node import ClusterNode
 from repro.sim.os_sched import DEFAULT_QUANTUM_S
 from repro.sim.rng import spawn_seeds
@@ -455,7 +463,8 @@ def queue_fleet(seed, sigma):
     """Unbanked machines whose cores queue several jobs — three LOOP jobs
     (the dispatcher rotates them), a burst of ONCE requests (each
     completion chains to the next) and a ONCE request ahead of a LOOP job
-    — plus a banked peer whose two-job core parks its machine."""
+    — plus a banked peer whose two-job core parks its machine in a span
+    that walks its observation chunks."""
     rng = np.random.default_rng(seed)
     ms = []
     for i in range(3):
@@ -490,7 +499,7 @@ def assert_queues_resident(ms):
     """Every unbanked core queueing two or more jobs is a resident busy
     lane once its fleet re-derives at the next span start."""
     fleet = ms[0].__dict__["_fleet_cache"][1]
-    assert fleet.prepare()
+    assert fleet.prepare(0.001)
     queued = 0
     for m in ms:
         if m.supply_bank is not None:
@@ -506,8 +515,10 @@ def assert_queues_resident(ms):
 def test_randomized_run_queues_match(sigma):
     """Rotation, completion chaining and a ONCE head draining into a LOOP
     job replay bit-equal through the columns, with frequency commands
-    between spans.  Only the banked peer's machine-spans delegate: its
-    two-job core keeps it parked."""
+    between spans.  Only the banked peer's machine-spans delegate, and
+    exactly on the spans longer than one observation chunk: its two-job
+    core rides the whole-fleet pass in a shorter span and parks in a
+    walked one."""
     for seed in (5, 41, 77):
         rng = np.random.default_rng(seed)
         spans = [float(d) for d in rng.uniform(1e-4, 0.03, size=30)]
@@ -526,8 +537,13 @@ def test_randomized_run_queues_match(sigma):
 
         ms, tally = run_two_ways(
             lambda seed=seed: queue_fleet(seed, sigma), script)
-        assert tally == (len(spans) * (len(ms) - 1),
-                         {"transient": len(spans)})
+        t, walked = 0.0, 0
+        for dt in spans:
+            walked += len(observation_bounds(t, t + dt, dt)) > 1
+            t += dt
+        assert 0 < walked < len(spans)
+        assert tally == (len(spans) * len(ms) - walked,
+                         {"transient": walked})
         for m in ms[:3]:
             rr = m.cores[0].dispatcher.jobs
             assert all(j.instructions_retired > 0 for j in rr)
@@ -1042,6 +1058,188 @@ def test_cascade_inside_a_one_chunk_span(monkeypatch):
     assert tally == (len(spans), {})
 
 
+def serving_banked_machine(k, *, seed):
+    """A jittered banked machine whose cores complete and rotate work
+    mid-span: a burst of requests on core 0, two LOOP jobs on core 1, a
+    request ahead of a LOOP job on core 2 (all under a 3 ms quantum) and
+    a lone LOOP job on core 3.  Its jobs and supplies are named
+    ``m{k}-...``, so its events can be told apart."""
+    m = SMPMachine(
+        MachineConfig(num_cores=4,
+                      core_config=CoreConfig(latency_jitter_sigma=0.02,
+                                             quantum_s=0.003)),
+        supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+        seed=seed)
+    for supply in m.supply_bank.supplies:
+        supply.name = f"m{k}-{supply.name}"
+    for j in range(6):
+        m.assign(0, once_request(f"m{k}-req{j}", 0.6 + 0.05 * j,
+                                 0.002 + 0.001 * j, phases=1 + j % 2))
+    m.assign(1, looping_job(f"m{k}-rr0", (0.9, 0.3), duration_s=0.004))
+    m.assign(1, looping_job(f"m{k}-rr1", (0.5,), duration_s=0.006))
+    m.assign(2, once_request(f"m{k}-head", 0.7, 0.012))
+    m.assign(2, looping_job(f"m{k}-tail", (0.8, 0.2), duration_s=0.005))
+    m.assign(3, looping_job(f"m{k}-solo", (1.0, 0.4), duration_s=0.007))
+    return m
+
+
+def test_one_chunk_banked_serving_completes_and_rotates_in_the_pass(
+        monkeypatch):
+    """Banked machines whose requests complete and whose quanta expire
+    mid-span stay resident in spans of one observation chunk: each
+    completion or rotation is a crossing of the whole-fleet pass, and
+    the bank observes the span-start demand at the span end (the cores
+    idle hot, so a completion leaves the draw unchanged).  Machine 0 runs
+    on one supply until its cascade fires at a span end.  Under live
+    telemetry each machine's own events match the scalar reference in
+    order, its lane events before its PSU events; only the interleaving
+    across machines is left unspecified."""
+    walks = count_walks(monkeypatch)
+    rng = np.random.default_rng(8)
+    spans = [float(d) for d in rng.uniform(0.002, 0.0099, size=230)]
+    kinds = (EVENT_PHASE_TRANSITION, EVENT_PSU_FAILURE)
+    events, marks = [], []
+
+    def build():
+        peer = SMPMachine(
+            MachineConfig(num_cores=2,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=82)
+        peer.assign(0, looping_job("peer-a", (0.8, 0.3), duration_s=0.006))
+        return [serving_banked_machine(0, seed=80),
+                serving_banked_machine(1, seed=81), peer]
+
+    def script(ms, advance):
+        marks.append(len(events))
+        ms[0].supply_bank.fail_supply(0, now_s=0.0)
+        for k, dt in enumerate(spans):
+            advance(dt)
+            if k == 40:
+                ms[1].core(3).add_job(once_request("m1-late", 0.9, 0.02))
+
+    tel = Telemetry()
+    tel.events.subscribe("*", lambda e: events.append(
+        (e.kind, e.sim_time_s, dict(e.attrs))) if e.kind in kinds else None)
+    with use_telemetry(tel):
+        ms, tally = run_two_ways(build, script)
+    assert tally == (3 * len(spans), {})
+    assert not walks
+
+    def per_machine(stream):
+        out = {}
+        for event in stream:
+            attrs = event[2]
+            who = (attrs.get("job") or attrs["supply"]).split("-")[0]
+            out.setdefault(who, []).append(event)
+        return out
+
+    cols = per_machine(events[marks[0]:marks[1]])
+    assert cols == per_machine(events[marks[1]:])
+    m0 = cols["m0"]
+    cascade = [k for k, e in enumerate(m0)
+               if e[0] == EVENT_PSU_FAILURE and e[2]["cascade"]]
+    assert len(cascade) == 1 and 0 < cascade[0] < len(m0) - 1
+    assert ms[0].supply_bank.cascade_count == 1
+    for m in ms[:2]:
+        assert len(m.cores[0].dispatcher.finished) == 6
+        rotated = m.cores[1].dispatcher.jobs
+        assert all(j.instructions_retired > 0 for j in rotated)
+    assert [j.name for j in ms[1].cores[3].dispatcher.finished] == ["m1-late"]
+
+
+def test_halting_banked_request_parks_at_one_chunk_spans():
+    """A banked core that halts when idle draws less once its last
+    request completes, and ``SMPMachine._advance_to`` observes the bank
+    after the cores ran, so its request parks the machine even in spans
+    of one observation chunk.  Behind one failed supply the demand is
+    just over capacity while core 3 serves (495 W against 480 W) and
+    under it while core 3 halts (452.25 W).  So the observe of the span
+    in which the first request completes ends the overload episode, and
+    the next request, arriving at the following span start, opens a new
+    one.  Priced at the span start, the first episode would run on, and
+    the bank would end the run in another state."""
+    f800, f650 = POWER4_TABLE.freqs_hz[11], POWER4_TABLE.freqs_hz[8]
+    episodes = []
+
+    def build():
+        m = SMPMachine(
+            MachineConfig(num_cores=4, initial_freq_hz=f800,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0,
+                                                 idle_style=IdleStyle.HALT)),
+            supply_bank=SupplyBank.example_p630(raise_on_cascade=False),
+            seed=57)
+        for c in range(3):
+            m.assign(c, looping_job(f"h{c}", (0.9, 0.3), duration_s=0.006))
+        m.core(3).set_frequency(f650, 0.0)
+        m.assign(3, once_request("req", 0.8, 0.012))
+        m.supply_bank.fail_supply(0)
+        peer = SMPMachine(
+            MachineConfig(num_cores=1,
+                          core_config=CoreConfig(latency_jitter_sigma=0.0)),
+            seed=58)
+        peer.assign(0, looping_job("peer", (0.6,)))
+        return [m, peer]
+
+    def script(ms, advance):
+        core, bank = ms[0].cores[3], ms[0].supply_bank
+        for _ in range(8):
+            if not core.dispatcher._queue:
+                core.add_job(once_request("next", 0.8, 0.5))
+            advance(0.005)
+            episodes.append(bank.overload_since_s)
+
+    ms, tally = run_two_ways(build, script)
+    assert tally == (8, {"transient": 8})
+    assert ms[0].system_power_w() == 186.0 + 3 * 84.0 + 57.0
+    done = ms[0].cores[3].dispatcher.finished
+    assert [j.name for j in done] == ["req"]
+    assert 0.010 < done[0].completed_at_s < 0.015     # inside span 2
+    cols = episodes[:8]
+    assert cols == episodes[8:]
+    assert cols[:3] == [cols[0], cols[0], None]
+    assert cols[3:] == [cols[3]] * 5 and cols[3] > cols[0]
+
+
+def test_walked_spans_park_banked_queues_and_requests(monkeypatch):
+    """Spans alternate 4 ms (one observation chunk) and 25 ms (a walk of
+    three).  A banked machine with a two-job core and one holding ONCE
+    requests ride the whole-fleet pass in each short span, park
+    (``transient``) in each walked one, and are admitted back at the
+    next short span.  A banked machine of sole LOOP jobs stays resident
+    and walks.  Every span replays bit-equal."""
+    walks = count_walks(monkeypatch)
+    spans = [0.004, 0.025] * 5
+    tallies = []
+
+    def build():
+        queued = banked_machine(seed=58)
+        queued.assign(0, looping_job("extra", (0.5,), duration_s=0.01))
+        serving = banked_machine(seed=59)
+        serving.assign(1, once_request("long", 0.8, 0.5))
+        for j in range(4):
+            serving.assign(2, once_request(f"short{j}", 0.7,
+                                           0.006 + 0.003 * j))
+        plain = SMPMachine(
+            MachineConfig(num_cores=1,
+                          core_config=CoreConfig(latency_jitter_sigma=0.02)),
+            seed=61)
+        plain.assign(0, looping_job("plain", (0.8, 0.3), duration_s=0.006))
+        return [queued, serving, banked_machine(seed=60), plain]
+
+    def script(ms, advance):
+        for dt in spans:
+            span = advance(dt)
+            if span is not None:    # the scalar replay returns nothing
+                tallies.append(span)
+
+    ms, tally = run_two_ways(build, script)
+    assert tallies == [(4, None), (2, {"transient": 2})] * 5
+    assert tally == (30, {"transient": 10})
+    assert len(walks) == 5
+    assert len(ms[1].cores[2].dispatcher.finished) == 4
+    assert ms[1].cores[1].dispatcher.jobs[0].name == "long"
+
+
 # -- serving traffic: ONCE-request lanes stay resident ------------------------------
 
 
@@ -1208,18 +1406,28 @@ def count_builds(monkeypatch):
 
 def test_banked_serving_parks_and_admits_bit_for_bit(monkeypatch):
     """Supply-banked nodes serve ONCE requests on cores 0-1 beside LOOP
-    jobs on cores 2-3.  A request parks its machine (its objects turn
-    authoritative and it advances through ``machine.advance``) until the
-    queue drains, and the machine is then admitted back, all within the
-    one fleet built at the first span.  The coordinator samples counters
-    while machines are parked, so its logged passes see what the parked
-    banks hold; machine state, request stamps and the passes match the
-    scalar reference exactly."""
+    jobs on cores 2-3, in spans of at most one observation chunk.  On
+    nodes whose cores idle hot a request rides the whole-fleet pass, so
+    those machines stay resident through every arrival, completion and
+    rotation.  Node 0's serving cores halt when idle (a LOOP job keeps
+    them busy): a request there parks its machine (its objects turn
+    authoritative and it advances through ``machine.advance``) until its
+    ONCE work drains, and the machine is then admitted back, all within
+    the one fleet built at the first span.  The coordinator samples
+    counters while node 0 is parked, so its logged passes see what the
+    parked banks hold; machine state, request stamps and the passes match
+    the scalar reference exactly."""
     import repro.cluster.agent as agent_mod
 
     builds = count_builds(monkeypatch)
     parked_reads = []
+    delegated = set()
     gather = agent_mod.gather_counters
+    advance = SMPMachine.advance
+
+    def watched_advance(machine, dt):
+        delegated.add(machine)
+        advance(machine, dt)
 
     def watched_gather(cores):
         fleet = cores[0]._fleet
@@ -1242,6 +1450,10 @@ def test_banked_serving_parks_and_admits_bit_for_bit(monkeypatch):
             for core in (2, 3):
                 node.assign(core, looping_job(f"loop{node.node_id}{core}",
                                               (1.0, 0.5, 0.2)))
+        for core in cluster.nodes[0].machine.cores[:2]:
+            core.config = dataclasses.replace(core.config,
+                                              idle_style=IdleStyle.HALT)
+            core.add_job(looping_job(f"bg{core.core_id}", (0.7, 0.3)))
         table = cluster.nodes[0].machine.table
         sim = Driver(cluster.machines)
         rate = 60.0 * nodes * 2
@@ -1260,19 +1472,25 @@ def test_banked_serving_parks_and_admits_bit_for_bit(monkeypatch):
                    e.predicted_ipc, e.predicted_loss)
                   for e in coord.log.schedule_entries]
         return (serving_snapshot(cluster.machines, traffic, sim.now_s),
-                passes, dict(sim.fleet_fallbacks))
+                passes, dict(sim.fleet_fallbacks), cluster.machines)
 
     with monkeypatch.context() as mp:
         mp.setattr(agent_mod, "gather_counters", watched_gather)
-        cols, cols_passes, fallbacks = run()
+        mp.setattr(SMPMachine, "advance", watched_advance)
+        cols, cols_passes, fallbacks, machines = run()
     with scalar_reference():
-        scal, scal_passes, _ = run()
+        scal, scal_passes, _, _ = run()
     assert cols_passes == scal_passes
     assert cols == scal
     assert len(builds) == 1
     assert fallbacks.get("transient", 0) > 0
     assert set(fallbacks) == {"transient"}
     assert sum(parked_reads) > 0
+    # Only the halting node ever left the columns.
+    assert delegated == {machines[0]}
+    finished = [len(c.dispatcher.finished) for m in machines[1:]
+                for c in m.cores[:2]]
+    assert all(finished)
 
 
 class TaggedJob(Job):
@@ -1373,11 +1591,17 @@ def _power(on):
     return toggle
 
 
-def _idle_style(style):
+def _idle_style(style, core=3):
     def restyle(ms):
-        core = ms[0].cores[3]    # the idle core
-        core.config = dataclasses.replace(core.config, idle_style=style)
+        c = ms[0].cores[core]    # by default the idle core
+        c.config = dataclasses.replace(c.config, idle_style=style)
     return restyle
+
+
+def _halting_request(ms):
+    # A request behind core 0's LOOP job, on a core restyled to halt.
+    _idle_style(IdleStyle.HALT, core=0)(ms)
+    ms[0].assign(0, once_request("req", 0.8, 0.2))
 
 
 #: state -> (build kwargs, set the state, clear it (None: it drains
@@ -1400,12 +1624,12 @@ PARKING_STATES = {
         {}, lambda ms: ms[0].assign(3, tagged_request("tag", 0.8, 0.025)),
         None, lambda ms: bool(ms[0].cores[3].dispatcher._queue),
         "transient"),
-    "banked-two-jobs": (
-        {"banked": True},
-        lambda ms: ms[0].assign(0, looping_job("extra", (0.5,),
-                                               duration_s=0.01)),
-        lambda ms: ms[0].migrate(ms[0].cores[0].dispatcher._queue[-1], 0, 3),
-        lambda ms: len(ms[0].cores[0].dispatcher._queue) > 1, "transient"),
+    "banked-halting-request": (
+        {"banked": True}, _halting_request,
+        _idle_style(IdleStyle.HOT_LOOP, core=0),
+        lambda ms: (ms[0].cores[0].config.idle_style is IdleStyle.HALT
+                    and len(ms[0].cores[0].dispatcher._queue) > 1),
+        "transient"),
     "offline": (
         {}, _power(False), _power(True),
         lambda ms: ms[0].cores[1].offline, "offline"),
@@ -1817,8 +2041,9 @@ def test_raising_cascade_on_the_last_boundary_falls_back_whole_span(spans,
 
 def raising_bank_fleet(outside):
     """Four hot cores behind a raising bank, ahead of a stock peer.  The
-    banked machine is ``"parked"`` (core 0 holds a ONCE request) or a
-    ``"delegate"`` (a twin right behind it shares its bank)."""
+    banked machine is ``"parked"`` in a walked span (core 0 queues a ONCE
+    request behind its LOOP job) or a ``"delegate"`` (a twin right behind
+    it shares its bank)."""
     bank = SupplyBank.example_p630(raise_on_cascade=True)
     config = MachineConfig(num_cores=4,
                            core_config=CoreConfig(latency_jitter_sigma=0.0))
@@ -1855,6 +2080,29 @@ def test_raising_cascade_outside_the_columns_falls_back_whole_span(outside):
     ms, tally = run_two_ways(lambda: raising_bank_fleet(outside), script)
     assert tally == (0, {"bank": len(ms)})
     assert ms[-1].now_s == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("outside,spans,builds,tally", [
+    ("parked", [0.005] * 10, 1, (20, {})),
+    ("parked", [0.005, 0.020] * 5, 5, (10, {"bank": 10})),
+    ("parked", [0.020] * 10, 10, (0, {"bank": 20})),
+    ("delegate", [0.005] * 10, 10, (0, {"bank": 30})),
+], ids=["one-chunk", "alternating", "walked", "delegate"])
+def test_raising_bank_rebuilds_only_on_whole_span_fallbacks(
+        monkeypatch, outside, spans, builds, tally):
+    """Each whole-span fallback detaches the fleet, so the next span
+    builds a new one.  In one-chunk spans the raising bank's machine
+    rides the pass with its request and queue, and the run keeps one
+    fleet.  A walked span parks it, before the raising-bank check, so
+    that span still falls back whole; so does every span of a delegate."""
+    built = count_builds(monkeypatch)
+
+    def script(ms, advance):
+        for dt in spans:
+            advance(dt)
+
+    _, got = run_two_ways(lambda: raising_bank_fleet(outside), script)
+    assert (len(built), got) == (builds, tally)
 
 
 def test_shared_bank_machines_stay_delegates():
